@@ -42,7 +42,6 @@ class ExperimentConfig:
     dims: tuple = (128, 256)
     margins: tuple = (32, 64)
     output: str = None
-    fmt: str = "csv"
     threads: int = None
 
     def validate(self):
@@ -60,8 +59,6 @@ class ExperimentConfig:
             raise DomainError(f"J must be nonnegative, got {self.J}")
         if self.gamma_grid < 8:
             raise DomainError(f"gamma-grid must be at least 8, got {self.gamma_grid}")
-        if self.fmt not in ("csv", "json"):
-            raise DomainError(f"format must be csv or json, got {self.fmt}")
         if self.threads < 1:
             raise DomainError(f"threads must be >= 1, got {self.threads}")
         for d in self.dims:
@@ -103,9 +100,7 @@ _CONFIG_CASTS = {
     "dims": lambda s: tuple(int(x) for x in s.split(",") if x),
     "margins": lambda s: tuple(int(x) for x in s.split(",") if x),
     "output": str,
-    "fmt": str,
     "threads": int,
-    "suite": str,
 }
 
 
@@ -287,8 +282,6 @@ def _config_from_args(args):
     if getattr(args, "config", None):
         file_overrides = _parse_config_file(args.config, set(_CONFIG_CASTS))
         for key, value in file_overrides.items():
-            if key == "suite":
-                continue
             setattr(cfg, key, _CONFIG_CASTS[key](value))
             provided.add(key)
     explicit = {

@@ -40,6 +40,11 @@ __all__ = [
 MINUS_ONE_ATOM_TOL = 1e-8  # eigenvalue within this of -1 counts as the spectral atom
 
 
+def _arccos(lam):
+    """Principal arccos of an eigenvalue, clipped into [-1, 1] first."""
+    return math.acos(min(1.0, max(-1.0, lam)))
+
+
 @dataclass(frozen=True, eq=False)
 class ShiftFamily:
     """Shift operator U and diagonal label operator N on a common basis."""
@@ -74,17 +79,14 @@ def build_shift_family(basis):
 
 
 def ladder_from_shift(fam):
-    """Raising/lowering pair a+ = U sqrt(N+... ) on the one-sided basis.
+    """Raising/lowering pair a+ = U sqrt(N + 1) on the one-sided basis.
 
     a+ e_n = sqrt(n+1) e_{n+1} with the last column truncated, and
     a- = (a+)^H exactly.
     """
     if fam.basis.mode != "one_sided":
         raise DomainError("ladder operators need a one_sided basis")
-    dim = fam.basis.dim
-    a_plus = np.zeros((dim, dim), dtype=complex)
-    for n in range(dim - 1):
-        a_plus[n + 1, n] = math.sqrt(n + 1.0)
+    a_plus = fam.U.entries * np.sqrt(np.arange(fam.basis.dim) + 1.0)
     a_plus_op = TruncatedOperator(a_plus, fam.basis)
     return a_plus_op, a_plus_op.H
 
@@ -121,9 +123,7 @@ def angle_upper(C, method="spectral", tol=None):
     eig = linalg.hermitian_eig(C)
     _check_contraction_spectrum(eig)
     if method == "spectral":
-        return linalg.spectral_function(
-            C, lambda lam: math.acos(min(1.0, max(-1.0, lam))), eig=eig
-        )
+        return linalg.spectral_function(C, _arccos, eig=eig)
     if method != "series":
         raise DomainError(f"method must be 'spectral' or 'series', got {method!r}")
     dim = C.dim
@@ -147,9 +147,7 @@ def angle_lower(C):
     """Lower half-circle angle operator ArcCos(C) + pi, spectrum in [pi, 2 pi]."""
     eig = linalg.hermitian_eig(C)
     _check_contraction_spectrum(eig)
-    return linalg.spectral_function(
-        C, lambda lam: math.acos(min(1.0, max(-1.0, lam))) + math.pi, eig=eig
-    )
+    return linalg.spectral_function(C, lambda lam: _arccos(lam) + math.pi, eig=eig)
 
 
 def minus_one_projector(C, atom_tol=MINUS_ONE_ATOM_TOL, eig=None):
@@ -170,12 +168,8 @@ def full_angle(fam):
     pair = cos_sin_pair(fam)
     eig = linalg.hermitian_eig(pair.C)
     _check_contraction_spectrum(eig)
-    upper = linalg.spectral_function(
-        pair.C, lambda lam: math.acos(min(1.0, max(-1.0, lam))), eig=eig
-    )
-    lower = linalg.spectral_function(
-        pair.C, lambda lam: math.acos(min(1.0, max(-1.0, lam))) + math.pi, eig=eig
-    )
+    upper = linalg.spectral_function(pair.C, _arccos, eig=eig)
+    lower = linalg.spectral_function(pair.C, lambda lam: _arccos(lam) + math.pi, eig=eig)
     atom = minus_one_projector(pair.C, eig=eig)
     dim = fam.basis.dim
     out = np.zeros((2 * dim, 2 * dim), dtype=complex)

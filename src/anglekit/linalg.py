@@ -122,10 +122,6 @@ def _require_same_basis(a, b):
         raise BasisMismatchError(f"basis mismatch: {a.basis} vs {b.basis}")
 
 
-def identity_like(op):
-    return TruncatedOperator(np.eye(op.dim, dtype=complex), op.basis)
-
-
 def from_matrix(entries, basis=None, mode="one_sided", offset=0):
     """Wrap a bare matrix, synthesizing a BasisSpec when none is given."""
     entries = np.asarray(entries, dtype=complex)

@@ -1,7 +1,7 @@
 """Self-contained special-function kernels.
 
-Everything here is scalar, pure and built on elementary functions only:
-log-gamma (Lanczos), terminating Gauss hypergeometric sums, Kummer's
+Everything here is scalar, pure and built on elementary functions and
+libm only: log-gamma, terminating Gauss hypergeometric sums, Kummer's
 confluent series, associated Laguerre recurrences, lattice Gaussian
 (theta) normalizers and the MacLaurin coefficients of the principal
 inverse-cosine branch.  All factorial/Gamma ratios are assembled in log
@@ -40,43 +40,11 @@ class SeriesTolerance:
 
 DEFAULT_TOL = SeriesTolerance()
 
-# Lanczos approximation, g = 7, 9 coefficients.  Relative accuracy of the
-# resulting log-gamma is ~1e-15 over the positive axis.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_LN_PI = math.log(math.pi)
-_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
 def ln_gamma(x):
-    """Natural log of the Gamma function for x > 0.
-
-    Uses the Lanczos series directly for x >= 0.5 and the reflection
-    formula below that, which keeps the relative error at the 1e-14
-    level throughout (0, 500].
-    """
+    """Natural log of the Gamma function for x > 0 (libm lgamma)."""
     if not x > 0:
         raise DomainError(f"ln_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return _LN_PI - math.log(math.sin(math.pi * x)) - ln_gamma(1.0 - x)
-    z = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _LN_SQRT_2PI + (z + 0.5) * math.log(t) - t + math.log(acc)
+    return math.lgamma(x)
 
 
 def _log_pochhammer(a, k):

@@ -26,8 +26,14 @@ from scipy.special import roots_genlaguerre
 
 from .errors import DomainError, QuadratureWarning, TruncationWarning
 from .linalg import BasisSpec, TruncatedOperator
-from . import linalg
-from .specfun import SeriesTolerance, gauss_2f1_terminating, kummer_1f1, ln_gamma
+from . import halfcircle, linalg
+from .specfun import (
+    SeriesTolerance,
+    assoc_laguerre,
+    gauss_2f1_terminating,
+    kummer_1f1,
+    ln_gamma,
+)
 
 __all__ = [
     "WeightSpec",
@@ -95,6 +101,13 @@ class WeightSpec:
             d = np.zeros(dim)
             src = np.asarray(self.diag, dtype=float)
             d[: min(dim, src.size)] = src[:dim]
+            dropped = float(src[dim:].sum())
+            if dropped > 0.0:
+                warnings.warn(
+                    f"density diagonal drops mass {dropped:.3e} past dim={dim}",
+                    TruncationWarning,
+                    stacklevel=2,
+                )
             return d
         n = np.arange(dim)
         if self.t == 0.0:
@@ -193,18 +206,17 @@ def _fill_lower_triangle(z, dim):
 def displacement_laguerre(z, dim):
     """Truncated displacement matrix D(z) from the Laguerre formula.
 
-    The upper triangle comes from the reflection D_{mn}(z) equal to the
-    conjugate of D_{nm}(-z), which is the footnote identity between
-    L_n^{(m-n)} and L_m^{(n-m)} in disguise.
+    One recurrence fill gives the lower triangle; the upper triangle
+    follows from parity, D_{mn}(z) = (-1)^{m+n} conj(D_{nm}(z)), which
+    is the footnote identity between L_n^{(m-n)} and L_m^{(n-m)} in
+    disguise.
     """
     if dim < 2:
         raise DomainError(f"displacement needs dim >= 2, got {dim}")
-    z = complex(z)
-    lower = _fill_lower_triangle(z, dim)
-    lower_neg = _fill_lower_triangle(-z, dim)
-    full = lower
-    iu = np.triu_indices(dim, 1)
-    full[iu] = lower_neg.conj().T[iu]
+    full = _fill_lower_triangle(complex(z), dim)
+    rows, cols = np.triu_indices(dim, 1)
+    sign = 1.0 - 2.0 * ((rows + cols) % 2)
+    full[rows, cols] = sign * full[cols, rows].conj()
     return TruncatedOperator(full, BasisSpec("one_sided", dim, 0))
 
 
@@ -291,37 +303,35 @@ def quantize(fourier, weight, quad, dim, check_resolution=False):
 
 def _quantize_once(fourier, weight, quad, dim):
     rho = weight.diagonal(dim)
-    basis = BasisSpec("one_sided", dim, 0)
-    out = np.zeros((dim, dim), dtype=complex)
-    displaced = {}
-    for alpha in (0.0, 0.5):
-        nodes, _ = quad.radial_rule(alpha)
-        mats = []
-        for J in nodes:
-            Dz = _fill_lower_triangle(math.sqrt(J), dim)
-            Dzn = _fill_lower_triangle(-math.sqrt(J), dim)
-            iu = np.triu_indices(dim, 1)
-            Dz[iu] = Dzn.conj().T[iu]
-            mats.append((Dz * rho) @ Dz.conj().T)
-        displaced[alpha] = mats
+    # One accumulator per diagonal d that mode q selects, in (q, d) order.
+    terms = []
     for q, (g, s) in fourier.items():
         for d in range(-(dim - 1), dim):
             if (q - d) % quad.n_gamma != 0:
                 continue  # trapezoid sum of e^{i(q-d)gamma} vanishes
             alpha = 0.5 if (abs(d) + s) % 2 == 1 else 0.0
-            nodes, wts = quad.radial_rule(alpha)
             rows = np.arange(max(0, -d), min(dim, dim - d))
-            cols = rows + d
-            acc = np.zeros(rows.size, dtype=complex)
-            for J, w, MJ in zip(nodes, wts, displaced[alpha]):
-                if w <= 0.0 or J <= 0.0:
-                    continue
-                log_w = math.log(w) + J + (s / 2.0 - alpha) * math.log(J)
-                if log_w > 700.0:
-                    continue  # weight underflowed upstream; mass is negligible
-                acc += (math.exp(log_w) * g(J)) * MJ[rows, cols]
-            out[rows, cols] += acc
-    return TruncatedOperator(out, basis)
+            terms.append((alpha, g, s, rows, rows + d, np.zeros(rows.size, dtype=complex)))
+    for alpha in (0.0, 0.5):
+        group = [term for term in terms if term[0] == alpha]
+        if not group:
+            continue
+        nodes, wts = quad.radial_rule(alpha)
+        for J, w in zip(nodes, wts):
+            if w <= 0.0 or J <= 0.0:
+                continue
+            log_ws = [math.log(w) + J + (s / 2.0 - alpha) * math.log(J) for _, _, s, *_ in group]
+            if min(log_ws) > 700.0:
+                continue  # weight underflowed upstream; mass is negligible
+            Dz = displacement_laguerre(math.sqrt(J), dim).entries
+            MJ = (Dz * rho) @ Dz.conj().T
+            for (_, g, _, rows, cols, acc), log_w in zip(group, log_ws):
+                if log_w <= 700.0:
+                    acc += (math.exp(log_w) * g(J)) * MJ[rows, cols]
+    out = np.zeros((dim, dim), dtype=complex)
+    for _, _, _, rows, cols, acc in terms:
+        out[rows, cols] += acc
+    return TruncatedOperator(out, BasisSpec("one_sided", dim, 0))
 
 
 def f_coefficient(n, n_prime, t):
@@ -419,15 +429,6 @@ def d_q_cs(q, J, tol=None):
     return math.exp(log_pref + math.log(hyp))
 
 
-def _laguerre_value(n, alpha, x):
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, 1.0 + alpha - x
-    for k in range(1, n):
-        prev, cur = cur, ((2.0 * k + 1.0 + alpha - x) * cur - (k + alpha) * prev) / (k + 1.0)
-    return cur
-
-
 def d_q_series(q, J, t, n_max=200, rel_tol=1e-13):
     """Reference evaluation of the published general-t symbol coefficient.
 
@@ -466,14 +467,14 @@ def d_q_series(q, J, t, n_max=200, rel_tol=1e-13):
                 log_t + ln_gamma(m + 1.0) - log_fact_qn - log_fact_n
                 + (q / 2.0 + n - m) * log_j
             )
-            inner += term * _laguerre_value(m, n - m, J) * _laguerre_value(m, q + n - m, J)
+            inner += term * assoc_laguerre(m, n - m, J) * assoc_laguerre(m, q + n - m, J)
         if t > 0.0:
             for m in range(n + 1, q + n + 1):
                 term = math.exp(m * math.log(t) - log_fact_qn + (q / 2.0) * log_j)
-                inner += ((-1.0) ** (m + n)) * term * _laguerre_value(n, m - n, J) * _laguerre_value(m, q + n - m, J)
+                inner += ((-1.0) ** (m + n)) * term * assoc_laguerre(n, m - n, J) * assoc_laguerre(m, q + n - m, J)
             for m in range(q + n + 1, q + n + 1 + n_max):
                 term = math.exp(m * math.log(t) - ln_gamma(m + 1.0) + (m - q / 2.0 - n) * log_j)
-                contrib = ((-1.0) ** q) * term * _laguerre_value(n, m - n, J) * _laguerre_value(q + n, m - q - n, J)
+                contrib = ((-1.0) ** q) * term * assoc_laguerre(n, m - n, J) * assoc_laguerre(q + n, m - q - n, J)
                 inner += contrib
                 if abs(contrib) < 1e-18 * (abs(inner) + 1e-300):
                     break
@@ -524,11 +525,7 @@ def canonical_angle_B(dim, mode="cyclic", q_cutoff=0):
         raise DomainError("canonical angle needs a cyclic or two_sided basis")
     offset = 0 if mode == "cyclic" else -(dim // 2)
     basis = BasisSpec(mode, dim, offset)
-    U = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim - 1):
-        U[col + 1, col] = 1.0
-    if mode == "cyclic":
-        U[0, dim - 1] = 1.0
+    U = halfcircle.build_shift_family(basis).U.entries
     out = math.pi * np.eye(dim, dtype=complex)
     Upow = np.eye(dim, dtype=complex)
     Udag_pow = np.eye(dim, dtype=complex)

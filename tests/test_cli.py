@@ -125,6 +125,16 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     assert "dinension" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["fmt=json", "suite=moments"])
+def test_config_unread_keys_rejected(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"dim=8\n{line}\n")
+    out = tmp_path / "spec.csv"
+    assert run_main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 2
+    assert "unknown config key" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_invalid_parameter_rejected(capsys):
     assert run_main(["spectrum", "--t", "1.5", "--dim", "8"]) == 2
     assert "t must lie" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -43,7 +44,16 @@ def test_weight_validation():
     with pytest.raises(DomainError):
         WeightSpec(kind="density_diagonal", diag=(0.4, 0.4))
     w = WeightSpec(kind="density_diagonal", diag=(0.25, 0.75))
-    assert np.allclose(w.diagonal(4), [0.25, 0.75, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.allclose(w.diagonal(4), [0.25, 0.75, 0.0, 0.0])
+
+
+def test_density_diagonal_truncation_warns():
+    w = WeightSpec(kind="density_diagonal", diag=(0.25,) * 4)
+    with pytest.warns(TruncationWarning, match=r"5\.000e-01 past dim=2"):
+        d = w.diagonal(2)
+    assert np.array_equal(d, [0.25, 0.25])
 
 
 def test_t_from_s_endpoints():
@@ -90,6 +100,15 @@ def test_displacement_matches_matrix_exponential():
     via_exp = linalg.anti_hermitian_exp(G).entries
     via_laguerre = displacement_laguerre(z, dim).entries
     assert np.abs(via_exp - via_laguerre)[:32, :32].max() <= 1e-8
+
+
+def test_displacement_reflection_over_whole_matrix():
+    # D(-z) = D(z)^H checks the parity-built upper triangle against the
+    # recurrence run for -z, including offsets >= 100
+    for z in (0.7 + 0.3j, 3 - 4j, 8.5j, -6.1):
+        D = displacement_laguerre(z, 160).entries
+        D_neg = displacement_laguerre(-z, 160).entries
+        assert np.abs(D_neg - D.conj().T).max() <= 1e-13
 
 
 def test_displacement_block_unitarity():
@@ -170,6 +189,17 @@ def test_quantize_under_resolution_warns():
             24,
             check_resolution=True,
         )
+
+
+def test_quantized_sawtooth_is_angle_matrix_over_one_minus_t():
+    # f_coefficient: at t > 0 the map's off-diagonals are angle_matrix(t)/(1-t)
+    quad = QuadratureScheme(n_J=96, n_gamma=128)
+    off = ~np.eye(12, dtype=bool)
+    for t in (0.25, 0.5):
+        A = quantize(sawtooth_fourier(23), WeightSpec(t=t), quad, 24).entries[:12, :12]
+        closed = angle_matrix(t, 24).entries[:12, :12]
+        ratio = A[off] / closed[off]
+        assert np.abs(ratio - 1.0 / (1.0 - t)).max() <= 1e-6
 
 
 def test_canonical_commutation_from_map():
