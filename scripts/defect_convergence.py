@@ -3,7 +3,9 @@
 
 Produces the table behind the convergence claim: at a fixed interior
 window the defect of [angle, N] - i Sigma shrinks as the two-sided
-truncation grows.  Dimensions beyond ~256 take minutes (dense Jacobi).
+truncation grows.  Each size costs two dense Jacobi eigensolves: on a
+2-core x86 machine with one BLAS thread the default sizes took 17 s in
+all and D=512 alone took 132 s.
 """
 
 import argparse

@@ -224,6 +224,13 @@ def cmd_check(suite, cfg, narrowed):
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
 
 
+_T_HELP = (
+    "wh weight parameter in [0, 1), default 0; t > 0 uses the published "
+    "angle_matrix(t), whose off-diagonals are (1-t) times those of the "
+    "quantized sawtooth"
+)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="anglekit",
@@ -246,14 +253,14 @@ def build_parser():
     add_common(p_spec)
     p_spec.add_argument("--construction", choices=_CONSTRUCTIONS, help="default wh")
     p_spec.add_argument("--mode", help="basis mode for halfcircle (default two_sided)")
-    p_spec.add_argument("--t", type=float, help="weight parameter in [0, 1), default 0")
+    p_spec.add_argument("--t", type=float, help=_T_HELP)
     p_spec.add_argument("--sigma", type=float, help="circle density width, default 1")
     p_spec.add_argument("--harmonics", type=int, help="canonical cutoff Q (default dim/2 - 1)")
 
     p_sym = sub.add_parser("lower-symbol", help="symbol of the angle operator on a grid")
     add_common(p_sym)
     p_sym.add_argument("--construction", choices=("wh", "circle"), help="default wh")
-    p_sym.add_argument("--t", type=float, help="weight parameter, default 0")
+    p_sym.add_argument("--t", type=float, help=_T_HELP)
     p_sym.add_argument("--sigma", type=float, help="circle density width, default 1")
     p_sym.add_argument("--J", type=float, help="action coordinate, default 25")
     p_sym.add_argument("--gamma-grid", type=int, help="angle sample count, default 64")

@@ -38,11 +38,23 @@ __all__ = [
 ]
 
 MINUS_ONE_ATOM_TOL = 1e-8  # eigenvalue within this of -1 counts as the spectral atom
+EDGE_TOL = 1e-12  # eigenvalue within this of +-1 is the spectral edge: arccos 0 or pi
 
 
 def _arccos(lam):
-    """Principal arccos of an eigenvalue, clipped into [-1, 1] first."""
-    return math.acos(min(1.0, max(-1.0, lam)))
+    """Principal arccos of an eigenvalue, with the edge band mapped to 0 or pi.
+
+    arccos has slope -1/sqrt(1 - lam^2), so a one-ulp error in an
+    eigenvalue at +-1 would become an angle error near sqrt(2 eps) ~ 1e-8.
+    C is a contraction and the shift family's interior eigenvalues stay
+    at least 1 - cos(pi/(D+1)) ~ 2.9e-7 from +-1 up to D = 4096, so an
+    absolute band of EDGE_TOL catches only the edge itself.
+    """
+    if lam >= 1.0 - EDGE_TOL:
+        return 0.0
+    if lam <= -1.0 + EDGE_TOL:
+        return math.pi
+    return math.acos(lam)
 
 
 @dataclass(frozen=True, eq=False)

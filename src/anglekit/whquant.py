@@ -26,7 +26,7 @@ from scipy.special import roots_genlaguerre
 
 from .errors import DomainError, QuadratureWarning, TruncationWarning
 from .linalg import BasisSpec, TruncatedOperator
-from . import halfcircle, linalg
+from . import linalg
 from .specfun import (
     SeriesTolerance,
     assoc_laguerre,
@@ -520,19 +520,31 @@ def commutator_symbol(point, t, dim):
 
 
 def canonical_angle_B(dim, mode="cyclic", q_cutoff=0):
-    """Canonical angle operator pi I + i sum_{1<=n<=Q} (U^n - U^{-n})/n."""
+    """Canonical angle operator pi I + i sum_{1<=n<=Q} (U^n - U^{-n})/n.
+
+    U^n holds its ones at ((j + n) mod D, j) in cyclic mode and at
+    (j + n, j), j < D - n, in two-sided mode; U^{-n} is its transpose.
+    The ones are placed by index, O(Q D) work.  Where U^n and U^{-n}
+    coincide (cyclic, 2n = 0 mod D) the term vanishes and is skipped.
+    """
     if mode not in ("cyclic", "two_sided"):
         raise DomainError("canonical angle needs a cyclic or two_sided basis")
+    if dim < 4:
+        raise DomainError(f"shift family needs dim >= 4, got {dim}")
     offset = 0 if mode == "cyclic" else -(dim // 2)
     basis = BasisSpec(mode, dim, offset)
-    U = halfcircle.build_shift_family(basis).U.entries
     out = math.pi * np.eye(dim, dtype=complex)
-    Upow = np.eye(dim, dtype=complex)
-    Udag_pow = np.eye(dim, dtype=complex)
+    cols = np.arange(dim)
     for n in range(1, q_cutoff + 1):
-        Upow = Upow @ U
-        Udag_pow = Udag_pow @ U.conj().T
-        out += (1j / n) * (Upow - Udag_pow)
+        if mode == "cyclic":
+            if (2 * n) % dim == 0:
+                continue
+            j, rows = cols, (cols + n) % dim
+        else:
+            j = cols[: max(dim - n, 0)]
+            rows = j + n
+        out[rows, j] += 1j / n
+        out[j, rows] -= 1j / n
     return TruncatedOperator(out, basis)
 
 

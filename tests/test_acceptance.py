@@ -2,8 +2,9 @@
 
 Each test prints a single PASS/FAIL line (run with -s to see them all)
 and then asserts.  Tolerances are the contracted ones; nothing is
-calibrated at runtime.  The dimension-512 sweep in criterion 3 is the
-slow item (~3 minutes); everything else is seconds.
+calibrated at runtime.  On a 2-core x86 machine the module took 173 s:
+the dimension-512 sweep in criterion 3 took 138 s, the two `check all`
+subprocesses of criterion 12 took 22 s, and everything else seconds.
 """
 
 import json

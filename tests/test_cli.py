@@ -140,6 +140,16 @@ def test_invalid_parameter_rejected(capsys):
     assert "t must lie" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["spectrum", "lower-symbol"])
+def test_t_help_names_the_convention(command, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main([command, "--help"])
+    assert err.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "t > 0 uses the published angle_matrix(t)" in text
+    assert "(1-t) times those of the quantized sawtooth" in text
+
+
 def test_env_var_thread_default(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("ANGLEKIT_THREADS", "2")
     seen = []

@@ -104,6 +104,16 @@ def test_angle_upper_cyclic_spectrum():
     assert np.allclose(hermitian_eig(A).eigenvalues, oracle, atol=1e-11)
 
 
+def test_angle_upper_cyclic_spectrum_at_the_edges():
+    # circulant oracle arccos(cos(2 pi k / D)); the eigenvalues +-1 of C must
+    # map to exactly 0 and pi, not to the ~1e-8 that arccos makes of one ulp
+    for dim in range(4, 17):
+        pair = cos_sin_pair(family("cyclic", dim))
+        got = hermitian_eig(angle_upper(pair.C, method="spectral")).eigenvalues
+        oracle = np.sort(np.arccos(np.cos(2.0 * math.pi * np.arange(dim) / dim)))
+        assert np.abs(got - oracle).max() <= 1e-11, dim
+
+
 def test_angle_upper_rejects_oversized_spectrum():
     with pytest.raises(DomainError):
         angle_upper(from_matrix(np.diag([1.5, 0.0])))

@@ -1,11 +1,13 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from anglekit import linalg
+from anglekit import linalg, whquant
 from anglekit.errors import BasisMismatchError, DomainError
 from anglekit.linalg import (
     BasisSpec,
@@ -75,15 +77,17 @@ def test_eig_cyclic_cosine_spectrum():
 
 
 def test_eig_reconstruction_and_unitarity():
-    op = from_matrix(random_hermitian(96, seed=7))
-    es = hermitian_eig(op)
-    recon = (es.eigenvectors * es.eigenvalues) @ es.eigenvectors.conj().T
-    scale = op_norm_max(op)
-    assert np.abs(recon - op.entries).max() <= 1e-10 * scale
-    eye = np.eye(96)
-    assert np.abs(es.eigenvectors.conj().T @ es.eigenvectors - eye).max() <= 1e-11
-    resid = op.entries @ es.eigenvectors - es.eigenvectors * es.eigenvalues
-    assert np.abs(resid).max() <= 1e-10 * scale
+    # odd 65 leaves one index idle in every round-robin round
+    for dim in (96, 65):
+        op = from_matrix(random_hermitian(dim, seed=7))
+        es = hermitian_eig(op)
+        recon = (es.eigenvectors * es.eigenvalues) @ es.eigenvectors.conj().T
+        scale = op_norm_max(op)
+        assert np.abs(recon - op.entries).max() <= 1e-10 * scale
+        eye = np.eye(dim)
+        assert np.abs(es.eigenvectors.conj().T @ es.eigenvectors - eye).max() <= 1e-11
+        resid = op.entries @ es.eigenvectors - es.eigenvectors * es.eigenvalues
+        assert np.abs(resid).max() <= 1e-10 * scale
 
 
 @given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=2 ** 31))
@@ -105,6 +109,38 @@ def test_eig_deterministic_repeat():
     b = hermitian_eig(from_matrix(mat))
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     assert np.array_equal(a.eigenvectors, b.eigenvectors)
+
+
+_EIG_CHILD = """
+import sys
+import numpy as np
+from anglekit.linalg import from_matrix, hermitian_eig
+mats = np.load(sys.argv[1])
+out = {}
+for name in mats.files:
+    es = hermitian_eig(from_matrix(mats[name]))
+    out[name + "_values"] = es.eigenvalues
+    out[name + "_vectors"] = es.eigenvectors
+np.savez(sys.argv[2], **out)
+"""
+
+
+def test_eig_bits_independent_of_blas_threads(tmp_path, cli_env):
+    inputs = tmp_path / "inputs.npz"
+    np.savez(inputs, random65=random_hermitian(65, seed=11),
+             wh128=whquant.angle_matrix(0.3, 128).entries)
+    results = []
+    for threads in ("1", "2"):
+        env = dict(cli_env, OPENBLAS_NUM_THREADS=threads)
+        out = tmp_path / f"eig_{threads}.npz"
+        proc = subprocess.run([sys.executable, "-c", _EIG_CHILD, str(inputs), str(out)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        results.append(np.load(out))
+    one, two = results
+    assert sorted(one.files) == sorted(two.files) and len(one.files) == 4
+    for key in one.files:
+        assert one[key].tobytes() == two[key].tobytes(), key
 
 
 # ---------------------------------------------------- functional calculus

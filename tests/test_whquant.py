@@ -378,6 +378,24 @@ def test_canonical_angle_zero_cutoff():
     assert np.array_equal(B.entries, math.pi * np.eye(16))
 
 
+def test_canonical_angle_index_build_matches_matmul_powers():
+    # reference: U^n by repeated dense products, as the operator is written
+    for mode in ("cyclic", "two_sided"):
+        for dim in (16, 24):
+            U = np.eye(dim, k=-1, dtype=complex)
+            if mode == "cyclic":
+                U[0, dim - 1] = 1.0
+            ref = math.pi * np.eye(dim, dtype=complex)
+            Upow = np.eye(dim, dtype=complex)
+            Udag_pow = np.eye(dim, dtype=complex)
+            for q in range(1, dim + 3):
+                Upow = Upow @ U
+                Udag_pow = Udag_pow @ U.conj().T
+                ref += (1j / q) * (Upow - Udag_pow)
+                B = canonical_angle_B(dim, mode=mode, q_cutoff=q)
+                assert np.array_equal(B.entries, ref), (mode, dim, q)
+
+
 def test_sawtooth_fourier_data():
     four = sawtooth_fourier(3)
     g0, s0 = four[0]
