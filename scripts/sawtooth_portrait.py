@@ -30,12 +30,10 @@ def main(argv=None):
     rows = ["J,gamma,symbol_re,symbol_im,sawtooth"]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
+        grid = np.linspace(0.0, 2.0 * math.pi, args.grid, endpoint=False)
         for J in (float(x) for x in args.actions.split(",") if x):
-            for gamma in np.linspace(0.0, 2.0 * math.pi, args.grid, endpoint=False):
-                gamma = float(gamma)
-                val = whquant.lower_symbol(
-                    A, weight, whquant.PhaseSpacePoint(J, gamma), warn_leak=False
-                )
+            vals = whquant.lower_symbols(A, weight, J, grid, warn_leak=False)
+            for gamma, val in zip(grid.tolist(), vals.tolist()):
                 rows.append(f"{J!r},{gamma!r},{val.real!r},{val.imag!r},{gamma!r}")
     text = "\n".join(rows) + "\n"
     if args.output:

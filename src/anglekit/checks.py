@@ -262,14 +262,10 @@ def _angle_covariance_symbol_shift(params):
     pattern = float(np.abs(conj.entries - expected).max())
     worst = pattern
     # conjugating by e^{i n theta} drags the symbol backwards in the angle
-    for gamma in (2.0, 3.5, 5.0):
-        shifted = whquant.lower_symbol(
-            conj, weight, whquant.PhaseSpacePoint(J, gamma), warn_leak=False
-        ).real
-        base = whquant.lower_symbol(
-            A, weight, whquant.PhaseSpacePoint(J, (gamma - theta) % (2 * math.pi)), warn_leak=False
-        ).real
-        worst = max(worst, abs(shifted - base))
+    gammas = np.array([2.0, 3.5, 5.0])
+    shifted = whquant.lower_symbols(conj, weight, J, gammas, warn_leak=False).real
+    base = whquant.lower_symbols(A, weight, J, (gammas - theta) % (2 * math.pi), warn_leak=False).real
+    worst = max(worst, float(np.abs(shifted - base).max()))
     return worst, 1e-3
 
 

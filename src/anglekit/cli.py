@@ -146,30 +146,25 @@ def cmd_spectrum(cfg):
 
 
 def cmd_lower_symbol(cfg):
+    angles = np.linspace(0.0, 2.0 * math.pi, cfg.gamma_grid, endpoint=False)
     if cfg.construction == "wh":
         op = whquant.angle_matrix(cfg.t, cfg.dim)
         weight = whquant.WeightSpec(kind="cahill_glauber", t=cfg.t)
-
-        def symbol(angle):
-            return whquant.lower_symbol(
-                op, weight, whquant.PhaseSpacePoint(cfg.J, angle), warn_leak=False
-            )
-
+        values = whquant.lower_symbols(op, weight, cfg.J, angles, warn_leak=False)
     elif cfg.construction == "circle":
         dist = circlecs.gaussian_distribution(cfg.sigma)
         basis = BasisSpec("two_sided", cfg.dim, -cfg.dim // 2)
         op = circlecs.quantize_cyl(
             dist, basis, fourier_angle=circlecs.circle_sawtooth_fourier(cfg.dim - 1)
         )
-
-        def symbol(angle):
-            return circlecs.lower_symbol_cyl(op, dist, circlecs.CylinderPoint(cfg.J, angle))
-
+        values = [
+            circlecs.lower_symbol_cyl(op, dist, circlecs.CylinderPoint(cfg.J, float(angle)))
+            for angle in angles
+        ]
     else:
         raise DomainError("lower-symbol supports constructions 'wh' and 'circle'")
     lines = ["J,gamma_or_phi,re,im"]
-    for angle in np.linspace(0.0, 2.0 * math.pi, cfg.gamma_grid, endpoint=False):
-        val = symbol(float(angle))
+    for angle, val in zip(angles, values):
         lines.append(
             f"{_fmt_float(cfg.J)},{_fmt_float(angle)},{_fmt_float(val.real)},{_fmt_float(val.imag)}"
         )

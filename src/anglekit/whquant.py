@@ -2,7 +2,13 @@
 
 Displacement operators are built entrywise from associated Laguerre
 recurrences with running rescaling, so entries stay accurate far past
-the point where factorials overflow.  The quantization map integrates
+the point where factorials overflow.  Only real radii are ever filled:
+the recurrence runs in numpy over every offset and over a batch of radii
+(quantize fills its radial nodes FILL_BATCH = 16 at a time), and
+rotation covariance, D(r e^{i gamma}) = U(gamma) D(r) U(gamma)* with
+U(gamma) = diag(e^{i gamma n}), supplies the phases.  The same
+covariance lets lower_symbols serve a whole angle grid from one fill
+per action J.  The quantization map integrates
 f(z) D(z) rho D(z)* over the plane with a trapezoid rule in the angle
 and generalized Gauss-Laguerre rules in the action J = |z|^2: the
 radial integrand of a matrix entry on diagonal offset d carries a
@@ -48,6 +54,7 @@ __all__ = [
     "angle_matrix",
     "sawtooth_fourier",
     "lower_symbol",
+    "lower_symbols",
     "d_q_cs",
     "d_q_series",
     "symbol_sine_coefficients",
@@ -165,59 +172,75 @@ class QuadratureScheme:
         )
 
 
-def _fill_lower_triangle(z, dim):
-    """Entries on and below the diagonal of D(z) via scaled recurrences.
+# Radii per _radial_fill call in quantize: bounds the (batch, dim, dim) block.
+FILL_BATCH = 16
 
-    Along offset a = m - n >= 0 the entry is e^{-J/2} z^a S_n with
-    S_n = sqrt(n!/(n+a)!) L_n^{(a)}(J); the three-term recurrence for
-    S_n is rescaled whenever its running magnitude leaves [1e-100, 1e100]
-    so intermediate Laguerre growth never overflows.
+
+def _radial_fill(radii, dim):
+    """Real D(r_k) for a batch of radii r_k > 0, shape (K, dim, dim).
+
+    Along offset a = m - n >= 0 the entry is e^{-J/2} r^a S_n with
+    J = r^2 and S_n = sqrt(n!/(n+a)!) L_n^{(a)}(J).  The three-term
+    recurrence for S_n runs along n for every radius and offset at once;
+    each (radius, offset) pair is rescaled whenever its running magnitude
+    leaves [1e-100, 1e100], so intermediate Laguerre growth never
+    overflows, and entries whose log scale falls below -745 stay zero.
+    Step n writes column n of the lower triangle and, by parity
+    D_{mn} = (-1)^{m+n} D_{nm}, row n of the upper triangle.
     """
-    J = abs(z) ** 2
-    out = np.zeros((dim, dim), dtype=complex)
-    if z == 0:
-        np.fill_diagonal(out, 1.0)
-        return out
-    log_abs_z = math.log(abs(z))
-    unit = z / abs(z)
-    for a in range(dim):
-        pref_ln = -J / 2.0 + a * log_abs_z
-        phase = unit ** a
-        s_prev = 0.0
-        s_cur = math.exp(-0.5 * ln_gamma(a + 1.0))
-        scale_ln = 0.0
-        for n in range(dim - a):
-            val_ln = pref_ln + scale_ln
-            if val_ln > -745.0:
-                out[n + a, n] = (s_cur * math.exp(val_ln)) * phase
-            s_next = (
-                (2.0 * n + 1.0 + a - J) * s_cur
-                - math.sqrt(n * (n + a)) * s_prev
-            ) / math.sqrt((n + 1.0) * (n + 1.0 + a))
-            s_prev, s_cur = s_cur, s_next
-            mag = max(abs(s_cur), abs(s_prev))
-            if mag > 1e100 or (0.0 < mag < 1e-100):
-                s_cur /= mag
-                s_prev /= mag
-                scale_ln += math.log(mag)
+    r = np.asarray(radii, dtype=float)
+    J = (r * r)[:, None]
+    a = np.arange(dim, dtype=float)
+    sign = 1.0 - 2.0 * (np.arange(dim) % 2)
+    pref_ln = -J / 2.0 + a * np.log(r)[:, None]
+    lg = np.array([ln_gamma(k + 1.0) for k in range(dim)])
+    s_prev = np.zeros((r.size, dim))
+    s_cur = np.repeat(np.exp(-0.5 * lg)[None, :], r.size, axis=0)
+    scale_ln = np.zeros((r.size, dim))
+    out = np.zeros((r.size, dim, dim))
+    for n in range(dim):
+        live = dim - n  # offsets a < live still have a row n + a
+        s_prev, s_cur, scale_ln = s_prev[:, :live], s_cur[:, :live], scale_ln[:, :live]
+        val_ln = pref_ln[:, :live] + scale_ln
+        col = np.where(val_ln > -745.0, s_cur * np.exp(val_ln), 0.0)
+        out[:, n:, n] = col
+        out[:, n, n:] = col * sign[:live]
+        s_next = (
+            (2.0 * n + 1.0 + a[:live] - J) * s_cur
+            - np.sqrt(n * (n + a[:live])) * s_prev
+        ) / np.sqrt((n + 1.0) * (n + 1.0 + a[:live]))
+        s_prev, s_cur = s_cur, s_next
+        mag = np.maximum(np.abs(s_cur), np.abs(s_prev))
+        rescale = (mag > 1e100) | ((0.0 < mag) & (mag < 1e-100))
+        if rescale.any():
+            div = np.where(rescale, mag, 1.0)
+            s_cur /= div
+            s_prev /= div
+            scale_ln += np.log(div)
     return out
 
 
 def displacement_laguerre(z, dim):
     """Truncated displacement matrix D(z) from the Laguerre formula.
 
-    One recurrence fill gives the lower triangle; the upper triangle
-    follows from parity, D_{mn}(z) = (-1)^{m+n} conj(D_{nm}(z)), which
-    is the footnote identity between L_n^{(m-n)} and L_m^{(n-m)} in
-    disguise.
+    By rotation covariance D(z) = U(arg z) D(|z|) U(arg z)* with
+    U(theta) = diag(e^{i theta n}), so only the real matrix D(|z|) is
+    filled (one recurrence run, upper triangle by parity, see
+    _radial_fill) and entry (m, n) then takes the phase (z/|z|)^{m-n}.
+    The parity rule D_{mn}(z) = (-1)^{m+n} conj(D_{nm}(z)) is the
+    footnote identity between L_n^{(m-n)} and L_m^{(n-m)} in disguise.
     """
     if dim < 2:
         raise DomainError(f"displacement needs dim >= 2, got {dim}")
-    full = _fill_lower_triangle(complex(z), dim)
-    rows, cols = np.triu_indices(dim, 1)
-    sign = 1.0 - 2.0 * ((rows + cols) % 2)
-    full[rows, cols] = sign * full[cols, rows].conj()
-    return TruncatedOperator(full, BasisSpec("one_sided", dim, 0))
+    z = complex(z)
+    if z == 0:
+        return TruncatedOperator(np.eye(dim, dtype=complex), BasisSpec("one_sided", dim, 0))
+    unit = z / abs(z)
+    phase = np.cumprod(np.concatenate(([1.0 + 0.0j], np.full(dim - 1, unit))))
+    offset = np.subtract.outer(np.arange(dim), np.arange(dim))
+    phase = phase[np.abs(offset)]
+    phase = np.where(offset < 0, phase.conj(), phase)
+    return TruncatedOperator(phase * _radial_fill([abs(z)], dim)[0], BasisSpec("one_sided", dim, 0))
 
 
 def coherent_state(z, dim):
@@ -303,6 +326,7 @@ def quantize(fourier, weight, quad, dim, check_resolution=False):
 
 def _quantize_once(fourier, weight, quad, dim):
     rho = weight.diagonal(dim)
+    root_rho = np.sqrt(rho)
     # One accumulator per diagonal d that mode q selects, in (q, d) order.
     terms = []
     for q, (g, s) in fourier.items():
@@ -317,17 +341,22 @@ def _quantize_once(fourier, weight, quad, dim):
         if not group:
             continue
         nodes, wts = quad.radial_rule(alpha)
+        live = []
         for J, w in zip(nodes, wts):
             if w <= 0.0 or J <= 0.0:
                 continue
             log_ws = [math.log(w) + J + (s / 2.0 - alpha) * math.log(J) for _, _, s, *_ in group]
-            if min(log_ws) > 700.0:
-                continue  # weight underflowed upstream; mass is negligible
-            Dz = displacement_laguerre(math.sqrt(J), dim).entries
-            MJ = (Dz * rho) @ Dz.conj().T
-            for (_, g, _, rows, cols, acc), log_w in zip(group, log_ws):
-                if log_w <= 700.0:
-                    acc += (math.exp(log_w) * g(J)) * MJ[rows, cols]
+            if min(log_ws) <= 700.0:  # else the weight underflowed upstream
+                live.append((J, log_ws))
+        for start in range(0, len(live), FILL_BATCH):
+            batch = live[start : start + FILL_BATCH]
+            filled = _radial_fill(np.sqrt([J for J, _ in batch]), dim)
+            filled *= root_rho  # D(r) rho D(r)^T = (D(r) rho^{1/2})(D(r) rho^{1/2})^T
+            for (J, log_ws), Dr in zip(batch, filled):
+                MJ = Dr @ Dr.T
+                for (_, g, _, rows, cols, acc), log_w in zip(group, log_ws):
+                    if log_w <= 700.0:
+                        acc += (math.exp(log_w) * g(J)) * MJ[rows, cols]
     out = np.zeros((dim, dim), dtype=complex)
     for _, _, _, rows, cols, acc in terms:
         out[rows, cols] += acc
@@ -385,29 +414,48 @@ def sawtooth_fourier(q_max):
     return fourier
 
 
-def lower_symbol(A, weight, point, warn_leak=True):
-    """Covariant symbol tr(D(z) rho D(z)* A) at a phase-space point.
+def lower_symbols(A, weight, J, gammas, warn_leak=True):
+    """Covariant symbols tr(D(z) rho D(z)* A) at z = sqrt(J) e^{i gamma}, every gamma.
 
-    Real (to eigen accuracy) when A is Hermitian and rho a density;
-    emits TruncationWarning when the displaced state's Poisson tail
-    past the truncation exceeds 1e-10.
+    Rotation covariance gives D(z) rho D(z)* = U(gamma) M U(gamma)* with
+    M = D(sqrt J) rho D(sqrt J)^T real, so the symbol is
+    sum_d e^{i gamma d} s_d with s_d = sum_{m-n=d} M_mn A_nm: one radial
+    fill and one O(dim^2) pass serve the whole grid.  For rho = |0><0|
+    M is the outer product of the real coherent state.  Real (to eigen
+    accuracy) when A is Hermitian and rho a density; emits one
+    TruncationWarning when the displaced state's Poisson tail past the
+    truncation exceeds 1e-10.
     """
     dim = A.dim
-    if warn_leak and _poisson_tail_log(point.J, dim) > math.log(1e-10):
+    if J < 0:
+        raise DomainError(f"J must be nonnegative, got {J}")
+    if warn_leak and _poisson_tail_log(J, dim) > math.log(1e-10):
         warnings.warn(
-            f"state at J={point.J} leaks past truncation dim={dim}",
+            f"state at J={J} leaks past truncation dim={dim}",
             TruncationWarning,
             stacklevel=2,
         )
     rho = weight.diagonal(dim)
-    z = point.z
     if rho[0] == 1.0:
-        vec = coherent_state(z, dim)
-        return complex(vec.conj() @ A.entries @ vec)
-    Dz = displacement_laguerre(z, dim).entries
-    X = A.entries @ Dz
-    overlaps = np.einsum("mk,mk->k", Dz.conj(), X)
-    return complex(np.sum(rho * overlaps))
+        vec = coherent_state(math.sqrt(J), dim).real
+        M = np.outer(vec, vec)
+    else:
+        Dr = _radial_fill([math.sqrt(J)], dim)[0] if J > 0 else np.eye(dim)
+        M = (Dr * rho) @ Dr.T
+    index = (np.subtract.outer(np.arange(dim), np.arange(dim)) + (dim - 1)).ravel()
+    MA = (M * A.entries.T).ravel()
+    s_d = np.bincount(index, MA.real) + 1j * np.bincount(index, MA.imag)  # d = -(dim-1)..dim-1
+    d = np.arange(-(dim - 1), dim)
+    phases = np.exp(1j * np.outer(np.asarray(gammas, dtype=float), d))
+    return (phases * s_d).sum(axis=1)
+
+
+def lower_symbol(A, weight, point, warn_leak=True):
+    """Covariant symbol tr(D(z) rho D(z)* A) at one phase-space point.
+
+    The one-angle case of lower_symbols, with the same TruncationWarning.
+    """
+    return complex(lower_symbols(A, weight, point.J, [point.gamma], warn_leak)[0])
 
 
 def d_q_cs(q, J, tol=None):
@@ -495,9 +543,7 @@ def symbol_sine_coefficients(A, weight, J, q_max, n_gamma=None):
     if n_gamma is None:
         n_gamma = max(64, 4 * q_max)
     grid = 2.0 * math.pi * np.arange(n_gamma) / n_gamma
-    vals = np.array(
-        [lower_symbol(A, weight, PhaseSpacePoint(J, g), warn_leak=False).real for g in grid]
-    )
+    vals = lower_symbols(A, weight, J, grid, warn_leak=False).real
     spectrum = np.fft.rfft(vals) / n_gamma
     qs = np.arange(1, q_max + 1)
     return np.array([spectrum[q].imag * q for q in qs])

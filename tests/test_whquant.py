@@ -1,14 +1,17 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import roots_genlaguerre
 
 from anglekit import linalg, whquant
 from anglekit.errors import DomainError, QuadratureWarning, TruncationWarning
 from anglekit.linalg import from_matrix, hermitian_eig, op_norm_max
+from anglekit.specfun import ln_gamma
 from anglekit.whquant import (
     PhaseSpacePoint,
     QuadratureScheme,
@@ -24,6 +27,7 @@ from anglekit.whquant import (
     displacement_laguerre,
     f_coefficient,
     lower_symbol,
+    lower_symbols,
     m_s_diagonal,
     quantize,
     sawtooth_fourier,
@@ -103,12 +107,102 @@ def test_displacement_matches_matrix_exponential():
 
 
 def test_displacement_reflection_over_whole_matrix():
-    # D(-z) = D(z)^H checks the parity-built upper triangle against the
-    # recurrence run for -z, including offsets >= 100
-    for z in (0.7 + 0.3j, 3 - 4j, 8.5j, -6.1):
+    # D(-z) = D(z)^H ties the parity-built upper triangle to the lower one
+    # through the rotation phases of z and -z, including offsets >= 100
+    for z in (0.7 + 0.3j, 3 - 4j, 8.5j, -6.1, 17.0):
         D = displacement_laguerre(z, 160).entries
         D_neg = displacement_laguerre(-z, 160).entries
         assert np.abs(D_neg - D.conj().T).max() <= 1e-13
+
+
+def _fill_lower_triangle(z, dim):
+    """Entries on and below the diagonal of D(z) via scaled recurrences.
+
+    Along offset a = m - n >= 0 the entry is e^{-J/2} z^a S_n with
+    S_n = sqrt(n!/(n+a)!) L_n^{(a)}(J); the three-term recurrence for
+    S_n is rescaled whenever its running magnitude leaves [1e-100, 1e100]
+    so intermediate Laguerre growth never overflows.
+    """
+    J = abs(z) ** 2
+    out = np.zeros((dim, dim), dtype=complex)
+    if z == 0:
+        np.fill_diagonal(out, 1.0)
+        return out
+    log_abs_z = math.log(abs(z))
+    unit = z / abs(z)
+    for a in range(dim):
+        pref_ln = -J / 2.0 + a * log_abs_z
+        phase = unit ** a
+        s_prev = 0.0
+        s_cur = math.exp(-0.5 * ln_gamma(a + 1.0))
+        scale_ln = 0.0
+        for n in range(dim - a):
+            val_ln = pref_ln + scale_ln
+            if val_ln > -745.0:
+                out[n + a, n] = (s_cur * math.exp(val_ln)) * phase
+            s_next = (
+                (2.0 * n + 1.0 + a - J) * s_cur
+                - math.sqrt(n * (n + a)) * s_prev
+            ) / math.sqrt((n + 1.0) * (n + 1.0 + a))
+            s_prev, s_cur = s_cur, s_next
+            mag = max(abs(s_cur), abs(s_prev))
+            if mag > 1e100 or (0.0 < mag < 1e-100):
+                s_cur /= mag
+                s_prev /= mag
+                scale_ln += math.log(mag)
+    return out
+
+
+class _BranchCounter:
+    """Stands in for `math` inside the scalar reference and counts its branches.
+
+    The reference calls log once per fill plus once per rescaling, and exp
+    once per offset plus once per entry that escapes the -745 cut.
+    """
+
+    sqrt = staticmethod(math.sqrt)
+
+    def __init__(self):
+        self.logs = 0
+        self.exps = 0
+        self._log, self._exp = math.log, math.exp
+
+    def log(self, x):
+        self.logs += 1
+        return self._log(x)
+
+    def exp(self, x):
+        self.exps += 1
+        return self._exp(x)
+
+
+def test_radial_fill_matches_scalar_reference(monkeypatch):
+    # every Gauss-Laguerre node quantize uses at n_J = 96, plus r = 1e-3,
+    # whose offsets a >= 108 fall under the -745 cut at D = 160 (no node
+    # of either rule does)
+    radii = np.concatenate(
+        [np.sqrt(roots_genlaguerre(96, alpha)[0]) for alpha in (0.0, 0.5)] + [[1e-3]]
+    )
+    counter = _BranchCounter()
+    monkeypatch.setitem(_fill_lower_triangle.__globals__, "math", counter)
+    rescales = cut = 0
+    for dim in (24, 96, 160):
+        m, n = np.indices((dim, dim))
+        sign = 1.0 - 2.0 * ((m + n) % 2)
+        batches = [
+            whquant._radial_fill(radii[i : i + whquant.FILL_BATCH], dim)
+            for i in range(0, radii.size, whquant.FILL_BATCH)
+        ]
+        filled = np.concatenate(batches)
+        assert filled.dtype == np.float64 and filled.shape == (radii.size, dim, dim)
+        for r, got in zip(radii, filled):
+            logs, exps = counter.logs, counter.exps
+            lower = _fill_lower_triangle(complex(r), dim)
+            rescales += counter.logs - logs - 1
+            cut += dim * (dim + 1) // 2 - (counter.exps - exps - dim)
+            ref = np.where(m >= n, lower, sign * lower.T)
+            assert np.abs(got - ref).max() <= 1e-13
+    assert rescales > 0 and cut > 0
 
 
 def test_displacement_block_unitarity():
@@ -312,6 +406,37 @@ def test_symbol_warns_on_truncation_leak():
     A = from_matrix(np.eye(24))
     with pytest.warns(TruncationWarning):
         lower_symbol(A, WeightSpec(t=0.0), PhaseSpacePoint(40.0, 1.0))
+
+
+def test_symbol_grid_matches_direct_trace():
+    dim = 64
+    gammas = 2.0 * math.pi * np.arange(32) / 32
+    for t in (0.0, 0.3, 0.5):
+        A = angle_matrix(t, dim)
+        weight = WeightSpec(t=t)
+        rho = weight.diagonal(dim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = lower_symbols(A, weight, 9.0, gammas)
+        for gamma, val in zip(gammas, grid):
+            Dz = displacement_laguerre(PhaseSpacePoint(9.0, gamma).z, dim).entries
+            direct = np.trace((Dz * rho) @ Dz.conj().T @ A.entries)
+            assert abs(val - direct) <= 1e-12
+    with pytest.warns(TruncationWarning) as record:
+        lower_symbols(A, weight, 50.0, gammas)
+    assert len(record) == 1
+
+
+def test_quantize_memory_stays_bounded():
+    # quantize fills at most FILL_BATCH radial nodes at once
+    quad = QuadratureScheme(96, 64)
+    tracemalloc.start()
+    try:
+        quantize({1: ((lambda J: 1.0), 1)}, WeightSpec(t=0.3), quad, 96)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 # --------------------------------------------------- symbol coefficients
