@@ -228,7 +228,7 @@ def _cyclic_exact_relations(params):
 
 
 def _ccr_from_quantization(params):
-    quad = whquant.QuadratureScheme(n_J=96, n_gamma=64)
+    quad = whquant.QuadratureScheme(n_J=96)
     dim, block = 96, 48
     worst = 0.0
     t_values = (params.t,) if params.t is not None else (0.0, 0.3, 0.6)
@@ -291,7 +291,7 @@ def _d_q_bound(params):
 
 
 def _wh_resolution_identity(params):
-    quad = whquant.QuadratureScheme(n_J=80, n_gamma=128)
+    quad = whquant.QuadratureScheme(n_J=80)
     weight = whquant.WeightSpec(kind="cahill_glauber", t=0.3)
     A = whquant.quantize({0: ((lambda J: 1.0), 0)}, weight, quad, 64)
     dev = np.abs(A.entries - np.eye(64))[:16, :16].max()

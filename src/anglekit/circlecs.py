@@ -3,7 +3,7 @@
 A width-sigma density p(J) on the line generates states
 |J, phi> = N(J)^{-1/2} sum_n sqrt(p(J-n)) e^{-i n phi} |e_n> over the
 two-sided basis.  Quantization of f(J, phi) splits into a diagonal
-p-transform for f(J), an overlap-weighted band matrix for f(phi), and a
+p-transform for f(J), a band matrix for f(phi) or f(J) g(phi), and a
 full product quadrature for the general case.  The overlap matrix
 p_{n,n'} = integral sqrt(p_n p_{n'}) encodes the number-angle
 commutator completely.
@@ -211,9 +211,10 @@ def quantize_cyl(dist, basis, f_action=None, fourier_angle=None, overlaps=None):
 
     f_action only:    diagonal with entries integral p(J-n) f(J) dJ.
     fourier_angle only: band matrix p_{0,|n-n'|} c_{n-n'}.
-    Both:             the product f(J) g(phi) goes through the full
-                      grid quadrature (the radial factor breaks the
-                      Toeplitz band structure).
+    Both:             c_q M_{nn'} on each diagonal n - n' = q, with
+                      M = integral f(J) sqrt(p(J-n) p(J-n')) dJ; the
+                      angle integral is exact, so there is no angle grid.
+    Angle modes with |q| >= dim drop.
     """
     if basis.mode != "two_sided":
         raise DomainError("cylinder quantization needs a two_sided basis")
@@ -235,16 +236,19 @@ def quantize_cyl(dist, basis, f_action=None, fourier_angle=None, overlaps=None):
         )
         return TruncatedOperator(np.diag(diag).astype(complex), basis)
     if f_action is not None:
-        coeffs = {int(q): complex(c) for q, c in fourier_angle.items()}
+        M = np.zeros((dim, dim), dtype=complex)
+        for J, weight, amps in _action_nodes(dist, labels):
+            M += (weight * f_action(J)) * np.outer(amps, amps)
+        return TruncatedOperator(_angle_diagonals(fourier_angle, M), basis)
+    reach = min(max(abs(int(q)) for q in fourier_angle), dim - 1)
+    if overlaps is None or overlaps.half_bandwidth < reach:
+        overlaps = build_overlap_matrix(dist, reach)
+    return TruncatedOperator(_angle_diagonals(fourier_angle, overlaps.band_matrix(dim)), basis)
 
-        def f(J, phi):
-            return f_action(J) * sum(c * np.exp(1j * q * phi) for q, c in coeffs.items())
 
-        return quantize_cyl_grid(dist, basis, f)
-    seps = sorted({abs(int(q)) for q in fourier_angle})
-    if overlaps is None or overlaps.half_bandwidth < max(seps):
-        overlaps = build_overlap_matrix(dist, max(seps))
-    sep_value = {s: overlaps.value(s) for s in seps}
+def _angle_diagonals(fourier_angle, weights):
+    """c_q times weights on each diagonal n - n' = q; modes |q| >= dim drop."""
+    dim = weights.shape[0]
     out = np.zeros((dim, dim), dtype=complex)
     for q, cq in fourier_angle.items():
         d = int(q)
@@ -252,8 +256,25 @@ def quantize_cyl(dist, basis, f_action=None, fourier_angle=None, overlaps=None):
             continue
         rows = np.arange(max(0, d), min(dim, dim + d))
         cols = rows - d
-        out[rows, cols] += sep_value[abs(d)] * complex(cq)
-    return TruncatedOperator(out, basis)
+        out[rows, cols] += complex(cq) * weights[rows, cols]
+    return out
+
+
+def _action_nodes(dist, labels, j_span=None):
+    """(J, weight, sqrt(p(J - n)) per label) at each composite Gauss-Legendre node."""
+    if j_span is None:  # wide enough that every label's density is fully covered
+        j_span = (float(labels[0]) - dist.radius, float(labels[-1]) + dist.radius)
+    lo, hi = j_span
+    if lo >= hi:
+        raise DomainError(f"empty action window [{lo}, {hi}]")
+    width = min(max(dist.sigma, 1e-3), 1.0)
+    n_panels = max(4, int(math.ceil((hi - lo) / width)))
+    edges = np.linspace(lo, hi, n_panels + 1)
+    for a, b in zip(edges[:-1], edges[1:]):
+        mid, rad = (a + b) / 2.0, (b - a) / 2.0
+        for x, w in zip(_GL_NODES, _GL_WEIGHTS):
+            J = mid + rad * x
+            yield J, w * rad, np.sqrt([max(dist.pdf(J - n), 0.0) for n in labels])
 
 
 def quantize_cyl_grid(dist, basis, f, n_phi=None, j_span=None):
@@ -269,28 +290,14 @@ def quantize_cyl_grid(dist, basis, f, n_phi=None, j_span=None):
     labels = basis.labels()
     if n_phi is None:
         n_phi = 2 * dim
-    if j_span is None:
-        # wide enough that every label's density is fully covered
-        j_span = (float(labels[0]) - dist.radius, float(labels[-1]) + dist.radius)
-    lo, hi = j_span
-    if lo >= hi:
-        raise DomainError(f"empty action window [{lo}, {hi}]")
-    width = min(max(dist.sigma, 1e-3), 1.0)
-    n_panels = max(4, int(math.ceil((hi - lo) / width)))
-    edges = np.linspace(lo, hi, n_panels + 1)
     phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
     phase = np.exp(-1j * np.outer(labels, phis))  # columns are CS phase patterns
     out = np.zeros((dim, dim), dtype=complex)
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, rad = (a + b) / 2.0, (b - a) / 2.0
-        for x, w in zip(_GL_NODES, _GL_WEIGHTS):
-            J = mid + rad * x
-            p_shift = np.array([max(dist.pdf(J - n), 0.0) for n in labels])
-            amps = np.sqrt(p_shift)  # N(J) cancels against the measure weight
-            fvals = np.array([f(J, phi) for phi in phis])
-            weighted = phase * (fvals / n_phi)
-            gram = weighted @ phase.conj().T
-            out += (w * rad) * (np.outer(amps, amps) * gram)
+    # N(J) cancels against the measure weight
+    for J, weight, amps in _action_nodes(dist, labels, j_span):
+        fvals = np.array([f(J, phi) for phi in phis])
+        gram = (phase * (fvals / n_phi)) @ phase.conj().T
+        out += weight * (np.outer(amps, amps) * gram)
     return TruncatedOperator(out, basis)
 
 

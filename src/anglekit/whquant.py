@@ -8,13 +8,13 @@ the recurrence runs in numpy over every offset and over a batch of radii
 rotation covariance, D(r e^{i gamma}) = U(gamma) D(r) U(gamma)* with
 U(gamma) = diag(e^{i gamma n}), supplies the phases.  The same
 covariance lets lower_symbols serve a whole angle grid from one fill
-per action J.  The quantization map integrates
-f(z) D(z) rho D(z)* over the plane with a trapezoid rule in the angle
-and generalized Gauss-Laguerre rules in the action J = |z|^2: the
-radial integrand of a matrix entry on diagonal offset d carries a
-factor J^{|d|/2}, so offsets are routed to the alpha = 0 or alpha = 1/2
-rule according to the parity of |d| plus the declared half-power of the
-Fourier coefficient.  This keeps the map polynomial-exact at t = 0.
+per action J.  The quantization map integrates f(z) D(z) rho D(z)* over
+the plane for f = sum_q c_q(J) e^{i q gamma}; by the same covariance the
+angle integral is exactly 2 pi delta_{qd}, so mode q fills diagonal q
+alone (modes |q| >= dim drop).  The action J = |z|^2 takes generalized
+Gauss-Laguerre rules: diagonal q carries a factor J^{|q|/2}, so each mode
+goes to the alpha = 0 or 1/2 rule by the parity of |q| plus the declared
+half-power of its coefficient, keeping the map polynomial-exact at t = 0.
 
 Angle quantization enters twice: as the explicit quadrature and as the
 closed-form matrix with entries i F_{nn'}(t) / (n' - n) built from
@@ -151,14 +151,13 @@ def _radial_rule(n_points, alpha):
 
 @dataclass(frozen=True)
 class QuadratureScheme:
-    """Phase-space product rule: generalized Gauss-Laguerre x trapezoid."""
+    """n_J-point generalized Gauss-Laguerre rule in J; angles need no rule."""
 
     n_J: int = 96
-    n_gamma: int = 128
 
     def __post_init__(self):
-        if self.n_J < 8 or self.n_gamma < 8:
-            raise DomainError("quadrature needs n_J >= 8 and n_gamma >= 8")
+        if self.n_J < 8:
+            raise DomainError("quadrature needs n_J >= 8")
         if self.n_J > 160:
             raise DomainError("n_J beyond 160 loses the small radial weights")
 
@@ -166,10 +165,7 @@ class QuadratureScheme:
         return _radial_rule(self.n_J, alpha)
 
     def refined(self, factor=1.5):
-        return QuadratureScheme(
-            n_J=min(160, int(math.ceil(self.n_J * factor))),
-            n_gamma=int(math.ceil(self.n_gamma * factor)),
-        )
+        return QuadratureScheme(n_J=min(160, int(math.ceil(self.n_J * factor))))
 
 
 # Radii per _radial_fill call in quantize: bounds the (batch, dim, dim) block.
@@ -325,19 +321,16 @@ def quantize(fourier, weight, quad, dim, check_resolution=False):
 
 
 def _quantize_once(fourier, weight, quad, dim):
-    rho = weight.diagonal(dim)
-    root_rho = np.sqrt(rho)
-    # One accumulator per diagonal d that mode q selects, in (q, d) order.
-    terms = []
-    for q, (g, s) in fourier.items():
-        for d in range(-(dim - 1), dim):
-            if (q - d) % quad.n_gamma != 0:
-                continue  # trapezoid sum of e^{i(q-d)gamma} vanishes
-            alpha = 0.5 if (abs(d) + s) % 2 == 1 else 0.0
-            rows = np.arange(max(0, -d), min(dim, dim - d))
-            terms.append((alpha, g, s, rows, rows + d, np.zeros(rows.size, dtype=complex)))
+    root_rho = np.sqrt(weight.diagonal(dim))
+    out = np.zeros((dim, dim), dtype=complex)
+    # The angle integral is 2 pi delta_{qd}: mode q fills diagonal q alone,
+    # and modes past the truncation fill nothing.
     for alpha in (0.0, 0.5):
-        group = [term for term in terms if term[0] == alpha]
+        group = []
+        for q, (g, s) in fourier.items():
+            if abs(q) < dim and 0.5 * ((abs(q) + s) % 2) == alpha:
+                rows = np.arange(max(0, -q), min(dim, dim - q))
+                group.append((g, s, rows, rows + q))
         if not group:
             continue
         nodes, wts = quad.radial_rule(alpha)
@@ -345,7 +338,7 @@ def _quantize_once(fourier, weight, quad, dim):
         for J, w in zip(nodes, wts):
             if w <= 0.0 or J <= 0.0:
                 continue
-            log_ws = [math.log(w) + J + (s / 2.0 - alpha) * math.log(J) for _, _, s, *_ in group]
+            log_ws = [math.log(w) + J + (s / 2.0 - alpha) * math.log(J) for _, s, _, _ in group]
             if min(log_ws) <= 700.0:  # else the weight underflowed upstream
                 live.append((J, log_ws))
         for start in range(0, len(live), FILL_BATCH):
@@ -354,12 +347,9 @@ def _quantize_once(fourier, weight, quad, dim):
             filled *= root_rho  # D(r) rho D(r)^T = (D(r) rho^{1/2})(D(r) rho^{1/2})^T
             for (J, log_ws), Dr in zip(batch, filled):
                 MJ = Dr @ Dr.T
-                for (_, g, _, rows, cols, acc), log_w in zip(group, log_ws):
+                for (g, _, rows, cols), log_w in zip(group, log_ws):
                     if log_w <= 700.0:
-                        acc += (math.exp(log_w) * g(J)) * MJ[rows, cols]
-    out = np.zeros((dim, dim), dtype=complex)
-    for _, _, _, rows, cols, acc in terms:
-        out[rows, cols] += acc
+                        out[rows, cols] += (math.exp(log_w) * g(J)) * MJ[rows, cols]
     return TruncatedOperator(out, BasisSpec("one_sided", dim, 0))
 
 
@@ -414,6 +404,23 @@ def sawtooth_fourier(q_max):
     return fourier
 
 
+def _diagonal_sums(A, weight, J):
+    """s_d = sum_{m-n=d} M_mn A_nm at index d + dim - 1, M as in lower_symbols."""
+    dim = A.dim
+    if J < 0:
+        raise DomainError(f"J must be nonnegative, got {J}")
+    rho = weight.diagonal(dim)
+    if rho[0] == 1.0:
+        vec = coherent_state(math.sqrt(J), dim).real
+        M = np.outer(vec, vec)
+    else:
+        Dr = _radial_fill([math.sqrt(J)], dim)[0] if J > 0 else np.eye(dim)
+        M = (Dr * rho) @ Dr.T
+    index = (np.subtract.outer(np.arange(dim), np.arange(dim)) + (dim - 1)).ravel()
+    MA = (M * A.entries.T).ravel()
+    return np.bincount(index, MA.real) + 1j * np.bincount(index, MA.imag)
+
+
 def lower_symbols(A, weight, J, gammas, warn_leak=True):
     """Covariant symbols tr(D(z) rho D(z)* A) at z = sqrt(J) e^{i gamma}, every gamma.
 
@@ -427,24 +434,13 @@ def lower_symbols(A, weight, J, gammas, warn_leak=True):
     truncation exceeds 1e-10.
     """
     dim = A.dim
-    if J < 0:
-        raise DomainError(f"J must be nonnegative, got {J}")
     if warn_leak and _poisson_tail_log(J, dim) > math.log(1e-10):
         warnings.warn(
             f"state at J={J} leaks past truncation dim={dim}",
             TruncationWarning,
             stacklevel=2,
         )
-    rho = weight.diagonal(dim)
-    if rho[0] == 1.0:
-        vec = coherent_state(math.sqrt(J), dim).real
-        M = np.outer(vec, vec)
-    else:
-        Dr = _radial_fill([math.sqrt(J)], dim)[0] if J > 0 else np.eye(dim)
-        M = (Dr * rho) @ Dr.T
-    index = (np.subtract.outer(np.arange(dim), np.arange(dim)) + (dim - 1)).ravel()
-    MA = (M * A.entries.T).ravel()
-    s_d = np.bincount(index, MA.real) + 1j * np.bincount(index, MA.imag)  # d = -(dim-1)..dim-1
+    s_d = _diagonal_sums(A, weight, J)
     d = np.arange(-(dim - 1), dim)
     phases = np.exp(1j * np.outer(np.asarray(gammas, dtype=float), d))
     return (phases * s_d).sum(axis=1)
@@ -533,20 +529,19 @@ def d_q_series(q, J, t, n_max=200, rel_tol=1e-13):
     return math.exp(pref) * total
 
 
-def symbol_sine_coefficients(A, weight, J, q_max, n_gamma=None):
+def symbol_sine_coefficients(A, weight, J, q_max):
     """Fourier-sine coefficients d_q of the symbol via the trace route.
 
-    Samples the lower symbol on a uniform angle grid and reads the
-    coefficients of sin(q gamma) off the FFT, normalized so that the
-    symbol is pi - 2 sum_q d_q sin(q gamma)/q.
+    The symbol is sum_d s_d e^{i gamma d} (see lower_symbols), so with
+    the symbol normalized as pi - 2 sum_q d_q sin(q gamma)/q,
+    d_q = q Im((s_q + conj(s_{-q}))/2); modes q >= dim give d_q = 0.
     """
-    if n_gamma is None:
-        n_gamma = max(64, 4 * q_max)
-    grid = 2.0 * math.pi * np.arange(n_gamma) / n_gamma
-    vals = lower_symbols(A, weight, J, grid, warn_leak=False).real
-    spectrum = np.fft.rfft(vals) / n_gamma
-    qs = np.arange(1, q_max + 1)
-    return np.array([spectrum[q].imag * q for q in qs])
+    dim = A.dim
+    s_d = _diagonal_sums(A, weight, J)
+    q = np.arange(1, min(q_max, dim - 1) + 1)
+    out = np.zeros(q_max)
+    out[: q.size] = q * ((s_d[dim - 1 + q] + s_d[dim - 1 - q].conj()) / 2.0).imag
+    return out
 
 
 def action_angle_commutator(t, dim):
@@ -601,7 +596,7 @@ def _phase_diag(dim, theta, parity=False):
     return np.exp(1j * theta * n)
 
 
-def covariance_checks(z, z_prime, theta, dim, weight=None, quad=None):
+def covariance_checks(z, z_prime, theta, dim, weight=WeightSpec(), quad=QuadratureScheme()):
     """Defect report for the displacement covariance identities.
 
     Returns max-norm defects on the top-left dim/2 block for
@@ -630,10 +625,6 @@ def covariance_checks(z, z_prime, theta, dim, weight=None, quad=None):
     Dneg = displacement_laguerre(-z, dim).entries
     parity = float(np.abs(reflected - Dneg)[:half, :half].max())
 
-    if weight is None:
-        weight = WeightSpec(kind="cahill_glauber", t=0.0)
-    if quad is None:
-        quad = QuadratureScheme(n_J=96, n_gamma=64)
     Az = quantize({1: ((lambda J: 1.0), 1)}, weight, quad, dim)
     z0 = z_prime
     shifted = Az.entries - z0 * np.eye(dim)

@@ -118,7 +118,7 @@ def test_criterion_05_displacement_cross_checks():
 
 def test_criterion_06_resolution_of_identity_both_maps():
     worst = 0.0
-    base = whquant.QuadratureScheme(n_J=80, n_gamma=128)
+    base = whquant.QuadratureScheme(n_J=80)
     for quad in (base, base.refined()):
         A = whquant.quantize(
             {0: ((lambda J: 1.0), 0)}, whquant.WeightSpec(t=0.0), quad, 64

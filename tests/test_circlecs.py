@@ -178,6 +178,28 @@ def test_general_product_function_against_dense_oracle():
         assert A.entries[row, col] == pytest.approx(oracle, rel=1e-6, abs=1e-9)
 
 
+def test_product_mode_past_truncation_is_zero():
+    # mode 40 has no diagonal in a 16-label window
+    A = quantize_cyl(
+        gaussian_distribution(5.0), two_sided(16), f_action=lambda J: 1.0, fourier_angle={40: 1}
+    )
+    assert np.count_nonzero(A.entries) == 0
+
+
+def test_product_quantization_matches_grid_route():
+    dist = gaussian_distribution(1.0)
+    basis = two_sided(48)
+    f_action = lambda J: J * J
+    fourier = {1: 0.5 + 0j, -1: 0.5 + 0j, 3: 0.25j, -3: -0.25j}
+    A = quantize_cyl(dist, basis, f_action=f_action, fourier_angle=fourier)
+    grid = quantize_cyl_grid(
+        dist,
+        basis,
+        lambda J, phi: f_action(J) * sum(c * np.exp(1j * q * phi) for q, c in fourier.items()),
+    )
+    assert np.abs(A.entries - grid.entries).max() <= 1e-12
+
+
 def test_grid_resolution_of_identity():
     dist = gaussian_distribution(1.0)
     basis = two_sided(48)

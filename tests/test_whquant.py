@@ -246,21 +246,21 @@ def test_density_diagonal_limits():
 # ---------------------------------------------------------- quantization
 
 def test_resolution_of_identity():
-    quad = QuadratureScheme(n_J=80, n_gamma=128)
+    quad = QuadratureScheme(n_J=80)
     for t in (0.0, 0.3):
         A = quantize({0: ((lambda J: 1.0), 0)}, WeightSpec(t=t), quad, 64)
         assert np.abs(A.entries - np.eye(64))[:16, :16].max() <= 1e-6
 
 
 def test_quantize_annihilation_symbol():
-    quad = QuadratureScheme(n_J=96, n_gamma=64)
+    quad = QuadratureScheme(n_J=96)
     A = quantize({1: ((lambda J: 1.0), 1)}, WeightSpec(t=0.0), quad, 48)
     a_minus = np.diag(np.sqrt(np.arange(1.0, 48)), 1)
     assert np.abs(A.entries - a_minus)[:24, :24].max() <= 1e-6
 
 
 def test_quantize_angle_entry_and_matrix_cross_check():
-    quad = QuadratureScheme(n_J=96, n_gamma=128)
+    quad = QuadratureScheme(n_J=96)
     A = quantize(sawtooth_fourier(40), WeightSpec(t=0.0), quad, 32)
     assert A.entries[0, 1] == pytest.approx(1j * GAMMA_3_2, abs=1e-6)
     closed = angle_matrix(0.0, 32)
@@ -268,13 +268,13 @@ def test_quantize_angle_entry_and_matrix_cross_check():
 
 
 def test_quantize_hermitian_for_real_symbol():
-    quad = QuadratureScheme(n_J=64, n_gamma=64)
+    quad = QuadratureScheme(n_J=64)
     A = quantize(sawtooth_fourier(12), WeightSpec(t=0.25), quad, 24)
     assert op_norm_max(A - A.H) <= 1e-10
 
 
 def test_quantize_under_resolution_warns():
-    quad = QuadratureScheme(n_J=8, n_gamma=8)
+    quad = QuadratureScheme(n_J=8)
     with pytest.warns(QuadratureWarning):
         quantize(
             sawtooth_fourier(3),
@@ -287,7 +287,7 @@ def test_quantize_under_resolution_warns():
 
 def test_quantized_sawtooth_is_angle_matrix_over_one_minus_t():
     # f_coefficient: at t > 0 the map's off-diagonals are angle_matrix(t)/(1-t)
-    quad = QuadratureScheme(n_J=96, n_gamma=128)
+    quad = QuadratureScheme(n_J=96)
     off = ~np.eye(12, dtype=bool)
     for t in (0.25, 0.5):
         A = quantize(sawtooth_fourier(23), WeightSpec(t=t), quad, 24).entries[:12, :12]
@@ -297,12 +297,32 @@ def test_quantized_sawtooth_is_angle_matrix_over_one_minus_t():
 
 
 def test_canonical_commutation_from_map():
-    quad = QuadratureScheme(n_J=96, n_gamma=64)
+    quad = QuadratureScheme(n_J=96)
     for t in (0.0, 0.6):
         Az = quantize({1: ((lambda J: 1.0), 1)}, WeightSpec(t=t), quad, 48)
         Azb = quantize({-1: ((lambda J: 1.0), 1)}, WeightSpec(t=t), quad, 48)
         K = linalg.commutator(Az, Azb)
         assert np.abs(K.entries - np.eye(48))[:24, :24].max() <= 1e-5
+
+
+def test_quantize_drops_modes_past_truncation():
+    # modes 97..200 have no diagonal at dim 32; none may leak onto one
+    quad = QuadratureScheme(n_J=96)
+    A = quantize(sawtooth_fourier(200), WeightSpec(t=0.0), quad, 32)
+    closed = angle_matrix(0.0, 32)
+    assert np.abs(A.entries - closed.entries)[:16, :16].max() <= 1e-6
+
+
+def test_quantize_mode_fills_only_its_diagonal():
+    quad = QuadratureScheme(n_J=96)
+    dim = 128
+    Az = quantize({1: ((lambda J: 1.0), 1)}, WeightSpec(t=0.0), quad, dim)
+    Azb = quantize({-1: ((lambda J: 1.0), 1)}, WeightSpec(t=0.0), quad, dim)
+    off = Az.entries.copy()
+    off[np.arange(dim - 1), np.arange(1, dim)] = 0.0
+    assert np.count_nonzero(off) == 0
+    K = linalg.commutator(Az, Azb)
+    assert np.abs(K.entries - np.eye(dim))[:64, :64].max() <= 1e-10
 
 
 # -------------------------------------------------------- F coefficients
@@ -429,7 +449,7 @@ def test_symbol_grid_matches_direct_trace():
 
 def test_quantize_memory_stays_bounded():
     # quantize fills at most FILL_BATCH radial nodes at once
-    quad = QuadratureScheme(96, 64)
+    quad = QuadratureScheme(96)
     tracemalloc.start()
     try:
         quantize({1: ((lambda J: 1.0), 1)}, WeightSpec(t=0.3), quad, 96)
@@ -456,6 +476,26 @@ def test_d_q_against_trace_route():
     trace_route = symbol_sine_coefficients(A, WeightSpec(t=0.0), 4.0, q_max=40)
     closed = np.array([d_q_cs(q, 4.0) for q in range(1, 41)])
     assert np.abs(trace_route - closed).max() <= 1e-4
+
+
+def test_sine_coefficients_match_fft_of_symbol_grid():
+    t, dim, J, q_max = 0.3, 160, 25.0, 60
+    A = angle_matrix(t, dim)
+    weight = WeightSpec(t=t)
+    n = 4 * dim
+    grid = 2.0 * math.pi * np.arange(n) / n
+    spectrum = np.fft.rfft(lower_symbols(A, weight, J, grid, warn_leak=False).real) / n
+    fft_route = np.arange(1, q_max + 1) * spectrum[1 : q_max + 1].imag
+    exact = symbol_sine_coefficients(A, weight, J, q_max)
+    assert np.abs(exact - fft_route).max() <= 1e-12
+
+
+def test_sine_coefficients_vanish_past_truncation():
+    A = angle_matrix(0.0, 8)
+    coeffs = symbol_sine_coefficients(A, WeightSpec(t=0.0), 2.0, q_max=12)
+    assert coeffs.shape == (12,)
+    assert np.all(coeffs[7:] == 0.0)
+    assert np.all(coeffs[:7] > 0.0)
 
 
 def test_d_q_series_reduces_to_closed_form_at_zero_temperature():
