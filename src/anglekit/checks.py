@@ -1,13 +1,16 @@
-"""Named invariant suites, runnable from the CLI and the test suite.
+"""Named invariant suites: the one registry `anglekit check` and the tests share.
 
-Each suite is a list of (invariant name, thunk) pairs; a thunk returns
-(measured, tolerance) and the invariant passes when measured does not
-exceed tolerance.  Anything random is seeded, so repeated runs produce
-identical reports.
+`_SUITES` is the only place an invariant is measured.  Each suite lists
+the `CheckParams` fields its thunks read and its (invariant name, thunk)
+pairs; a thunk returns (measured, tolerance) and the invariant passes
+when measured does not exceed tolerance.  `measure` runs one entry, and
+both `run_suite` and the acceptance tests go through it.  Suites run
+serially.  Anything random is seeded, so repeated runs produce identical
+reports.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +19,8 @@ from . import circlecs, halfcircle, linalg, moments, specfun, whquant
 from .errors import DomainError
 from .linalg import BasisSpec, TruncatedOperator
 
-__all__ = ["CheckParams", "CheckResult", "suite_names", "run_suite", "run_checks"]
+__all__ = ["CheckParams", "CheckResult", "suite_names", "fields_read", "measure", "run_suite",
+           "run_checks"]
 
 
 @dataclass(frozen=True)
@@ -465,27 +469,31 @@ def _factorial_inequality(params):
     return float(fails), 0.0
 
 
+# reads: the CheckParams fields the thunks read (the CLI rejects any other
+# narrowing); invariants: (invariant name, thunk) pairs in report order.
+_Suite = namedtuple("_Suite", "reads invariants")
+
 _SUITES = {
-    "specfun": [
+    "specfun": _Suite((), [
         ("gamma_ratio_bound", _gamma_ratio_bound),
         ("laguerre_reflection", _laguerre_reflection),
         ("theta_form_equality", _theta_form_equality),
         ("gauss_summation_at_one", _gauss_summation_at_one),
-    ],
-    "linalg": [
+    ]),
+    "linalg": _Suite((), [
         ("eig_reconstruction", _eig_reconstruction),
         ("spectral_composition", _spectral_composition),
         ("sign_part_contract", _sign_part_contract),
         ("exp_inverse", _exp_inverse),
-    ],
-    "halfcircle": [
+    ]),
+    "halfcircle": _Suite(("dim", "mode"), [
         ("angle_support", _angle_support),
         ("series_vs_spectral", _series_vs_spectral),
         ("contraction_norms", _contraction_norms),
         ("power_commutator_identity", _power_commutator_identity),
         ("cyclic_exact_relations", _cyclic_exact_relations),
-    ],
-    "whquant": [
+    ]),
+    "whquant": _Suite(("dim", "t"), [
         ("ccr_from_quantization", _ccr_from_quantization),
         ("angle_matrix_structure", _angle_matrix_structure),
         ("angle_covariance_symbol_shift", _angle_covariance_symbol_shift),
@@ -494,8 +502,8 @@ _SUITES = {
         ("wh_resolution_identity", _wh_resolution_identity),
         ("fourier_taylor_bridge", _fourier_taylor_bridge),
         ("boltzmann_diagonal", _boltzmann_diagonal),
-    ],
-    "circlecs": [
+    ]),
+    "circlecs": _Suite(("dim", "sigma"), [
         ("circle_resolution_identity", _circle_resolution_identity),
         ("state_normalization", _state_normalization),
         ("action_is_number", _action_is_number),
@@ -504,11 +512,11 @@ _SUITES = {
         ("overlap_symmetry_spot", _overlap_symmetry_spot),
         ("overlap_kernel_forms", _overlap_kernel_forms),
         ("harmonic_trend", _harmonic_trend),
-    ],
-    "moments": [
+    ]),
+    "moments": _Suite((), [
         ("s_k_bounded", _s_k_bounded),
         ("factorial_inequality", _factorial_inequality),
-    ],
+    ]),
 }
 
 
@@ -516,27 +524,31 @@ def suite_names():
     return list(_SUITES)
 
 
-def _run_item(suite, name, thunk, params):
-    measured, tolerance = thunk(params)
-    status = "pass" if measured <= tolerance else "fail"
-    return CheckResult(suite, name, status, float(measured), float(tolerance))
-
-
-def run_suite(name, threads=1, params=None):
+def _suite(name):
     if name not in _SUITES:
         raise DomainError(f"unknown check suite {name!r}; choose from {sorted(_SUITES)}")
-    if params is None:
-        params = CheckParams()
-    items = _SUITES[name]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_run_item, name, inv, fn, params) for inv, fn in items]
-            return [f.result() for f in futures]
-    return [_run_item(name, inv, fn, params) for inv, fn in items]
+    return _SUITES[name]
+
+
+def fields_read(names):
+    """The `CheckParams` fields that at least one of the named suites reads."""
+    return {field for name in names for field in _suite(name).reads}
+
+
+def measure(suite, invariant, params=None):
+    """Measure one registered invariant; DomainError for an unknown name."""
+    thunk = dict(_suite(suite).invariants).get(invariant)
+    if thunk is None:
+        raise DomainError(f"suite {suite!r} has no invariant {invariant!r}")
+    measured, tolerance = thunk(params or CheckParams())
+    status = "pass" if measured <= tolerance else "fail"
+    return CheckResult(suite, invariant, status, float(measured), float(tolerance))
+
+
+def run_suite(name, params=None):
+    return [measure(name, invariant, params) for invariant, _ in _suite(name).invariants]
 
 
 def run_checks(names, threads=1, params=None):
-    results = []
-    for name in names:
-        results.extend(run_suite(name, threads=threads, params=params))
-    return results
+    """Run the named suites in order; `threads` is accepted but suites run serially."""
+    return [res for name in names for res in run_suite(name, params=params)]

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DomainError, TruncationWarning
-from .linalg import BasisSpec, TruncatedOperator
+from .linalg import TruncatedOperator
 from .specfun import theta3_normalizer
 
 __all__ = [
@@ -282,7 +282,9 @@ def quantize_cyl_grid(dist, basis, f, n_phi=None, j_span=None):
 
     Integrates f(J, phi) N(J) |J,phi><J,phi| over phi in [0, 2 pi) by
     trapezoid and over J by composite panels; the workhorse for the
-    resolution-of-identity check and non-separable f.
+    resolution-of-identity check and non-separable f.  The phi trapezoid
+    is exact for angle modes |q| <= n_phi - dim (default n_phi = 2 dim);
+    a higher mode aliases silently onto diagonal q - k n_phi.
     """
     if basis.mode != "two_sided":
         raise DomainError("cylinder quantization needs a two_sided basis")

@@ -11,7 +11,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -88,20 +88,8 @@ def _parse_config_file(path, known_keys):
     return overrides
 
 
-_CONFIG_CASTS = {
-    "construction": str,
-    "dim": int,
-    "mode": str,
-    "t": float,
-    "sigma": float,
-    "harmonics": int,
-    "J": float,
-    "gamma_grid": int,
-    "dims": lambda s: tuple(int(x) for x in s.split(",") if x),
-    "margins": lambda s: tuple(int(x) for x in s.split(",") if x),
-    "output": str,
-    "threads": int,
-}
+def _int_list(text):
+    return tuple(int(x) for x in text.split(",") if x)
 
 
 def _fmt_float(value):
@@ -190,14 +178,14 @@ def cmd_commutator(cfg):
     return EXIT_OK
 
 
-def cmd_check(suite, cfg, narrowed):
+def cmd_check(suite, cfg, provided):
     names = checks.suite_names() if suite == "all" else [suite]
-    params = checks.CheckParams(
-        dim=cfg.dim if narrowed.get("dim") else None,
-        mode=cfg.mode if narrowed.get("mode") else None,
-        t=cfg.t if narrowed.get("t") else None,
-        sigma=cfg.sigma if narrowed.get("sigma") else None,
-    )
+    narrowed = provided & {field.name for field in fields(checks.CheckParams)}
+    unread = ", ".join(sorted(narrowed - checks.fields_read(names)))
+    if unread:
+        print(f"configuration error: check {suite} does not read {unread}", file=sys.stderr)
+        return EXIT_USAGE
+    params = checks.CheckParams(**{key: getattr(cfg, key) for key in narrowed})
     results = checks.run_checks(names, threads=cfg.threads, params=params)
     for res in results:
         print(
@@ -240,8 +228,8 @@ def build_parser():
         p.add_argument(
             "--threads",
             type=int,
-            help="worker threads for sweeps (default: a config-file threads key, "
-            "else ANGLEKIT_THREADS, else 1)",
+            help="validated but unused: checks run serially (default: a config-file "
+            "threads key, else ANGLEKIT_THREADS, else 1)",
         )
 
     p_spec = sub.add_parser("spectrum", help="sorted eigenvalues of an angle operator")
@@ -281,31 +269,15 @@ def build_parser():
 def _config_from_args(args):
     cfg = ExperimentConfig()
     provided = set()
-    if getattr(args, "config", None):
-        file_overrides = _parse_config_file(args.config, set(_CONFIG_CASTS))
-        for key, value in file_overrides.items():
-            setattr(cfg, key, _CONFIG_CASTS[key](value))
-            provided.add(key)
-    explicit = {
-        "construction": getattr(args, "construction", None),
-        "dim": getattr(args, "dim", None),
-        "mode": getattr(args, "mode", None),
-        "t": getattr(args, "t", None),
-        "sigma": getattr(args, "sigma", None),
-        "harmonics": getattr(args, "harmonics", None),
-        "J": getattr(args, "J", None),
-        "gamma_grid": getattr(args, "gamma_grid", None),
-        "output": getattr(args, "output", None),
-        "threads": getattr(args, "threads", None),
-    }
-    if getattr(args, "dims", None) is not None:
-        explicit["dims"] = tuple(int(x) for x in str(args.dims).split(",") if x)
-    if getattr(args, "margins", None) is not None:
-        explicit["margins"] = tuple(int(x) for x in str(args.margins).split(",") if x)
-    for key, value in explicit.items():
-        if value is not None:
-            setattr(cfg, key, value)
-            provided.add(key)
+    keys = {field.name for field in fields(ExperimentConfig)}
+    from_file = _parse_config_file(args.config, keys) if getattr(args, "config", None) else {}
+    for field in fields(ExperimentConfig):
+        # a flag beats a config-file key
+        for value in (from_file.get(field.name), getattr(args, field.name, None)):
+            if value is not None:
+                cast = _int_list if field.type is tuple else field.type
+                setattr(cfg, field.name, cast(value))
+                provided.add(field.name)
     if cfg.threads is None:
         env = os.environ.get("ANGLEKIT_THREADS") or "1"
         if not env.isdigit() or int(env) < 1:
@@ -330,8 +302,7 @@ def main(argv=None):
         if args.command == "commutator":
             return cmd_commutator(cfg)
         if args.command == "check":
-            narrowed = {key: key in provided for key in ("dim", "mode", "t", "sigma")}
-            return cmd_check(args.suite, cfg, narrowed)
+            return cmd_check(args.suite, cfg, provided)
     except (ConvergenceError, DomainError, FloatingPointError) as exc:
         print(f"numerical failure in {args.command}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -1,23 +1,46 @@
+import inspect
+import re
+
 import pytest
 
 from anglekit import checks
 from anglekit.errors import DomainError
 
+# The report's lines in order; a refactor may not reorder or rename them.
+REPORT_LAYOUT = {
+    "specfun": "gamma_ratio_bound laguerre_reflection theta_form_equality gauss_summation_at_one",
+    "linalg": "eig_reconstruction spectral_composition sign_part_contract exp_inverse",
+    "halfcircle": "angle_support series_vs_spectral contraction_norms power_commutator_identity "
+    "cyclic_exact_relations",
+    "whquant": "ccr_from_quantization angle_matrix_structure angle_covariance_symbol_shift "
+    "f_symmetry d_q_bound wh_resolution_identity fourier_taylor_bridge boltzmann_diagonal",
+    "circlecs": "circle_resolution_identity state_normalization action_is_number "
+    "circle_covariance_shift d_m_bound overlap_symmetry_spot overlap_kernel_forms harmonic_trend",
+    "moments": "s_k_bounded factorial_inequality",
+}
+
 
 def test_suite_names_cover_every_module():
-    assert set(checks.suite_names()) == {
-        "specfun",
-        "linalg",
-        "halfcircle",
-        "whquant",
-        "circlecs",
-        "moments",
-    }
+    assert checks.suite_names() == list(REPORT_LAYOUT)
+    registered = [(s, inv) for s, suite in checks._SUITES.items() for inv, _ in suite.invariants]
+    expected = [(name, inv) for name, line in REPORT_LAYOUT.items() for inv in line.split()]
+    assert len(expected) == 31
+    assert registered == expected
+
+
+def test_declared_reads_match_thunk_sources():
+    for name, suite in checks._SUITES.items():
+        sources = "".join(inspect.getsource(thunk) for _, thunk in suite.invariants)
+        assert set(re.findall(r"\bparams\.(\w+)", sources)) == set(suite.reads), name
 
 
 def test_unknown_suite_rejected():
     with pytest.raises(DomainError):
         checks.run_suite("nonsense")
+    with pytest.raises(DomainError):
+        checks.measure("nonsense", "s_k_bounded")
+    with pytest.raises(DomainError):
+        checks.measure("moments", "nonsense")
 
 
 def test_run_suite_returns_passing_records():

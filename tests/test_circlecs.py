@@ -24,7 +24,7 @@ from anglekit.circlecs import (
     quantize_cyl,
     quantize_cyl_grid,
 )
-from anglekit.linalg import BasisSpec, op_norm_max, window_restrict
+from anglekit.linalg import BasisSpec, op_norm_max
 
 
 def two_sided(dim):
@@ -184,6 +184,17 @@ def test_product_mode_past_truncation_is_zero():
         gaussian_distribution(5.0), two_sided(16), f_action=lambda J: 1.0, fourier_angle={40: 1}
     )
     assert np.count_nonzero(A.entries) == 0
+
+
+def test_grid_route_exact_up_to_n_phi_minus_dim():
+    # default n_phi = 2 * dim = 32: modes |q| <= n_phi - dim = 16 are exact,
+    # and mode 17 aliases onto diagonal 17 - n_phi = -15
+    dist, basis = gaussian_distribution(5.0), two_sided(16)
+    grid = lambda q: quantize_cyl_grid(dist, basis, lambda J, phi: np.exp(1j * q * phi)).entries
+    exact = lambda q: quantize_cyl(dist, basis, f_action=lambda J: 1, fourier_angle={q: 1}).entries
+    assert np.abs(grid(16) - exact(16)).max() <= 1e-12
+    assert np.abs(grid(17) - exact(-15)).max() <= 1e-12
+    assert np.abs(grid(17) - exact(17)).max() > 0.3
 
 
 def test_product_quantization_matches_grid_route():

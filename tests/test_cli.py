@@ -1,10 +1,8 @@
 import json
 import math
-import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from anglekit import checks, cli
@@ -89,6 +87,20 @@ def test_check_single_suite_json(tmp_path, capsys):
 def test_check_halfcircle_narrowed_passes(capsys):
     assert run_main(["check", "halfcircle", "--dim", "64", "--mode", "cyclic"]) == 0
     assert "halfcircle/angle_support: PASS" in capsys.readouterr().out
+
+
+def test_check_rejects_narrowing_no_suite_reads(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sigma=3\n")
+    for argv, unread in (
+        (["check", "moments", "--t", "0.5", "--dim", "8"], "dim, t"),
+        (["check", "specfun", "--mode", "cyclic", "--sigma", "3"], "mode, sigma"),
+        (["check", "halfcircle", "--dim", "32", "--config", str(cfg)], "sigma"),
+    ):
+        assert run_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"does not read {unread}\n")
 
 
 def test_check_threads_agree(tmp_path):

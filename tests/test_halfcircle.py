@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from anglekit import halfcircle, linalg
+from anglekit import checks, halfcircle, linalg
 from anglekit.errors import DomainError
 from anglekit.halfcircle import (
     angle_lower,
@@ -17,7 +17,6 @@ from anglekit.halfcircle import (
     sigma_isometry,
 )
 from anglekit.linalg import BasisSpec, from_matrix, hermitian_eig, op_norm_max, window_restrict
-from anglekit.specfun import SeriesTolerance
 
 HALF_PI = math.pi / 2.0
 
@@ -120,16 +119,7 @@ def test_angle_upper_rejects_oversized_spectrum():
 
 
 def test_angle_series_matches_spectral_off_the_endpoints():
-    fam = family("cyclic", 32)
-    pair = cos_sin_pair(fam)
-    tol = SeriesTolerance(abs_tol=1e-6, max_terms=500_000)
-    a_series = angle_upper(pair.C, method="series", tol=tol)
-    a_spectral = angle_upper(pair.C, method="spectral")
-    eig = hermitian_eig(pair.C)
-    keep = np.abs(np.abs(eig.eigenvalues) - 1.0) > 1e-8
-    proj = eig.eigenvectors[:, keep] @ eig.eigenvectors[:, keep].conj().T
-    diff = proj @ (a_series.entries - a_spectral.entries) @ proj
-    assert np.abs(diff).max() <= 50 * 1e-6
+    assert checks.measure("halfcircle", "series_vs_spectral").passed
 
 
 def test_angle_lower_shifts_by_pi():
