@@ -19,8 +19,7 @@ from . import circlecs, halfcircle, linalg, moments, specfun, whquant
 from .errors import DomainError
 from .linalg import BasisSpec, TruncatedOperator
 
-__all__ = ["CheckParams", "CheckResult", "suite_names", "fields_read", "measure", "run_suite",
-           "run_checks"]
+__all__ = ["CheckParams", "CheckResult", "suite_names", "fields_read", "measure", "run_suite"]
 
 
 @dataclass(frozen=True)
@@ -408,7 +407,7 @@ def _overlap_symmetry_spot(params):
             )
 
         direct = circlecs._panel_integral(
-            integrand, min(n, npr) - dist.radius, max(n, npr) + dist.radius, dist.sigma
+            integrand, (min(n, npr) - dist.radius, max(n, npr) + dist.radius), dist.sigma
         )
         worst = max(worst, abs(direct - circlecs.overlap(dist, sep)))
     return worst, 1e-10
@@ -547,8 +546,3 @@ def measure(suite, invariant, params=None):
 
 def run_suite(name, params=None):
     return [measure(name, invariant, params) for invariant, _ in _suite(name).invariants]
-
-
-def run_checks(names, threads=1, params=None):
-    """Run the named suites in order; `threads` is accepted but suites run serially."""
-    return [res for name in names for res in run_suite(name, params=params)]

@@ -2,11 +2,12 @@
 
 A width-sigma density p(J) on the line generates states
 |J, phi> = N(J)^{-1/2} sum_n sqrt(p(J-n)) e^{-i n phi} |e_n> over the
-two-sided basis.  Quantization of f(J, phi) splits into a diagonal
-p-transform for f(J), a band matrix for f(phi) or f(J) g(phi), and a
-full product quadrature for the general case.  The overlap matrix
-p_{n,n'} = integral sqrt(p_n p_{n'}) encodes the number-angle
-commutator completely.
+two-sided basis.  By rotation covariance the quantization of
+f(J, phi) = sum_q c_q(J) e^{i q phi} has entries
+integral c_{n-n'}(J) sqrt(p(J-n) p(J-n')) dJ, and both cylinder
+quantizers read one table of action nodes and amplitudes sqrt(p(J-n)).
+The overlap matrix p_{n,n'} = integral sqrt(p_n p_{n'}), computed by its
+own quadrature, encodes the number-angle commutator completely.
 """
 
 import math
@@ -83,7 +84,7 @@ class DistributionSpec:
             raise DomainError("pdf must be nonnegative")
         if float(np.abs(vals_pos - vals_neg).max()) > 1e-10 * top:
             raise DomainError("pdf must be even")
-        mass = _panel_integral(self.pdf, -self.radius, self.radius, self.sigma)
+        mass = _panel_integral(self.pdf, (-self.radius, self.radius), self.sigma)
         if abs(mass - 1.0) > 1e-8:
             raise DomainError(f"pdf must integrate to 1, got {mass}")
 
@@ -96,17 +97,21 @@ class DistributionSpec:
         return math.fsum(self.pdf(J - n) for n in range(lo, hi + 1))
 
 
-def _panel_integral(f, lo, hi, scale):
-    """Composite Gauss-Legendre with panels sized to the density width."""
+def _gl_rule(edges):
+    """24-point Gauss-Legendre nodes and weights on the panels between consecutive edges."""
+    edges = np.asarray(edges, dtype=float)
+    mid = (edges[1:] + edges[:-1]) / 2.0
+    rad = (edges[1:] - edges[:-1]) / 2.0
+    return (mid[:, None] + rad[:, None] * _GL_NODES).ravel(), (rad[:, None] * _GL_WEIGHTS).ravel()
+
+
+def _panel_integral(f, edges, scale):
+    """Composite Gauss-Legendre between consecutive edges, panels sized to the density width."""
     width = min(max(scale / 2.0, 1e-3), 2.0)
-    n_panels = max(4, int(math.ceil((hi - lo) / width)))
-    edges = np.linspace(lo, hi, n_panels + 1)
     total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, rad = (a + b) / 2.0, (b - a) / 2.0
-        total += rad * math.fsum(
-            w * f(mid + rad * x) for x, w in zip(_GL_NODES, _GL_WEIGHTS)
-        )
+    for lo, hi in zip(edges, edges[1:]):
+        x, w = _gl_rule(np.linspace(lo, hi, max(4, math.ceil((hi - lo) / width)) + 1))
+        total += math.fsum(wi * f(xi) for xi, wi in zip(x.tolist(), w.tolist()))
     return total
 
 
@@ -140,11 +145,13 @@ def overlap(dist, m):
     center = m / 2.0
     lo = center - dist.radius - 1.0
     hi = center + dist.radius + 1.0
+    # the support edges are panel edges, so a compact density's kinks are integrated exactly
+    cuts = sorted(c for c in (m - dist.radius, dist.radius) if lo < c < hi)
 
     def integrand(J):
         return math.sqrt(max(dist.pdf(J), 0.0) * max(dist.pdf(J - m), 0.0))
 
-    val = _panel_integral(integrand, lo, hi, dist.sigma)
+    val = _panel_integral(integrand, [lo, *cuts, hi], dist.sigma)
     return min(max(val, 0.0), 1.0)
 
 
@@ -206,44 +213,28 @@ def circle_sawtooth_fourier(q_max):
     return out
 
 
-def quantize_cyl(dist, basis, f_action=None, fourier_angle=None, overlaps=None):
-    """Separable quantization on the cylinder.
+def quantize_cyl(dist, basis, f_action=None, fourier_angle=None):
+    """Separable quantization of f_action(J) times the angle function on the cylinder.
 
-    f_action only:    diagonal with entries integral p(J-n) f(J) dJ.
-    fourier_angle only: band matrix p_{0,|n-n'|} c_{n-n'}.
-    Both:             c_q M_{nn'} on each diagonal n - n' = q, with
-                      M = integral f(J) sqrt(p(J-n) p(J-n')) dJ; the
-                      angle integral is exact, so there is no angle grid.
-    Angle modes with |q| >= dim drop.
+    The angle function is the Fourier map fourier_angle = {q: c_q}
+    (default {0: 1}) and f_action defaults to 1.  Entry (n, n') is
+    c_{n-n'} M_{nn'} with M = integral f_action(J) sqrt(p(J-n) p(J-n')) dJ,
+    one action integral over the `_action_table` nodes; the angle
+    integral is exact, so there is no angle grid.  Angle modes with
+    |q| >= dim drop.
     """
     if basis.mode != "two_sided":
         raise DomainError("cylinder quantization needs a two_sided basis")
     if f_action is None and fourier_angle is None:
         raise DomainError("need f_action, fourier_angle, or both")
-    labels = basis.labels()
-    dim = basis.dim
-    if fourier_angle is None:
-        diag = np.array(
-            [
-                _panel_integral(
-                    lambda J, n=n: dist.pdf(J - n) * f_action(J),
-                    n - dist.radius,
-                    n + dist.radius,
-                    dist.sigma,
-                )
-                for n in labels
-            ]
-        )
-        return TruncatedOperator(np.diag(diag).astype(complex), basis)
-    if f_action is not None:
-        M = np.zeros((dim, dim), dtype=complex)
-        for J, weight, amps in _action_nodes(dist, labels):
-            M += (weight * f_action(J)) * np.outer(amps, amps)
-        return TruncatedOperator(_angle_diagonals(fourier_angle, M), basis)
-    reach = min(max(abs(int(q)) for q in fourier_angle), dim - 1)
-    if overlaps is None or overlaps.half_bandwidth < reach:
-        overlaps = build_overlap_matrix(dist, reach)
-    return TruncatedOperator(_angle_diagonals(fourier_angle, overlaps.band_matrix(dim)), basis)
+    M = 0.0
+    for J, w, amps in _action_table(dist, basis.labels()):
+        if f_action is not None:
+            w = w * np.array([f_action(x) for x in J.tolist()])
+        M = M + (amps * w) @ amps.T
+    M = (M + M.T) / 2.0
+    angle = {0: 1} if fourier_angle is None else fourier_angle
+    return TruncatedOperator(_angle_diagonals(angle, M), basis)
 
 
 def _angle_diagonals(fourier_angle, weights):
@@ -260,31 +251,57 @@ def _angle_diagonals(fourier_angle, weights):
     return out
 
 
-def _action_nodes(dist, labels, j_span=None):
-    """(J, weight, sqrt(p(J - n)) per label) at each composite Gauss-Legendre node."""
-    if j_span is None:  # wide enough that every label's density is fully covered
-        j_span = (float(labels[0]) - dist.radius, float(labels[-1]) + dist.radius)
-    lo, hi = j_span
-    if lo >= hi:
-        raise DomainError(f"empty action window [{lo}, {hi}]")
-    width = min(max(dist.sigma, 1e-3), 1.0)
-    n_panels = max(4, int(math.ceil((hi - lo) / width)))
-    edges = np.linspace(lo, hi, n_panels + 1)
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, rad = (a + b) / 2.0, (b - a) / 2.0
-        for x, w in zip(_GL_NODES, _GL_WEIGHTS):
-            J = mid + rad * x
-            yield J, w * rad, np.sqrt([max(dist.pdf(J - n), 0.0) for n in labels])
+def _action_table(dist, labels, j_span=None):
+    """Yield blocks (J, w, amps) of action nodes, weights and amps[n, i] = sqrt(p(J_i - labels[n])).
+
+    Unit cells anchored at labels[0] - radius are cut into
+    ceil(1 / min(sigma, 1)) equal panels and at frac(2 radius), so every
+    density edge n +- radius is a panel edge and J - n lands on the same
+    cell-local nodes for every label: sqrt(p) is tabulated once per
+    (lattice offset, local node).  The default window is the whole cells
+    covering [labels[0] - radius, labels[-1] + radius]; the two end cells
+    of an explicit j_span = (lo, hi) are clipped to it and evaluated directly.
+    """
+    r, dim = dist.radius, len(labels)
+    m = math.ceil(1.0 / min(max(dist.sigma, 1e-3), 1.0))
+    cuts = np.unique(np.append(np.arange(m + 1) / m, 2.0 * r % 1.0))
+    x, w = _gl_rule(cuts)
+    anchor = float(labels[0]) - r
+    if j_span is None:
+        first, last, ends = 0, math.ceil(dim - 1 + 2.0 * r), ()
+    else:
+        lo, hi = j_span
+        if lo >= hi:
+            raise DomainError(f"empty action window [{lo}, {hi}]")
+        first, last = math.floor(lo - anchor), math.ceil(hi - anchor)
+        ends, first, last = sorted({first, last - 1}), first + 1, last - 1
+    for k in ends:
+        J, wk = _gl_rule(np.unique(np.clip(anchor + k + cuts, lo, hi)))
+        vals = [[dist.pdf(a - n) for a in J.tolist()] for n in labels.tolist()]
+        yield J, wk, np.sqrt(np.maximum(vals, 0.0)).reshape(dim, J.size)
+    if first < last:
+        # table[s - s0, i] = sqrt(p(s - r + x_i)) at offset s = k - j of cell k and label j
+        s0 = first - dim + 1
+        vals = (dist.pdf(x_i + (s - r)) for s in range(s0, last) for x_i in x.tolist())
+        table = np.fromiter(vals, float, x.size * (last - s0)).reshape(-1, x.size)
+        table = np.sqrt(np.maximum(table, 0.0))
+        step = max(1, 256 // x.size)  # cells per block: at most 256 nodes x dim labels
+        for k in range(first, last, step):
+            cells = np.arange(k, min(k + step, last))
+            J = ((anchor + cells)[:, None] + x).ravel()
+            block = table[cells - np.arange(dim)[:, None] - s0]  # (label, cell, node)
+            yield J, np.tile(w, cells.size), block.reshape(dim, J.size)
 
 
 def quantize_cyl_grid(dist, basis, f, n_phi=None, j_span=None):
     """General quantization by explicit product quadrature.
 
     Integrates f(J, phi) N(J) |J,phi><J,phi| over phi in [0, 2 pi) by
-    trapezoid and over J by composite panels; the workhorse for the
-    resolution-of-identity check and non-separable f.  The phi trapezoid
-    is exact for angle modes |q| <= n_phi - dim (default n_phi = 2 dim);
-    a higher mode aliases silently onto diagonal q - k n_phi.
+    trapezoid and over J on the `_action_table` nodes; the workhorse for
+    the resolution-of-identity check and non-separable f.  The phi
+    trapezoid is exact for angle modes |q| <= n_phi - dim (default
+    n_phi = 2 dim); a higher mode aliases silently onto diagonal
+    q - k n_phi.
     """
     if basis.mode != "two_sided":
         raise DomainError("cylinder quantization needs a two_sided basis")
@@ -296,20 +313,21 @@ def quantize_cyl_grid(dist, basis, f, n_phi=None, j_span=None):
     phase = np.exp(-1j * np.outer(labels, phis))  # columns are CS phase patterns
     out = np.zeros((dim, dim), dtype=complex)
     # N(J) cancels against the measure weight
-    for J, weight, amps in _action_nodes(dist, labels, j_span):
-        fvals = np.array([f(J, phi) for phi in phis])
-        gram = (phase * (fvals / n_phi)) @ phase.conj().T
-        out += weight * (np.outer(amps, amps) * gram)
+    for Js, ws, block in _action_table(dist, labels, j_span):
+        for J, weight, amps in zip(Js.tolist(), ws.tolist(), block.T):
+            fvals = np.array([f(J, phi) for phi in phis])
+            gram = (phase * (fvals / n_phi)) @ phase.conj().T
+            out += weight * (np.outer(amps, amps) * gram)
     return TruncatedOperator(out, basis)
 
 
-def fourier_harmonic_defect(dist, basis, overlaps=None):
+def fourier_harmonic_defect(dist, basis):
     """Unitarity defect of the quantized fundamental harmonic.
 
     Returns (defect, p10_squared): the interior max of
     |(A A*)_{nn} - p_{1,0}^2| and the squared overlap it should equal.
     """
-    p10 = overlaps.value(1) if overlaps is not None else overlap(dist, 1)
+    p10 = overlap(dist, 1)
     A = quantize_cyl(dist, basis, fourier_angle={1: 1.0 + 0.0j})
     prod = (A @ A.H).entries
     margin = max(1, basis.dim // 8)
@@ -329,9 +347,7 @@ def commutator_number_angle(dist, basis, route_tol=1e-10, overlaps=None):
     if overlaps is None:
         overlaps = build_overlap_matrix(dist, dim - 1)
     A_J = quantize_cyl(dist, basis, f_action=lambda J: J)
-    A_angle = quantize_cyl(
-        dist, basis, fourier_angle=circle_sawtooth_fourier(dim - 1), overlaps=overlaps
-    )
+    A_angle = quantize_cyl(dist, basis, fourier_angle=circle_sawtooth_fourier(dim - 1))
     K = linalg.commutator(A_J, A_angle)
     direct = 1j * overlaps.band_matrix(dim)
     np.fill_diagonal(direct, 0.0)

@@ -9,7 +9,6 @@ failure.
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, fields
 
@@ -42,7 +41,6 @@ class ExperimentConfig:
     dims: tuple = (128, 256)
     margins: tuple = (32, 64)
     output: str = None
-    threads: int = None
 
     def validate(self):
         if self.construction not in _CONSTRUCTIONS:
@@ -59,8 +57,6 @@ class ExperimentConfig:
             raise DomainError(f"J must be nonnegative, got {self.J}")
         if self.gamma_grid < 8:
             raise DomainError(f"gamma-grid must be at least 8, got {self.gamma_grid}")
-        if self.threads < 1:
-            raise DomainError(f"threads must be >= 1, got {self.threads}")
         for d in self.dims:
             if not 8 <= d <= 1024:
                 raise DomainError(f"sweep dim {d} outside [8, 1024]")
@@ -70,8 +66,8 @@ class ExperimentConfig:
         return self
 
 
-def _parse_config_file(path, known_keys):
-    """Flat key=value lines; keys mirror the long CLI flags."""
+def _parse_config_file(path, known_keys, command):
+    """Flat key=value lines; keys mirror the subcommand's long flags."""
     overrides = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -83,7 +79,7 @@ def _parse_config_file(path, known_keys):
             key, value = (part.strip() for part in line.split("=", 1))
             key = key.replace("-", "_")
             if key not in known_keys:
-                raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
+                raise DomainError(f"{path}:{lineno}: unknown config key {key!r} for {command}")
             overrides[key] = value
     return overrides
 
@@ -186,7 +182,7 @@ def cmd_check(suite, cfg, provided):
         print(f"configuration error: check {suite} does not read {unread}", file=sys.stderr)
         return EXIT_USAGE
     params = checks.CheckParams(**{key: getattr(cfg, key) for key in narrowed})
-    results = checks.run_checks(names, threads=cfg.threads, params=params)
+    results = [res for name in names for res in checks.run_suite(name, params)]
     for res in results:
         print(
             f"{res.suite}/{res.invariant}: {res.status.upper()} "
@@ -225,12 +221,6 @@ def build_parser():
         p.add_argument("--config", help="flat key=value file mirroring the flags")
         p.add_argument("--output", help="output file (default: stdout)")
         p.add_argument("--dim", type=int, help="truncation dimension (default 64)")
-        p.add_argument(
-            "--threads",
-            type=int,
-            help="validated but unused: checks run serially (default: a config-file "
-            "threads key, else ANGLEKIT_THREADS, else 1)",
-        )
 
     p_spec = sub.add_parser("spectrum", help="sorted eigenvalues of an angle operator")
     add_common(p_spec)
@@ -269,8 +259,9 @@ def build_parser():
 def _config_from_args(args):
     cfg = ExperimentConfig()
     provided = set()
-    keys = {field.name for field in fields(ExperimentConfig)}
-    from_file = _parse_config_file(args.config, keys) if getattr(args, "config", None) else {}
+    # the known keys are the parsed subcommand's own flags
+    keys = {field.name for field in fields(ExperimentConfig)} & set(vars(args))
+    from_file = _parse_config_file(args.config, keys, args.command) if args.config else {}
     for field in fields(ExperimentConfig):
         # a flag beats a config-file key
         for value in (from_file.get(field.name), getattr(args, field.name, None)):
@@ -278,11 +269,6 @@ def _config_from_args(args):
                 cast = _int_list if field.type is tuple else field.type
                 setattr(cfg, field.name, cast(value))
                 provided.add(field.name)
-    if cfg.threads is None:
-        env = os.environ.get("ANGLEKIT_THREADS") or "1"
-        if not env.isdigit() or int(env) < 1:
-            raise DomainError(f"ANGLEKIT_THREADS must be a positive integer, got {env!r}")
-        cfg.threads = int(env)
     return cfg.validate(), provided
 
 

@@ -256,8 +256,6 @@ def test_criterion_12_check_determinism(tmp_path, cli_env):
                 "all",
                 "--output",
                 str(out),
-                "--threads",
-                "2",
             ],
             capture_output=True,
             text=True,

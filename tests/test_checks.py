@@ -56,11 +56,3 @@ def test_params_narrowing_changes_problem_size():
     )
     assert all(r.passed for r in wide)
     assert all(r.passed for r in narrowed)
-
-
-def test_threaded_run_matches_serial():
-    serial = checks.run_checks(["specfun", "moments"], threads=1)
-    threaded = checks.run_checks(["specfun", "moments"], threads=3)
-    assert [(r.invariant, r.measured) for r in serial] == [
-        (r.invariant, r.measured) for r in threaded
-    ]

@@ -79,6 +79,28 @@ def test_overlap_decays_at_large_separation():
     assert overlap(gaussian_distribution(1.0), 40) <= 1e-12
 
 
+def raised_cosine(a):
+    """p(x) = (1 + cos(pi x / a)) / (2a) on |x| <= a, zero beyond."""
+    pdf = lambda x: (1.0 + math.cos(math.pi * x / a)) / (2.0 * a) if abs(x) <= a else 0.0
+    return custom_distribution(pdf, sigma=a * math.sqrt(1.0 / 3.0 - 2.0 / math.pi ** 2), radius=a)
+
+
+def raised_cosine_overlap(a, m):
+    # integral of cos(pi x / 2a) cos(pi (x - m) / 2a) / a over [m - a, a]
+    if m >= 2.0 * a:
+        return 0.0
+    u = math.pi * m / (2.0 * a)
+    return math.sin(u) / math.pi + (1.0 - m / (2.0 * a)) * math.cos(u)
+
+
+@pytest.mark.parametrize("a", [0.7, 1.3, 1.5])
+def test_overlap_compact_density_closed_form(a):
+    # the support edges m - a and a are panel edges, so the kinks are integrated exactly
+    dist = raised_cosine(a)
+    for m in range(1, 5):
+        assert abs(overlap(dist, m) - raised_cosine_overlap(a, m)) <= 1e-14
+
+
 def test_overlap_matrix_band():
     band = build_overlap_matrix(gaussian_distribution(1.0), 4)
     assert band.value(0) == 1.0
@@ -134,11 +156,22 @@ def test_action_quantizes_to_number_operator():
     assert np.abs(A.entries - np.diag(basis.labels().astype(complex))).max() <= 1e-9
 
 
+@pytest.mark.parametrize("a", [0.7, 1.3, 1.5, 2.0])
+def test_compact_density_quantization_closed_forms(a):
+    # every density edge n +- a is a panel edge of the action table
+    dist, basis = raised_cosine(a), two_sided(16)
+    A_J = quantize_cyl(dist, basis, f_action=lambda J: J)
+    assert np.abs(A_J.entries - np.diag(basis.labels().astype(complex))).max() <= 1e-12
+    for q in (1, 2, 3):
+        diag = np.diag(quantize_cyl(dist, basis, fourier_angle={q: 1}).entries, -q)
+        assert np.abs(diag - raised_cosine_overlap(a, q)).max() <= 1e-12
+
+
 def test_angle_band_matrix_formula():
     dist = gaussian_distribution(1.0)
     basis = two_sided(24)
     band = build_overlap_matrix(dist, 23)
-    A = quantize_cyl(dist, basis, fourier_angle=circle_sawtooth_fourier(23), overlaps=band)
+    A = quantize_cyl(dist, basis, fourier_angle=circle_sawtooth_fourier(23))
     assert np.allclose(np.diag(A.entries).real, math.pi)
     for n, npr in ((0, 1), (3, 7), (10, 11)):
         expected = 1j * band.value(npr - n) / (n - npr)
@@ -305,7 +338,7 @@ def test_symbol_fourier_route_matches_trace_route():
     dist = gaussian_distribution(1.0)
     basis = two_sided(48)
     band = build_overlap_matrix(dist, 47)
-    A = quantize_cyl(dist, basis, fourier_angle=circle_sawtooth_fourier(47), overlaps=band)
+    A = quantize_cyl(dist, basis, fourier_angle=circle_sawtooth_fourier(47))
     J0, phi0 = 0.4, 2.1
     direct = lower_symbol_cyl(A, dist, CylinderPoint(J0, phi0)).real
     series = math.pi

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from anglekit import checks, cli
+from anglekit import cli
 
 
 def run_main(argv):
@@ -103,11 +103,16 @@ def test_check_rejects_narrowing_no_suite_reads(tmp_path, capsys):
         assert captured.err.endswith(f"does not read {unread}\n")
 
 
-def test_check_threads_agree(tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert run_main(["check", "specfun", "--output", str(a), "--threads", "1"]) == 0
-    assert run_main(["check", "specfun", "--output", str(b), "--threads", "2"]) == 0
-    assert a.read_bytes() == b.read_bytes()
+def test_threads_flag_and_key_rejected(tmp_path, capsys):
+    # checks run serially; the retired thread option is a usage error
+    with pytest.raises(SystemExit) as err:
+        run_main(["check", "specfun", "--threads", "2"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("threads=2\n")
+    assert run_main(["check", "specfun", "--config", str(cfg)]) == 2
+    assert "unknown config key 'threads' for check" in capsys.readouterr().err
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -147,6 +152,19 @@ def test_config_unread_keys_rejected(tmp_path, capsys, line):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [(["spectrum", "--dim", "8"], "J=5"), (["check", "moments"], "dims=8,16")],
+)
+def test_config_key_without_subcommand_flag_rejected(tmp_path, capsys, argv, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{line}\n")
+    assert run_main([*argv, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unknown config key {line.split('=')[0]!r} for {argv[0]}" in captured.err
+
+
 def test_invalid_parameter_rejected(capsys):
     assert run_main(["spectrum", "--t", "1.5", "--dim", "8"]) == 2
     assert "t must lie" in capsys.readouterr().err
@@ -160,30 +178,6 @@ def test_t_help_names_the_convention(command, capsys):
     text = " ".join(capsys.readouterr().out.split())
     assert "t > 0 uses the published angle_matrix(t)" in text
     assert "(1-t) times those of the quantized sawtooth" in text
-
-
-def test_env_var_thread_default(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("ANGLEKIT_THREADS", "2")
-    seen = []
-    run_checks = checks.run_checks
-
-    def spy(names, **kwargs):
-        seen.append(kwargs["threads"])
-        return run_checks(names, **kwargs)
-
-    monkeypatch.setattr(checks, "run_checks", spy)
-    out = tmp_path / "report.json"
-    assert run_main(["check", "moments", "--output", str(out)]) == 0
-    assert seen == [2]
-    # an explicit flag or config-file key beats the environment variable
-    assert run_main(["check", "moments", "--threads", "1"]) == 0
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("threads=3\n")
-    assert run_main(["check", "moments", "--config", str(cfg)]) == 0
-    assert seen == [2, 1, 3]
-    monkeypatch.setenv("ANGLEKIT_THREADS", "0")
-    assert run_main(["check", "moments"]) == 2
-    assert "ANGLEKIT_THREADS" in capsys.readouterr().err
 
 
 def test_console_entry_point(tmp_path, cli_env):
