@@ -1,5 +1,7 @@
 import inspect
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -56,3 +58,24 @@ def test_params_narrowing_changes_problem_size():
     )
     assert all(r.passed for r in wide)
     assert all(r.passed for r in narrowed)
+
+
+_RUN_CHILD = """
+from anglekit import checks
+for name in ("linalg", "moments"):
+    for r in checks.run_suite(name):
+        print(r.invariant, r.status, r.measured.hex())
+"""
+
+
+def test_threaded_run_matches_serial(cli_env):
+    # suites run serially; a multi-threaded BLAS underneath must not move a bit
+    runs = []
+    for threads in ("1", "3"):
+        proc = subprocess.run([sys.executable, "-c", _RUN_CHILD], capture_output=True,
+                              text=True, env=dict(cli_env, OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr
+        runs.append(proc.stdout)
+    serial, threaded = runs
+    assert len(serial.splitlines()) == 6
+    assert serial == threaded

@@ -103,6 +103,21 @@ def test_check_rejects_narrowing_no_suite_reads(tmp_path, capsys):
         assert captured.err.endswith(f"does not read {unread}\n")
 
 
+def test_check_threads_agree(tmp_path, cli_env):
+    # the report is byte-identical whatever thread count the BLAS runs with
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"report_{threads}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "anglekit.cli", "check", "linalg",
+             "--output", str(out)],
+            capture_output=True, text=True, env=dict(cli_env, OPENBLAS_NUM_THREADS=threads),
+        )
+        assert proc.returncode == 0, proc.stderr
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_threads_flag_and_key_rejected(tmp_path, capsys):
     # checks run serially; the retired thread option is a usage error
     with pytest.raises(SystemExit) as err:
