@@ -177,9 +177,9 @@ def _series_vs_spectral(params):
     fam = halfcircle.build_shift_family(BasisSpec("cyclic", dim, 0))
     pair = halfcircle.cos_sin_pair(fam)
     tol = specfun.SeriesTolerance(abs_tol=1e-6, max_terms=500_000)
-    a_series = halfcircle.angle_upper(pair.C, method="series", tol=tol)
-    a_spectral = halfcircle.angle_upper(pair.C, method="spectral")
     eig = linalg.hermitian_eig(pair.C)
+    a_series = halfcircle.angle_upper(pair.C, method="series", tol=tol, eig=eig)
+    a_spectral = halfcircle.angle_upper(pair.C, method="spectral", eig=eig)
     keep = np.abs(np.abs(eig.eigenvalues) - 1.0) > 1e-8
     proj = eig.eigenvectors[:, keep] @ eig.eigenvectors[:, keep].conj().T
     diff = proj @ (a_series.entries - a_spectral.entries) @ proj
@@ -256,14 +256,12 @@ def _angle_covariance_symbol_shift(params):
     dim, J, theta = 128, 50.0, 1.0
     A = whquant.angle_matrix(0.0, dim)
     weight = whquant.WeightSpec(kind="cahill_glauber", t=0.0)
-    phases = np.exp(1j * theta * np.arange(dim))
-    conj = TruncatedOperator((phases[:, None] * A.entries) * phases.conj()[None, :], A.basis)
+    conj = linalg.rotate(A, theta)
     # phase pattern on the off-diagonals is exact
     expected = A.entries * np.exp(
         1j * theta * (np.arange(dim)[:, None] - np.arange(dim)[None, :])
     )
-    pattern = float(np.abs(conj.entries - expected).max())
-    worst = pattern
+    worst = float(np.abs(conj.entries - expected).max())
     # conjugating by e^{i n theta} drags the symbol backwards in the angle
     gammas = np.array([2.0, 3.5, 5.0])
     shifted = whquant.lower_symbols(conj, weight, J, gammas, warn_leak=False).real
@@ -365,20 +363,16 @@ def _circle_covariance_shift(params):
     sigma, dim, theta = 10.0, 200, 1.0
     dist = circlecs.gaussian_distribution(sigma)
     basis = BasisSpec("two_sided", dim, -dim // 2)
-    A = circlecs.quantize_cyl(
-        dist, basis, fourier_angle=circlecs.circle_sawtooth_fourier(dim - 1)
-    )
+    A = circlecs.quantize_cyl(dist, basis, fourier_angle=specfun.sawtooth_fourier(dim - 1))
     labels = basis.labels()
-    phases = np.exp(1j * theta * labels)
-    conj = TruncatedOperator((phases[:, None] * A.entries) * phases.conj()[None, :], basis)
+    conj = linalg.rotate(A, theta)
     expected = A.entries * np.exp(1j * theta * (labels[:, None] - labels[None, :]))
     worst = float(np.abs(conj.entries - expected).max())
-    for phi in (2.0, 4.0):
-        shifted = circlecs.lower_symbol_cyl(conj, dist, circlecs.CylinderPoint(0.0, phi)).real
-        base = circlecs.lower_symbol_cyl(
-            A, dist, circlecs.CylinderPoint(0.0, (phi + theta) % (2 * math.pi))
-        ).real
-        worst = max(worst, abs(shifted - base))
+    # circle states carry e^{-i n phi}, so the symbol moves forwards in the angle
+    phis = np.array([2.0, 4.0])
+    shifted = circlecs.lower_symbols_cyl(conj, dist, 0.0, phis).real
+    base = circlecs.lower_symbols_cyl(A, dist, 0.0, (phis + theta) % (2 * math.pi)).real
+    worst = max(worst, float(np.abs(shifted - base).max()))
     return worst, 1e-2
 
 

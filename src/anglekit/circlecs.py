@@ -4,8 +4,9 @@ A width-sigma density p(J) on the line generates states
 |J, phi> = N(J)^{-1/2} sum_n sqrt(p(J-n)) e^{-i n phi} |e_n> over the
 two-sided basis.  By rotation covariance the quantization of
 f(J, phi) = sum_q c_q(J) e^{i q phi} has entries
-integral c_{n-n'}(J) sqrt(p(J-n) p(J-n')) dJ, and both cylinder
-quantizers read one table of action nodes and amplitudes sqrt(p(J-n)).
+integral c_{n-n'}(J) sqrt(p(J-n) p(J-n')) dJ, both cylinder quantizers
+read one table of action nodes and amplitudes sqrt(p(J-n)), and
+lower_symbols_cyl serves a whole angle grid from one amplitude vector.
 The overlap matrix p_{n,n'} = integral sqrt(p_n p_{n'}), computed by its
 own quadrature, encodes the number-angle commutator completely.
 """
@@ -19,7 +20,7 @@ import numpy as np
 from . import linalg
 from .errors import DomainError, TruncationWarning
 from .linalg import TruncatedOperator
-from .specfun import theta3_normalizer
+from .specfun import sawtooth_fourier, theta3_normalizer
 
 __all__ = [
     "DistributionSpec",
@@ -34,11 +35,10 @@ __all__ = [
     "quantize_cyl_grid",
     "fourier_harmonic_defect",
     "commutator_number_angle",
-    "lower_symbol_cyl",
+    "lower_symbols_cyl",
     "d_m_sigma",
     "overlap_kernel",
     "limit_study",
-    "circle_sawtooth_fourier",
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
@@ -204,15 +204,6 @@ def cs_vector(dist, point, basis):
     return amps * np.exp(-1j * point.phi * labels)
 
 
-def circle_sawtooth_fourier(q_max):
-    """Fourier map {q: c_q} of the angle function, c_0 = pi, c_q = i/q."""
-    out = {0: complex(math.pi)}
-    for q in range(1, q_max + 1):
-        out[q] = 1j / q
-        out[-q] = -1j / q
-    return out
-
-
 def quantize_cyl(dist, basis, f_action=None, fourier_angle=None):
     """Separable quantization of f_action(J) times the angle function on the cylinder.
 
@@ -298,26 +289,25 @@ def quantize_cyl_grid(dist, basis, f, n_phi=None, j_span=None):
 
     Integrates f(J, phi) N(J) |J,phi><J,phi| over phi in [0, 2 pi) by
     trapezoid and over J on the `_action_table` nodes; the workhorse for
-    the resolution-of-identity check and non-separable f.  The phi
-    trapezoid is exact for angle modes |q| <= n_phi - dim (default
-    n_phi = 2 dim); a higher mode aliases silently onto diagonal
-    q - k n_phi.
+    the resolution-of-identity check and non-separable f.  Per node the
+    trapezoid is a Toeplitz matrix: the FFT of f(J, phi_k) at
+    (n - n') mod n_phi.  It is exact for angle modes |q| <= n_phi - dim
+    (default n_phi = 2 dim); a higher mode aliases silently onto
+    diagonal q - k n_phi.
     """
     if basis.mode != "two_sided":
         raise DomainError("cylinder quantization needs a two_sided basis")
     dim = basis.dim
-    labels = basis.labels()
     if n_phi is None:
         n_phi = 2 * dim
     phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    phase = np.exp(-1j * np.outer(labels, phis))  # columns are CS phase patterns
+    toeplitz = np.subtract.outer(np.arange(dim), np.arange(dim)) % n_phi
     out = np.zeros((dim, dim), dtype=complex)
     # N(J) cancels against the measure weight
-    for Js, ws, block in _action_table(dist, labels, j_span):
+    for Js, ws, block in _action_table(dist, basis.labels(), j_span):
         for J, weight, amps in zip(Js.tolist(), ws.tolist(), block.T):
-            fvals = np.array([f(J, phi) for phi in phis])
-            gram = (phase * (fvals / n_phi)) @ phase.conj().T
-            out += weight * (np.outer(amps, amps) * gram)
+            coeffs = np.fft.fft([f(J, phi) for phi in phis]) / n_phi
+            out += weight * (np.outer(amps, amps) * coeffs[toeplitz])
     return TruncatedOperator(out, basis)
 
 
@@ -347,7 +337,7 @@ def commutator_number_angle(dist, basis, route_tol=1e-10, overlaps=None):
     if overlaps is None:
         overlaps = build_overlap_matrix(dist, dim - 1)
     A_J = quantize_cyl(dist, basis, f_action=lambda J: J)
-    A_angle = quantize_cyl(dist, basis, fourier_angle=circle_sawtooth_fourier(dim - 1))
+    A_angle = quantize_cyl(dist, basis, fourier_angle=sawtooth_fourier(dim - 1))
     K = linalg.commutator(A_J, A_angle)
     direct = 1j * overlaps.band_matrix(dim)
     np.fill_diagonal(direct, 0.0)
@@ -364,10 +354,16 @@ def commutator_number_angle(dist, basis, route_tol=1e-10, overlaps=None):
     return K, dev
 
 
-def lower_symbol_cyl(A, dist, point):
-    """Expectation <J,phi| A |J,phi> in a circle coherent state."""
-    vec = cs_vector(dist, point, A.basis)
-    return complex(vec.conj() @ A.entries @ vec)
+def lower_symbols_cyl(A, dist, J, phis):
+    """Expectations <J,phi| A |J,phi> in circle coherent states, every phi.
+
+    |J,phi><J,phi| = U(-phi) a a^T U(-phi)* with a = cs_vector at phi = 0
+    real, so one linalg.diagonal_sums pass serves the whole grid; the
+    leak warning of cs_vector fires once.
+    """
+    amps = cs_vector(dist, CylinderPoint(J, 0.0), A.basis).real
+    s_d = linalg.diagonal_sums(np.outer(amps, amps), A.entries)
+    return linalg.rotated_traces(s_d, -np.asarray(phis, dtype=float))
 
 
 def d_m_sigma(dist, m, J):

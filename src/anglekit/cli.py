@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import checks, circlecs, halfcircle, linalg, whquant
+from . import checks, circlecs, halfcircle, linalg, specfun, whquant
 from .errors import ConvergenceError, DomainError
 from .linalg import BasisSpec
 
@@ -24,6 +24,8 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 _CONSTRUCTIONS = ("halfcircle", "wh", "circle", "canonical")
+# construction-specific fields; all read dim, lower-symbol also J and gamma_grid
+_READS = {"halfcircle": {"mode"}, "wh": {"t"}, "circle": {"sigma"}, "canonical": {"harmonics"}}
 
 
 @dataclass
@@ -53,6 +55,8 @@ class ExperimentConfig:
             raise DomainError(f"t must lie in [0, 1), got {self.t}")
         if self.sigma <= 0:
             raise DomainError(f"sigma must be positive, got {self.sigma}")
+        if self.harmonics is not None and self.harmonics < 0:
+            raise DomainError(f"harmonics must be nonnegative, got {self.harmonics}")
         if self.J < 0:
             raise DomainError(f"J must be nonnegative, got {self.J}")
         if self.gamma_grid < 8:
@@ -110,9 +114,7 @@ def _spectrum_operator(cfg):
     if cfg.construction == "circle":
         dist = circlecs.gaussian_distribution(cfg.sigma)
         basis = BasisSpec("two_sided", cfg.dim, -cfg.dim // 2)
-        op = circlecs.quantize_cyl(
-            dist, basis, fourier_angle=circlecs.circle_sawtooth_fourier(cfg.dim - 1)
-        )
+        op = circlecs.quantize_cyl(dist, basis, fourier_angle=specfun.sawtooth_fourier(cfg.dim - 1))
         return op, _fmt_float(cfg.sigma)
     harmonics = cfg.harmonics if cfg.harmonics is not None else cfg.dim // 2 - 1
     op = whquant.canonical_angle_B(cfg.dim, mode="cyclic", q_cutoff=harmonics)
@@ -138,13 +140,8 @@ def cmd_lower_symbol(cfg):
     elif cfg.construction == "circle":
         dist = circlecs.gaussian_distribution(cfg.sigma)
         basis = BasisSpec("two_sided", cfg.dim, -cfg.dim // 2)
-        op = circlecs.quantize_cyl(
-            dist, basis, fourier_angle=circlecs.circle_sawtooth_fourier(cfg.dim - 1)
-        )
-        values = [
-            circlecs.lower_symbol_cyl(op, dist, circlecs.CylinderPoint(cfg.J, float(angle)))
-            for angle in angles
-        ]
+        op = circlecs.quantize_cyl(dist, basis, fourier_angle=specfun.sawtooth_fourier(cfg.dim - 1))
+        values = circlecs.lower_symbols_cyl(op, dist, cfg.J, angles)
     else:
         raise DomainError("lower-symbol supports constructions 'wh' and 'circle'")
     lines = ["J,gamma_or_phi,re,im"]
@@ -174,15 +171,27 @@ def cmd_commutator(cfg):
     return EXIT_OK
 
 
+def _suites(suite):
+    return checks.suite_names() if suite == "all" else [suite]
+
+
+def _narrowing(provided):
+    return provided & {field.name for field in fields(checks.CheckParams)}
+
+
+def _unread(args, cfg, provided):
+    """What the command runs, and the provided fields it would not read."""
+    if args.command == "check":
+        return f"check {args.suite}", _narrowing(provided) - checks.fields_read(_suites(args.suite))
+    if args.command in ("spectrum", "lower-symbol"):
+        unread = provided & set().union(*_READS.values()) - _READS[cfg.construction]
+        return f"{args.command} construction {cfg.construction}", unread
+    return args.command, set()
+
+
 def cmd_check(suite, cfg, provided):
-    names = checks.suite_names() if suite == "all" else [suite]
-    narrowed = provided & {field.name for field in fields(checks.CheckParams)}
-    unread = ", ".join(sorted(narrowed - checks.fields_read(names)))
-    if unread:
-        print(f"configuration error: check {suite} does not read {unread}", file=sys.stderr)
-        return EXIT_USAGE
-    params = checks.CheckParams(**{key: getattr(cfg, key) for key in narrowed})
-    results = [res for name in names for res in checks.run_suite(name, params)]
+    params = checks.CheckParams(**{key: getattr(cfg, key) for key in _narrowing(provided)})
+    results = [res for name in _suites(suite) for res in checks.run_suite(name, params)]
     for res in results:
         print(
             f"{res.suite}/{res.invariant}: {res.status.upper()} "
@@ -279,6 +288,11 @@ def main(argv=None):
         cfg, provided = _config_from_args(args)
     except (DomainError, OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    subject, unread = _unread(args, cfg, provided)
+    if unread:
+        print(f"configuration error: {subject} does not read {', '.join(sorted(unread))}",
+              file=sys.stderr)
         return EXIT_USAGE
     try:
         if args.command == "spectrum":

@@ -120,7 +120,7 @@ def _check_contraction_spectrum(eig, tol=1e-10):
         raise DomainError(f"spectrum [{lo}, {hi}] leaves [-1, 1] beyond tolerance {tol}")
 
 
-def angle_upper(C, method="spectral", tol=None):
+def angle_upper(C, method="spectral", tol=None, eig=None):
     """Upper half-circle angle operator ArcCos(C), spectrum in [0, pi].
 
     spectral: arccos applied to the (clipped) eigenvalues of C.
@@ -129,10 +129,13 @@ def angle_upper(C, method="spectral", tol=None):
               below tol.abs_tol.  Near eigenvalues +-1 the terms decay
               only like n^(-3/2), so series mode is slow there; the
               spectral route is the reference.
+    Both methods check that the spectrum of C lies in [-1, 1]; a
+    precomputed EigenSystem of C can be passed to reuse a decomposition.
     """
     if tol is None:
         tol = SeriesTolerance(abs_tol=1e-10, max_terms=200_000)
-    eig = linalg.hermitian_eig(C)
+    if eig is None:
+        eig = linalg.hermitian_eig(C)
     _check_contraction_spectrum(eig)
     if method == "spectral":
         return linalg.spectral_function(C, _arccos, eig=eig)
@@ -155,9 +158,10 @@ def angle_upper(C, method="spectral", tol=None):
     return TruncatedOperator(out, C.basis)
 
 
-def angle_lower(C):
+def angle_lower(C, eig=None):
     """Lower half-circle angle operator ArcCos(C) + pi, spectrum in [pi, 2 pi]."""
-    eig = linalg.hermitian_eig(C)
+    if eig is None:
+        eig = linalg.hermitian_eig(C)
     _check_contraction_spectrum(eig)
     return linalg.spectral_function(C, lambda lam: _arccos(lam) + math.pi, eig=eig)
 
@@ -179,9 +183,8 @@ def full_angle(fam):
     """
     pair = cos_sin_pair(fam)
     eig = linalg.hermitian_eig(pair.C)
-    _check_contraction_spectrum(eig)
-    upper = linalg.spectral_function(pair.C, _arccos, eig=eig)
-    lower = linalg.spectral_function(pair.C, lambda lam: _arccos(lam) + math.pi, eig=eig)
+    upper = angle_upper(pair.C, eig=eig)
+    lower = angle_lower(pair.C, eig=eig)
     atom = minus_one_projector(pair.C, eig=eig)
     dim = fam.basis.dim
     out = np.zeros((2 * dim, 2 * dim), dtype=complex)
@@ -222,7 +225,7 @@ def covariance_flow(fam, theta, window_margin=None, route_tol=1e-10):
     """Rotate the pair (C, S) by theta and rebuild the angle operator.
 
     The conjugation exp(i theta N) . exp(-i theta N) is computed both
-    with exact diagonal phases and with the closed forms
+    by linalg.rotate and with the closed forms
     cos(theta) C - sin(theta) S and cos(theta) S + sin(theta) C; the two
     must agree on the interior window before the rotated angle operator
     is formed from the closed-form cosine.
@@ -235,13 +238,9 @@ def covariance_flow(fam, theta, window_margin=None, route_tol=1e-10):
     ct, st = math.cos(theta), math.sin(theta)
     C_closed = ct * pair.C - st * pair.S
     S_closed = ct * pair.S + st * pair.C
-    phases = np.exp(1j * theta * fam.basis.labels())
-    conj = lambda mat: (phases[:, None] * mat) * phases.conj()[None, :]
-    C_phase = TruncatedOperator(conj(pair.C.entries), fam.basis)
-    S_phase = TruncatedOperator(conj(pair.S.entries), fam.basis)
     lo, hi = interior_window(fam.basis, window_margin)
-    for closed, phase_route in ((C_closed, C_phase), (S_closed, S_phase)):
-        dev = linalg.op_norm_max(linalg.window_restrict(closed - phase_route, lo, hi))
+    for closed, op in ((C_closed, pair.C), (S_closed, pair.S)):
+        dev = linalg.op_norm_max(linalg.window_restrict(closed - linalg.rotate(op, theta), lo, hi))
         if dev > route_tol:
             raise ConvergenceError(
                 f"covariance routes disagree by {dev:.3e} on interior window"

@@ -7,7 +7,9 @@ bit-identical output on a given platform, whatever the BLAS thread
 count.  Its eigenvalues are the Rayleigh quotients of the computed
 eigenvectors against the input.  Everything downstream (spectral
 functional calculus, sign/polar parts, anti-Hermitian exponentials) is
-built on it.
+built on it.  Rotation covariance under U(theta) = diag(e^{i theta n})
+lives here too, shared by both integral quantizations and the checks:
+`rotate`, `diagonal_sums` and `rotated_traces`.
 """
 
 import math
@@ -28,6 +30,9 @@ __all__ = [
     "commutator",
     "op_norm_max",
     "window_restrict",
+    "rotate",
+    "diagonal_sums",
+    "rotated_traces",
 ]
 
 _MODES = ("one_sided", "two_sided", "cyclic")
@@ -91,9 +96,6 @@ class TruncatedOperator:
     @property
     def H(self):
         return TruncatedOperator(self.entries.conj().T, self.basis)
-
-    def same_basis(self, other):
-        return self.basis == other.basis
 
     def __matmul__(self, other):
         _require_same_basis(self, other)
@@ -210,7 +212,7 @@ def hermitian_eig(op, max_sweeps=60, rel_off_tol=1e-14):
     mat = op.entries
     dim = op.dim
     scale = op_norm_max(op)
-    if scale > 0 and op_norm_max(from_matrix(mat - mat.conj().T, op.basis)) > 1e-12 * scale:
+    if scale > 0 and op_norm_max(mat - mat.conj().T) > 1e-12 * scale:
         raise DomainError("hermitian_eig requires a Hermitian matrix")
     A = np.array(mat, dtype=complex)
     W = np.eye(dim, dtype=complex)  # V^H: the rotations act on its rows
@@ -299,7 +301,7 @@ def anti_hermitian_exp(op):
     """
     scale = op_norm_max(op)
     if scale > 0:
-        defect = op_norm_max(from_matrix(op.entries + op.entries.conj().T, op.basis))
+        defect = op_norm_max(op.entries + op.entries.conj().T)
         if defect > 1e-12 * scale:
             raise DomainError("anti_hermitian_exp requires G^H = -G")
     herm = TruncatedOperator(-1j * op.entries, op.basis)
@@ -326,3 +328,31 @@ def window_restrict(op, lo, hi):
         mode = "two_sided"
     basis = BasisSpec(mode, keep.size, int(labels[keep[0]]) if mode == "two_sided" else 0)
     return TruncatedOperator(sub, basis)
+
+
+def rotate(op, theta):
+    """U(theta) A U(theta)*, U(theta) = diag(e^{i theta n}) on the basis labels n.
+
+    Entry (m, n) takes the phase e^{i theta (m - n)}; theta = pi is parity.
+    """
+    phases = np.exp(1j * theta * op.basis.labels())
+    return TruncatedOperator((phases[:, None] * op.entries) * phases.conj()[None, :], op.basis)
+
+
+def diagonal_sums(M, A):
+    """s_d = sum_{m-n=d} M_mn A_nm of two arrays, at index d + dim - 1.
+
+    Then tr(U(a) M U(a)* A) = sum_d e^{i a d} s_d for every angle a.
+    """
+    dim = M.shape[0]
+    index = (np.subtract.outer(np.arange(dim), np.arange(dim)) + (dim - 1)).ravel()
+    MA = (M * A.T).ravel()
+    return np.bincount(index, MA.real) + 1j * np.bincount(index, MA.imag)
+
+
+def rotated_traces(s_d, angles):
+    """sum_d e^{i a d} s_d for every angle a, from the diagonal sums s_d."""
+    dim = (len(s_d) + 1) // 2
+    d = np.arange(-(dim - 1), dim)
+    phases = np.exp(1j * np.outer(np.asarray(angles, dtype=float), d))
+    return (phases * s_d).sum(axis=1)

@@ -3,8 +3,9 @@
 Everything here is scalar, pure and built on elementary functions and
 libm only: log-gamma, terminating Gauss hypergeometric sums, Kummer's
 confluent series, associated Laguerre recurrences, lattice Gaussian
-(theta) normalizers and the MacLaurin coefficients of the principal
-inverse-cosine branch.  All factorial/Gamma ratios are assembled in log
+(theta) normalizers, the MacLaurin coefficients of the principal
+inverse-cosine branch and the Fourier coefficients of the angle
+(sawtooth) function.  All factorial/Gamma ratios are assembled in log
 space before exponentiation so that nothing overflows below index ~500.
 """
 
@@ -21,6 +22,7 @@ __all__ = [
     "assoc_laguerre",
     "theta3_normalizer",
     "arccos_coefficient",
+    "sawtooth_fourier",
 ]
 
 
@@ -206,3 +208,8 @@ def arccos_coefficient(n):
         return 1.0
     log_c = ln_gamma(2.0 * n + 1.0) - 2.0 * n * math.log(2.0) - 2.0 * ln_gamma(n + 1.0)
     return math.exp(log_c) / (2.0 * n + 1.0)
+
+
+def sawtooth_fourier(q_max):
+    """Fourier map {q: c_q}, |q| <= q_max, of the angle function: c_0 = pi, c_q = i/q."""
+    return {0: math.pi, **{s * q: s * 1j / q for q in range(1, q_max + 1) for s in (1, -1)}}

@@ -8,13 +8,15 @@ the recurrence runs in numpy over every offset and over a batch of radii
 rotation covariance, D(r e^{i gamma}) = U(gamma) D(r) U(gamma)* with
 U(gamma) = diag(e^{i gamma n}), supplies the phases.  The same
 covariance lets lower_symbols serve a whole angle grid from one fill
-per action J.  The quantization map integrates f(z) D(z) rho D(z)* over
-the plane for f = sum_q c_q(J) e^{i q gamma}; by the same covariance the
-angle integral is exactly 2 pi delta_{qd}, so mode q fills diagonal q
-alone (modes |q| >= dim drop).  The action J = |z|^2 takes generalized
-Gauss-Laguerre rules: diagonal q carries a factor J^{|q|/2}, so each mode
-goes to the alpha = 0 or 1/2 rule by the parity of |q| plus the declared
-half-power of its coefficient, keeping the map polynomial-exact at t = 0.
+per action J, through the shared kernels linalg.diagonal_sums and
+linalg.rotated_traces.  The quantization map integrates
+f(z) D(z) rho D(z)* over the plane for f = sum_q c_q(J) e^{i q gamma};
+by the same covariance the angle integral is exactly 2 pi delta_{qd},
+so mode q fills diagonal q alone (modes |q| >= dim drop).  The action
+J = |z|^2 takes generalized Gauss-Laguerre rules: diagonal q carries a
+factor J^{|q|/2}, so each mode goes to the alpha = 0 or 1/2 rule by the
+parity of |q| plus the declared half-power of its coefficient, keeping
+the map polynomial-exact at t = 0.
 
 Angle quantization enters twice: as the explicit quadrature and as the
 closed-form matrix with entries i F_{nn'}(t) / (n' - n) built from
@@ -24,6 +26,7 @@ published convention; see f_coefficient for the fine print at t > 0.
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -52,8 +55,6 @@ __all__ = [
     "quantize",
     "f_coefficient",
     "angle_matrix",
-    "sawtooth_fourier",
-    "lower_symbol",
     "lower_symbols",
     "d_q_cs",
     "d_q_series",
@@ -267,10 +268,12 @@ def m_s_diagonal(t, dim):
 
 
 def _normalize_fourier(fourier):
-    """Accept {q: callable} or {q: (callable, half_power)}; return the latter."""
+    """Accept {q: number}, {q: callable} or {q: (callable, half_power)}; return the last."""
     out = {}
     for q, spec in fourier.items():
-        if callable(spec):
+        if isinstance(spec, numbers.Number):
+            out[int(q)] = ((lambda J, c=spec: c), 0)
+        elif callable(spec):
             out[int(q)] = (spec, 0)
         else:
             g, s = spec
@@ -296,8 +299,8 @@ def quantize(fourier, weight, quad, dim, check_resolution=False):
     Parameters
     ----------
     fourier : dict
-        Map q -> c_q, each either a callable of J or a pair
-        (g, half_power) meaning c_q(J) = g(J) * J**(half_power/2).
+        Map q -> c_q, each a number (a constant), a callable of J, or a
+        pair (g, half_power) meaning c_q(J) = g(J) * J**(half_power/2).
         Declaring the half power keeps the radial rule polynomial-exact.
     weight : WeightSpec
     quad : QuadratureScheme
@@ -395,17 +398,8 @@ def angle_matrix(t, dim):
     return TruncatedOperator(out, BasisSpec("one_sided", dim, 0))
 
 
-def sawtooth_fourier(q_max):
-    """Fourier data of the 2 pi-periodic angle function: c_0 = pi, c_q = i/q."""
-    fourier = {0: ((lambda J: math.pi), 0)}
-    for q in range(1, q_max + 1):
-        fourier[q] = ((lambda J, q=q: 1j / q), 0)
-        fourier[-q] = ((lambda J, q=q: -1j / q), 0)
-    return fourier
-
-
 def _diagonal_sums(A, weight, J):
-    """s_d = sum_{m-n=d} M_mn A_nm at index d + dim - 1, M as in lower_symbols."""
+    """linalg.diagonal_sums of M = D(sqrt J) rho D(sqrt J)^T against A."""
     dim = A.dim
     if J < 0:
         raise DomainError(f"J must be nonnegative, got {J}")
@@ -416,9 +410,7 @@ def _diagonal_sums(A, weight, J):
     else:
         Dr = _radial_fill([math.sqrt(J)], dim)[0] if J > 0 else np.eye(dim)
         M = (Dr * rho) @ Dr.T
-    index = (np.subtract.outer(np.arange(dim), np.arange(dim)) + (dim - 1)).ravel()
-    MA = (M * A.entries.T).ravel()
-    return np.bincount(index, MA.real) + 1j * np.bincount(index, MA.imag)
+    return linalg.diagonal_sums(M, A.entries)
 
 
 def lower_symbols(A, weight, J, gammas, warn_leak=True):
@@ -426,8 +418,9 @@ def lower_symbols(A, weight, J, gammas, warn_leak=True):
 
     Rotation covariance gives D(z) rho D(z)* = U(gamma) M U(gamma)* with
     M = D(sqrt J) rho D(sqrt J)^T real, so the symbol is
-    sum_d e^{i gamma d} s_d with s_d = sum_{m-n=d} M_mn A_nm: one radial
-    fill and one O(dim^2) pass serve the whole grid.  For rho = |0><0|
+    sum_d e^{i gamma d} s_d with s_d = sum_{m-n=d} M_mn A_nm
+    (linalg.diagonal_sums, linalg.rotated_traces): one radial fill and
+    one O(dim^2) pass serve the whole grid.  For rho = |0><0|
     M is the outer product of the real coherent state.  Real (to eigen
     accuracy) when A is Hermitian and rho a density; emits one
     TruncationWarning when the displaced state's Poisson tail past the
@@ -440,18 +433,7 @@ def lower_symbols(A, weight, J, gammas, warn_leak=True):
             TruncationWarning,
             stacklevel=2,
         )
-    s_d = _diagonal_sums(A, weight, J)
-    d = np.arange(-(dim - 1), dim)
-    phases = np.exp(1j * np.outer(np.asarray(gammas, dtype=float), d))
-    return (phases * s_d).sum(axis=1)
-
-
-def lower_symbol(A, weight, point, warn_leak=True):
-    """Covariant symbol tr(D(z) rho D(z)* A) at one phase-space point.
-
-    The one-angle case of lower_symbols, with the same TruncationWarning.
-    """
-    return complex(lower_symbols(A, weight, point.J, [point.gamma], warn_leak)[0])
+    return linalg.rotated_traces(_diagonal_sums(A, weight, J), gammas)
 
 
 def d_q_cs(q, J, tol=None):
@@ -557,7 +539,7 @@ def commutator_symbol(point, t, dim):
     """Lower symbol of [A_angle, A_J]; approaches -i at large J away from the comb."""
     K = action_angle_commutator(t, dim)
     weight = WeightSpec(kind="cahill_glauber", t=t)
-    return lower_symbol(K, weight, point)
+    return complex(lower_symbols(K, weight, point.J, [point.gamma])[0])
 
 
 def canonical_angle_B(dim, mode="cyclic", q_cutoff=0):
@@ -589,13 +571,6 @@ def canonical_angle_B(dim, mode="cyclic", q_cutoff=0):
     return TruncatedOperator(out, basis)
 
 
-def _phase_diag(dim, theta, parity=False):
-    n = np.arange(dim)
-    if parity:
-        return np.where(n % 2 == 0, 1.0, -1.0).astype(complex)
-    return np.exp(1j * theta * n)
-
-
 def covariance_checks(z, z_prime, theta, dim, weight=WeightSpec(), quad=QuadratureScheme()):
     """Defect report for the displacement covariance identities.
 
@@ -609,31 +584,15 @@ def covariance_checks(z, z_prime, theta, dim, weight=WeightSpec(), quad=Quadratu
     if dim < 8:
         raise DomainError("covariance checks need dim >= 8")
     half = dim // 2
-    Dz = displacement_laguerre(z, dim).entries
-    Dzp = displacement_laguerre(z_prime, dim).entries
+    disp = lambda w: displacement_laguerre(w, dim)
+    defect = lambda a, b: float(np.abs(a - b)[:half, :half].max())
+    Dz, Dzp = disp(z), disp(z_prime).entries
     phase = np.exp((z * np.conj(z_prime) - np.conj(z) * z_prime) / 2.0)
-    Dsum = displacement_laguerre(z + z_prime, dim).entries
-    addition = float(np.abs((Dz @ Dzp - phase * Dsum))[:half, :half].max())
-
-    ph = _phase_diag(dim, theta)
-    rotated = (ph[:, None] * Dz) * ph.conj()[None, :]
-    Drot = displacement_laguerre(np.exp(1j * theta) * z, dim).entries
-    rotation = float(np.abs(rotated - Drot)[:half, :half].max())
-
-    par = _phase_diag(dim, 0.0, parity=True)
-    reflected = (par[:, None] * Dz) * par[None, :]
-    Dneg = displacement_laguerre(-z, dim).entries
-    parity = float(np.abs(reflected - Dneg)[:half, :half].max())
-
-    Az = quantize({1: ((lambda J: 1.0), 1)}, weight, quad, dim)
-    z0 = z_prime
-    shifted = Az.entries - z0 * np.eye(dim)
-    conjugated = Dzp @ Az.entries @ Dzp.conj().T
-    translation = float(np.abs(shifted - conjugated)[:half, :half].max())
-
+    Az = quantize({1: ((lambda J: 1.0), 1)}, weight, quad, dim).entries
     return {
-        "addition": addition,
-        "rotation": rotation,
-        "parity": parity,
-        "translation": translation,
+        "addition": defect(Dz.entries @ Dzp, phase * disp(z + z_prime).entries),
+        "rotation": defect(linalg.rotate(Dz, theta).entries, disp(np.exp(1j * theta) * z).entries),
+        "parity": defect(linalg.rotate(Dz, math.pi).entries, disp(-z).entries),
+        # f(z) = z shifted by z0 = z' quantizes to A_z - z0
+        "translation": defect(Az - z_prime * np.eye(dim), Dzp @ Az @ Dzp.conj().T),
     }

@@ -154,14 +154,9 @@ def test_criterion_07_wh_angle_matrix_contract():
 
 
 def _sawtooth_sup_error(A, J, dim):
-    worst = 0.0
-    weight = whquant.WeightSpec(t=0.0)
-    for gamma in np.linspace(0.5, 2.0 * math.pi - 0.5, 65):
-        val = whquant.lower_symbol(
-            A, weight, whquant.PhaseSpacePoint(J, float(gamma)), warn_leak=False
-        ).real
-        worst = max(worst, abs(val - gamma))
-    return worst
+    gammas = np.linspace(0.5, 2.0 * math.pi - 0.5, 65)
+    vals = whquant.lower_symbols(A, whquant.WeightSpec(t=0.0), J, gammas, warn_leak=False)
+    return float(np.abs(vals.real - gammas).max())
 
 
 def test_criterion_08_semiclassical_sawtooth():
@@ -187,7 +182,7 @@ def test_criterion_09_canonical_commutator_recovery():
     basis = BasisSpec("two_sided", dim, -dim // 2)
     band = circlecs.build_overlap_matrix(dist, dim - 1)
     K, _ = circlecs.commutator_number_angle(dist, basis, overlaps=band)
-    val = circlecs.lower_symbol_cyl(K, dist, circlecs.CylinderPoint(0.0, math.pi))
+    val = circlecs.lower_symbols_cyl(K, dist, 0.0, [math.pi])[0]
     circle_dev = abs(val - (-1j))
     ok = worst_wh <= 0.05 and circle_dev <= 0.02
     print(f"    WH deviation {worst_wh:.3e}, circle deviation {circle_dev:.3e}")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from anglekit.errors import DomainError, TruncationWarning
 from anglekit.circlecs import (
     CylinderPoint,
     build_overlap_matrix,
-    circle_sawtooth_fourier,
     commutator_number_angle,
     cs_vector,
     custom_distribution,
@@ -18,13 +18,14 @@ from anglekit.circlecs import (
     fourier_harmonic_defect,
     gaussian_distribution,
     limit_study,
-    lower_symbol_cyl,
+    lower_symbols_cyl,
     overlap,
     overlap_kernel,
     quantize_cyl,
     quantize_cyl_grid,
 )
 from anglekit.linalg import BasisSpec, op_norm_max
+from anglekit.specfun import sawtooth_fourier
 
 
 def two_sided(dim):
@@ -171,7 +172,7 @@ def test_angle_band_matrix_formula():
     dist = gaussian_distribution(1.0)
     basis = two_sided(24)
     band = build_overlap_matrix(dist, 23)
-    A = quantize_cyl(dist, basis, fourier_angle=circle_sawtooth_fourier(23))
+    A = quantize_cyl(dist, basis, fourier_angle=sawtooth_fourier(23))
     assert np.allclose(np.diag(A.entries).real, math.pi)
     for n, npr in ((0, 1), (3, 7), (10, 11)):
         expected = 1j * band.value(npr - n) / (n - npr)
@@ -228,6 +229,25 @@ def test_grid_route_exact_up_to_n_phi_minus_dim():
     assert np.abs(grid(16) - exact(16)).max() <= 1e-12
     assert np.abs(grid(17) - exact(-15)).max() <= 1e-12
     assert np.abs(grid(17) - exact(17)).max() > 0.3
+
+
+def test_grid_route_matches_phase_gram_formula():
+    # the per-node Gram (phase * f / n_phi) @ phase^H with phase_{n,k} = e^{-i n phi_k},
+    # written out, against the FFT route for an f that is not a product
+    dist, basis = gaussian_distribution(1.0), two_sided(16)
+    f = lambda J, phi: (1.0 + 0.1 * J) * np.exp(1j * (2.0 * phi + 0.3 * J)) + np.cos(phi - J) ** 2
+    labels = basis.labels()
+    for n_phi in (32, 21):
+        phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
+        phase = np.exp(-1j * np.outer(labels, phis))
+        ref = np.zeros((16, 16), dtype=complex)
+        for Js, ws, block in circlecs._action_table(dist, labels):
+            for J, weight, amps in zip(Js.tolist(), ws.tolist(), block.T):
+                fvals = np.array([f(J, phi) for phi in phis])
+                gram = (phase * (fvals / n_phi)) @ phase.conj().T
+                ref += weight * (np.outer(amps, amps) * gram)
+        got = quantize_cyl_grid(dist, basis, f, n_phi=n_phi).entries
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_product_quantization_matches_grid_route():
@@ -314,8 +334,34 @@ def test_symbol_of_identity_is_one():
     dist = gaussian_distribution(1.0)
     basis = two_sided(32)
     eye = linalg.TruncatedOperator(np.eye(32, dtype=complex), basis)
-    val = lower_symbol_cyl(eye, dist, CylinderPoint(1.3, 0.4))
+    val = lower_symbols_cyl(eye, dist, 1.3, [0.4])[0]
     assert val.real == pytest.approx(1.0, abs=1e-12)
+
+
+def test_symbol_grid_matches_coherent_state_expectations():
+    # dim 200 holds every density below in the label window
+    basis = two_sided(200)
+    rng = np.random.default_rng(17)
+    raw = rng.standard_normal((200, 200)) + 1j * rng.standard_normal((200, 200))
+    A = linalg.TruncatedOperator(raw, basis)
+    phis = 2.0 * math.pi * np.arange(32) / 32
+    for sigma in (0.5, 1.0, 10.0):
+        dist = gaussian_distribution(sigma)
+        for J in (-3.3, 0.2, 7.9):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                grid = lower_symbols_cyl(A, dist, J, phis)
+            for phi, val in zip(phis.tolist(), grid):
+                vec = cs_vector(dist, CylinderPoint(J, phi), basis)
+                assert abs(val - vec.conj() @ raw @ vec) <= 1e-13
+
+
+def test_symbol_grid_warns_once_on_leak():
+    dist = gaussian_distribution(1.0)
+    eye = linalg.TruncatedOperator(np.eye(32, dtype=complex), two_sided(32))
+    with pytest.warns(TruncationWarning) as record:
+        lower_symbols_cyl(eye, dist, 14.0, np.linspace(0.0, 6.0, 32))
+    assert len(record) == 1
 
 
 def test_d_m_vanishing_separation_is_exact_unity():
@@ -338,9 +384,9 @@ def test_symbol_fourier_route_matches_trace_route():
     dist = gaussian_distribution(1.0)
     basis = two_sided(48)
     band = build_overlap_matrix(dist, 47)
-    A = quantize_cyl(dist, basis, fourier_angle=circle_sawtooth_fourier(47))
+    A = quantize_cyl(dist, basis, fourier_angle=sawtooth_fourier(47))
     J0, phi0 = 0.4, 2.1
-    direct = lower_symbol_cyl(A, dist, CylinderPoint(J0, phi0)).real
+    direct = lower_symbols_cyl(A, dist, J0, [phi0])[0].real
     series = math.pi
     for m in range(1, 30):
         series += (

@@ -130,6 +130,42 @@ def test_threads_flag_and_key_rejected(tmp_path, capsys):
     assert "unknown config key 'threads' for check" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, unread",
+    [
+        (["spectrum", "--construction", "wh", "--sigma", "3"], "sigma"),
+        (["spectrum", "--construction", "circle", "--t", "0.5"], "t"),
+        (["spectrum", "--construction", "halfcircle", "--t", "0.2"], "t"),
+        (["spectrum", "--construction", "wh", "--harmonics", "3"], "harmonics"),
+        (["spectrum", "--construction", "wh", "--mode", "cyclic"], "mode"),
+        (["spectrum", "--construction", "canonical", "--mode", "cyclic", "--t", "0.1"], "mode, t"),
+        (["lower-symbol", "--construction", "wh", "--sigma", "4"], "sigma"),
+        (["lower-symbol", "--construction", "circle", "--t", "0.3"], "t"),
+        (["spectrum", "--construction", "circle", "--config", "mode=cyclic"], "mode"),
+    ],
+    ids=["wh-sigma", "circle-t", "halfcircle-t", "wh-harmonics", "wh-mode", "canonical-mode-t",
+         "symbol-wh-sigma", "symbol-circle-t", "circle-mode-key"],
+)
+def test_construction_rejects_flags_it_does_not_read(tmp_path, capsys, argv, unread):
+    if "--config" in argv:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(argv[-1] + "\n")
+        argv = [*argv[:-1], str(cfg)]
+    assert run_main([*argv, "--dim", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.endswith(f"does not read {unread}\n")
+
+
+def test_negative_harmonics_rejected(capsys):
+    assert run_main(["spectrum", "--construction", "canonical", "--harmonics", "-4",
+                     "--dim", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "harmonics must be nonnegative" in captured.err
+
+
 def test_config_file_roundtrip(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("construction=wh\ndim=8\nt=0.25\n# comment line\n")

@@ -14,9 +14,12 @@ from anglekit.linalg import (
     TruncatedOperator,
     anti_hermitian_exp,
     commutator,
+    diagonal_sums,
     from_matrix,
     hermitian_eig,
     op_norm_max,
+    rotate,
+    rotated_traces,
     sign_part,
     spectral_function,
     window_restrict,
@@ -270,3 +273,34 @@ def test_window_restrict_bounds():
     assert np.allclose(np.diag(sub.entries).real, [3.0, 4.0, 5.0, 6.0])
     with pytest.raises(DomainError):
         window_restrict(op, 10, 12)
+
+
+# ------------------------------------------------------ rotation covariance
+
+def test_rotate_is_label_phase_pattern_and_composes():
+    # dyadic angles keep theta * label exact; unit-bounded entries keep the
+    # rounding of each phase product below 1e-15
+    rng = np.random.default_rng(29)
+    raw = rng.random((12, 12)) * np.exp(2j * math.pi * rng.random((12, 12)))
+    for basis in (BasisSpec("one_sided", 12, 0), BasisSpec("two_sided", 12, -6)):
+        A = TruncatedOperator(raw, basis)
+        n = basis.labels()
+        for theta in (0.375, -1.25):
+            rotated = rotate(A, theta)
+            assert rotated.basis == basis
+            expected = raw * np.exp(1j * theta * np.subtract.outer(n, n))
+            assert np.abs(rotated.entries - expected).max() <= 1e-15
+        composed = rotate(rotate(A, 0.375), -1.25).entries
+        assert np.abs(composed - rotate(A, 0.375 - 1.25).entries).max() <= 1e-15
+
+
+def test_rotated_traces_match_traces_of_rotated_gram():
+    rng = np.random.default_rng(31)
+    M = random_hermitian(20, seed=4).real
+    A = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
+    basis = BasisSpec("two_sided", 20, -10)
+    angles = np.linspace(0.0, 2.0 * math.pi, 7)
+    got = rotated_traces(diagonal_sums(M, A), angles)
+    for a, val in zip(angles, got):
+        direct = np.trace(rotate(TruncatedOperator(M, basis), a).entries @ A)
+        assert abs(val - direct) <= 1e-12

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
-from anglekit.whquant import PhaseSpacePoint, WeightSpec, angle_matrix, lower_symbol
+from anglekit.whquant import WeightSpec, angle_matrix, lower_symbols
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -26,5 +26,5 @@ def test_sawtooth_portrait_rows_match_pointwise_symbol(tmp_path, cli_env):
     for i, row in enumerate(rows):
         J, gamma, re, im, saw = (float(x) for x in row.split(","))
         assert J == (4.0, 25.0)[i // 16] and gamma == grid[i % 16] and saw == gamma
-        val = lower_symbol(A, WeightSpec(t=0.0), PhaseSpacePoint(J, gamma), warn_leak=False)
+        val = lower_symbols(A, WeightSpec(t=0.0), J, [gamma], warn_leak=False)[0]
         assert abs(complex(re, im) - val) <= 1e-12

@@ -11,7 +11,7 @@ from scipy.special import roots_genlaguerre
 from anglekit import linalg, whquant
 from anglekit.errors import DomainError, QuadratureWarning, TruncationWarning
 from anglekit.linalg import from_matrix, hermitian_eig, op_norm_max
-from anglekit.specfun import ln_gamma
+from anglekit.specfun import ln_gamma, sawtooth_fourier
 from anglekit.whquant import (
     PhaseSpacePoint,
     QuadratureScheme,
@@ -26,11 +26,9 @@ from anglekit.whquant import (
     d_q_series,
     displacement_laguerre,
     f_coefficient,
-    lower_symbol,
     lower_symbols,
     m_s_diagonal,
     quantize,
-    sawtooth_fourier,
     symbol_sine_coefficients,
     t_from_s,
 )
@@ -399,33 +397,33 @@ def test_angle_matrix_small_spectrum_support():
 
 def test_symbol_of_identity():
     eye = from_matrix(np.eye(32))
-    val = lower_symbol(eye, WeightSpec(t=0.0), PhaseSpacePoint(2.0, 1.0))
+    val = lower_symbols(eye, WeightSpec(t=0.0), 2.0, [1.0])[0]
     assert val.real == pytest.approx(1.0, abs=1e-10)
     assert abs(val.imag) <= 1e-12
 
 
 def test_symbol_at_gamma_pi_is_exactly_pi():
     A = angle_matrix(0.0, 64)
-    val = lower_symbol(A, WeightSpec(t=0.0), PhaseSpacePoint(6.0, math.pi))
+    val = lower_symbols(A, WeightSpec(t=0.0), 6.0, [math.pi])[0]
     assert val.real == pytest.approx(math.pi, abs=1e-9)
 
 
 def test_symbol_tracks_sawtooth_at_large_action():
     A = angle_matrix(0.0, 128)
-    val = lower_symbol(A, WeightSpec(t=0.0), PhaseSpacePoint(100.0, 2.0), warn_leak=False)
+    val = lower_symbols(A, WeightSpec(t=0.0), 100.0, [2.0], warn_leak=False)[0]
     assert abs(val.real - 2.0) <= 0.05
 
 
 def test_symbol_general_weight_is_real_for_hermitian():
     A = angle_matrix(0.5, 48)
-    val = lower_symbol(A, WeightSpec(t=0.5), PhaseSpacePoint(3.0, 2.2))
+    val = lower_symbols(A, WeightSpec(t=0.5), 3.0, [2.2])[0]
     assert abs(val.imag) <= 1e-9
 
 
 def test_symbol_warns_on_truncation_leak():
     A = from_matrix(np.eye(24))
     with pytest.warns(TruncationWarning):
-        lower_symbol(A, WeightSpec(t=0.0), PhaseSpacePoint(40.0, 1.0))
+        lower_symbols(A, WeightSpec(t=0.0), 40.0, [1.0])
 
 
 def test_symbol_grid_matches_direct_trace():
@@ -563,11 +561,15 @@ def test_canonical_angle_index_build_matches_matmul_powers():
 
 def test_sawtooth_fourier_data():
     four = sawtooth_fourier(3)
-    g0, s0 = four[0]
-    assert g0(1.0) == math.pi and s0 == 0
-    g2, _ = four[2]
-    gm2, _ = four[-2]
-    assert g2(1.0) == 0.5j and gm2(1.0) == -0.5j
+    assert sorted(four) == [-3, -2, -1, 0, 1, 2, 3]
+    assert four[0] == math.pi and four[2] == 0.5j and four[-2] == -0.5j
+    # a plain number is a constant coefficient of half-power 0
+    quad = QuadratureScheme(n_J=64)
+    as_callables = {q: ((lambda J, c=c: c), 0) for q, c in four.items()}
+    assert np.array_equal(
+        quantize(four, WeightSpec(t=0.25), quad, 16).entries,
+        quantize(as_callables, WeightSpec(t=0.25), quad, 16).entries,
+    )
 
 
 def test_canonical_angle_matches_circulant_oracle():
