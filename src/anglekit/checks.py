@@ -156,6 +156,17 @@ def _exp_inverse(params):
 # -------------------------------------------------------------- halfcircle
 
 
+def _eig_residual(op):
+    """max|A V - V Lambda| / max|A| of the eigensystem `hermitian_eig` gives op.
+
+    The shift family's systems are attached in closed form, so this
+    measures them against the assembled matrix instead of trusting them.
+    """
+    es = linalg.hermitian_eig(op)
+    dev = op.entries @ es.eigenvectors - es.eigenvectors * es.eigenvalues
+    return float(np.abs(dev).max()) / linalg.op_norm_max(op)
+
+
 def _angle_support(params):
     worst = 0.0
     dim = params.dim or 64
@@ -168,7 +179,9 @@ def _angle_support(params):
         eig = linalg.hermitian_eig(A)
         low = max(0.0, -float(eig.eigenvalues[0]))
         high = max(0.0, float(eig.eigenvalues[-1]) - 2.0 * math.pi)
-        worst = max(worst, herm, low, high)
+        # the full angle is built from the system of C, so both are measured
+        resid = max(_eig_residual(A), _eig_residual(halfcircle.cos_sin_pair(fam).C))
+        worst = max(worst, herm, low, high, resid)
     return worst, 1e-9
 
 
@@ -193,7 +206,7 @@ def _contraction_norms(params):
     worst = 0.0
     for op in (pair.C, pair.S):
         eig = linalg.hermitian_eig(op)
-        worst = max(worst, float(np.abs(eig.eigenvalues).max()) - 1.0)
+        worst = max(worst, float(np.abs(eig.eigenvalues).max()) - 1.0, _eig_residual(op))
     return worst, 1e-12
 
 

@@ -24,6 +24,7 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 _CONSTRUCTIONS = ("halfcircle", "wh", "circle", "canonical")
+_SYMBOL_CONSTRUCTIONS = ("wh", "circle")
 # construction-specific fields; all read dim, lower-symbol also J and gamma_grid
 _READS = {"halfcircle": {"mode"}, "wh": {"t"}, "circle": {"sigma"}, "canonical": {"harmonics"}}
 
@@ -137,13 +138,11 @@ def cmd_lower_symbol(cfg):
         op = whquant.angle_matrix(cfg.t, cfg.dim)
         weight = whquant.WeightSpec(kind="cahill_glauber", t=cfg.t)
         values = whquant.lower_symbols(op, weight, cfg.J, angles, warn_leak=False)
-    elif cfg.construction == "circle":
+    else:
         dist = circlecs.gaussian_distribution(cfg.sigma)
         basis = BasisSpec("two_sided", cfg.dim, -cfg.dim // 2)
         op = circlecs.quantize_cyl(dist, basis, fourier_angle=specfun.sawtooth_fourier(cfg.dim - 1))
         values = circlecs.lower_symbols_cyl(op, dist, cfg.J, angles)
-    else:
-        raise DomainError("lower-symbol supports constructions 'wh' and 'circle'")
     lines = ["J,gamma_or_phi,re,im"]
     for angle, val in zip(angles, values):
         lines.append(
@@ -186,7 +185,7 @@ def _unread(args, cfg, provided):
     if args.command in ("spectrum", "lower-symbol"):
         unread = provided & set().union(*_READS.values()) - _READS[cfg.construction]
         return f"{args.command} construction {cfg.construction}", unread
-    return args.command, set()
+    return args.command, provided - {"dims", "margins", "output"}
 
 
 def cmd_check(suite, cfg, provided):
@@ -241,7 +240,7 @@ def build_parser():
 
     p_sym = sub.add_parser("lower-symbol", help="symbol of the angle operator on a grid")
     add_common(p_sym)
-    p_sym.add_argument("--construction", choices=("wh", "circle"), help="default wh")
+    p_sym.add_argument("--construction", choices=_SYMBOL_CONSTRUCTIONS, help="default wh")
     p_sym.add_argument("--t", type=float, help=_T_HELP)
     p_sym.add_argument("--sigma", type=float, help="circle density width, default 1")
     p_sym.add_argument("--J", type=float, help="action coordinate, default 25")
@@ -278,6 +277,10 @@ def _config_from_args(args):
                 cast = _int_list if field.type is tuple else field.type
                 setattr(cfg, field.name, cast(value))
                 provided.add(field.name)
+    if args.command == "lower-symbol" and cfg.construction not in _SYMBOL_CONSTRUCTIONS:
+        raise DomainError(
+            f"lower-symbol supports constructions {_SYMBOL_CONSTRUCTIONS}, got {cfg.construction!r}"
+        )
     return cfg.validate(), provided
 
 

@@ -3,9 +3,10 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from anglekit import cli
+from anglekit import cli, linalg
 
 
 def run_main(argv):
@@ -142,9 +143,12 @@ def test_threads_flag_and_key_rejected(tmp_path, capsys):
         (["lower-symbol", "--construction", "wh", "--sigma", "4"], "sigma"),
         (["lower-symbol", "--construction", "circle", "--t", "0.3"], "t"),
         (["spectrum", "--construction", "circle", "--config", "mode=cyclic"], "mode"),
+        (["commutator", "--dims", "16", "--margins", "4"], "dim"),
+        (["commutator", "--dims", "16", "--config", "dim=12"], "dim"),
     ],
     ids=["wh-sigma", "circle-t", "halfcircle-t", "wh-harmonics", "wh-mode", "canonical-mode-t",
-         "symbol-wh-sigma", "symbol-circle-t", "circle-mode-key"],
+         "symbol-wh-sigma", "symbol-circle-t", "circle-mode-key", "commutator-dim",
+         "commutator-dim-key"],
 )
 def test_construction_rejects_flags_it_does_not_read(tmp_path, capsys, argv, unread):
     if "--config" in argv:
@@ -156,6 +160,52 @@ def test_construction_rejects_flags_it_does_not_read(tmp_path, capsys, argv, unr
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.endswith(f"does not read {unread}\n")
+
+
+@pytest.mark.parametrize("construction", ["halfcircle", "canonical"])
+def test_lower_symbol_construction_key_is_a_configuration_error(tmp_path, capsys, construction):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"construction={construction}\n")
+    out = tmp_path / "sym.csv"
+    assert run_main(["lower-symbol", "--config", str(cfg), "--dim", "8",
+                     "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("configuration error: lower-symbol supports constructions")
+    assert not out.exists()
+
+
+@pytest.fixture
+def no_jacobi(monkeypatch):
+    def refuse(dim):
+        raise AssertionError(f"Jacobi solve of dim {dim} on the shift route")
+
+    monkeypatch.setattr(linalg, "_round_robin", refuse)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["commutator", "--dims", "512", "--margins", "32"],
+        ["spectrum", "--construction", "halfcircle", "--mode", "cyclic", "--dim", "256"],
+        ["spectrum", "--construction", "halfcircle", "--mode", "one_sided", "--dim", "256"],
+    ],
+    ids=["commutator-512", "cyclic-256", "one-sided-256"],
+)
+def test_shift_route_runs_no_jacobi(tmp_path, no_jacobi, argv):
+    assert run_main([*argv, "--output", str(tmp_path / "out.csv")]) == 0
+
+
+def test_halfcircle_spectrum_at_dim_1024_is_closed_form(tmp_path, no_jacobi):
+    out = tmp_path / "spec.csv"
+    dim = 1024
+    assert run_main(["spectrum", "--construction", "halfcircle", "--mode", "two_sided",
+                     "--dim", str(dim), "--output", str(out)]) == 0
+    got = [float(line.split(",")[-1]) for line in out.read_text().splitlines()[1:]]
+    upper = math.pi * np.arange(1, dim + 1) / (dim + 1)
+    oracle = np.sort(np.concatenate([upper, upper + math.pi]))
+    assert np.abs(np.array(got) - oracle).max() <= 1e-12
 
 
 def test_negative_harmonics_rejected(capsys):

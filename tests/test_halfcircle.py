@@ -130,6 +130,55 @@ def test_angle_lower_shifts_by_pi():
     assert single.entries[0, 0] == pytest.approx(math.pi, abs=1e-12)
 
 
+# ------------------------------------------- closed-form eigensystems
+
+CLOSED_FORM_DIMS = list(range(4, 18)) + [31, 64, 128]
+
+
+def shift_operators(mode, dim):
+    fam = family(mode, dim)
+    pair = cos_sin_pair(fam)
+    return {"C": pair.C, "S": pair.S, "full_angle": full_angle(fam)}
+
+
+@pytest.mark.parametrize("dim", CLOSED_FORM_DIMS)
+@pytest.mark.parametrize("mode", ["one_sided", "two_sided", "cyclic"])
+def test_closed_form_systems_match_independent_solvers(mode, dim):
+    for name, op in shift_operators(mode, dim).items():
+        es = op.eig
+        vecs, vals = es.eigenvectors, es.eigenvalues
+        assert np.abs(vals - np.linalg.eigvalsh(op.entries)).max() <= 1e-12, name
+        # Jacobi on a copy that carries no system
+        jacobi = hermitian_eig(from_matrix(op.entries, op.basis)).eigenvalues
+        assert np.abs(vals - jacobi).max() <= 1e-12, name
+        scale = op_norm_max(op)
+        assert np.abs((vecs * vals) @ vecs.conj().T - op.entries).max() <= 1e-12 * scale, name
+        assert np.abs(vecs.conj().T @ vecs - np.eye(op.dim)).max() <= 1e-13, name
+
+
+def test_closed_form_atoms_are_exact():
+    for dim in CLOSED_FORM_DIMS:
+        for mode in ("one_sided", "two_sided"):
+            s_vals = cos_sin_pair(family(mode, dim)).S.eig.eigenvalues
+            assert (0.0 in s_vals) == (dim % 2 == 1), (mode, dim)
+        c_vals = cos_sin_pair(family("cyclic", dim)).C.eig.eigenvalues
+        assert (-1.0 in c_vals) == (dim % 2 == 0), dim
+
+
+def test_derived_operators_carry_no_system():
+    fam = family("two_sided", 16)
+    pair = cos_sin_pair(fam)
+    assert hermitian_eig(pair.C) is pair.C.eig
+    derived = [
+        pair.C * 1.0,
+        pair.C @ pair.C,
+        pair.C.H,
+        linalg.rotate(pair.C, 0.3),
+        window_restrict(pair.C, -4, 4),
+    ]
+    assert all(op.eig is None for op in derived)
+
+
 # ------------------------------------------------------------ full angle
 
 def test_full_angle_cyclic_block_spectrum():
