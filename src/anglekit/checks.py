@@ -342,7 +342,7 @@ def _circle_resolution_identity(params):
     basis = BasisSpec("two_sided", dim, -dim // 2)
     dist = circlecs.gaussian_distribution(1.0)
     span = dim / 3.0
-    one = circlecs.quantize_cyl_grid(dist, basis, lambda J, phi: 1.0, j_span=(-span, span))
+    one = circlecs.quantize_cyl(dist, basis, {0: 1}, j_span=(-span, span))
     labels = basis.labels()
     interior = np.where(np.abs(labels) <= span - 6.5)[0]
     block = one.entries[np.ix_(interior, interior)]
@@ -365,7 +365,7 @@ def _action_is_number(params):
     dist = circlecs.gaussian_distribution(params.sigma or 1.0)
     dim = params.dim or 48
     basis = BasisSpec("two_sided", dim, -dim // 2)
-    A = circlecs.quantize_cyl(dist, basis, f_action=lambda J: J)
+    A = circlecs.quantize_cyl(dist, basis, {0: lambda J: J})
     return (
         float(np.abs(A.entries - np.diag(basis.labels().astype(complex))).max()),
         1e-9,
@@ -376,7 +376,7 @@ def _circle_covariance_shift(params):
     sigma, dim, theta = 10.0, 200, 1.0
     dist = circlecs.gaussian_distribution(sigma)
     basis = BasisSpec("two_sided", dim, -dim // 2)
-    A = circlecs.quantize_cyl(dist, basis, fourier_angle=specfun.sawtooth_fourier(dim - 1))
+    A = circlecs.quantize_cyl(dist, basis, specfun.sawtooth_fourier(dim - 1))
     labels = basis.labels()
     conj = linalg.rotate(A, theta)
     expected = A.entries * np.exp(1j * theta * (labels[:, None] - labels[None, :]))

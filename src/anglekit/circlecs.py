@@ -4,14 +4,16 @@ A width-sigma density p(J) on the line generates states
 |J, phi> = N(J)^{-1/2} sum_n sqrt(p(J-n)) e^{-i n phi} |e_n> over the
 two-sided basis.  By rotation covariance the quantization of
 f(J, phi) = sum_q c_q(J) e^{i q phi} has entries
-integral c_{n-n'}(J) sqrt(p(J-n) p(J-n')) dJ, both cylinder quantizers
-read one table of action nodes and amplitudes sqrt(p(J-n)), and
-lower_symbols_cyl serves a whole angle grid from one amplitude vector.
+integral c_{n-n'}(J) sqrt(p(J-n) p(J-n')) dJ, so quantize_cyl needs no
+angle grid and reads one table of action nodes and amplitudes
+sqrt(p(J-n)), and lower_symbols_cyl serves a whole angle grid from one
+amplitude vector.
 The overlap matrix p_{n,n'} = integral sqrt(p_n p_{n'}), computed by its
 own quadrature, encodes the number-angle commutator completely.
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -32,7 +34,6 @@ __all__ = [
     "build_overlap_matrix",
     "cs_vector",
     "quantize_cyl",
-    "quantize_cyl_grid",
     "fourier_harmonic_defect",
     "commutator_number_angle",
     "lower_symbols_cyl",
@@ -204,42 +205,48 @@ def cs_vector(dist, point, basis):
     return amps * np.exp(-1j * point.phi * labels)
 
 
-def quantize_cyl(dist, basis, f_action=None, fourier_angle=None):
-    """Separable quantization of f_action(J) times the angle function on the cylinder.
+def quantize_cyl(dist, basis, fourier, j_span=None):
+    """Quantization of f(J, phi) = sum_q c_q(J) e^{i q phi} on the cylinder.
 
-    The angle function is the Fourier map fourier_angle = {q: c_q}
-    (default {0: 1}) and f_action defaults to 1.  Entry (n, n') is
-    c_{n-n'} M_{nn'} with M = integral f_action(J) sqrt(p(J-n) p(J-n')) dJ,
-    one action integral over the `_action_table` nodes; the angle
-    integral is exact, so there is no angle grid.  Angle modes with
-    |q| >= dim drop.
+    fourier maps q to c_q, a number or a callable of J: the contract of
+    whquant.quantize without its (g, half_power) pair, which has no
+    meaning at J < 0.  By rotation covariance the angle integral is
+    exact, so mode q fills diagonal n - n' = q alone with
+    integral c_q(J) sqrt(p(J-n) p(J-n')) dJ over the `_action_table`
+    nodes (j_span as there), and modes with |q| >= dim drop.  Constant
+    modes read one weighted Gram; a J-dependent mode integrates its own
+    diagonal.
     """
     if basis.mode != "two_sided":
         raise DomainError("cylinder quantization needs a two_sided basis")
-    if f_action is None and fourier_angle is None:
-        raise DomainError("need f_action, fourier_angle, or both")
-    M = 0.0
-    for J, w, amps in _action_table(dist, basis.labels()):
-        if f_action is not None:
-            w = w * np.array([f_action(x) for x in J.tolist()])
-        M = M + (amps * w) @ amps.T
-    M = (M + M.T) / 2.0
-    angle = {0: 1} if fourier_angle is None else fourier_angle
-    return TruncatedOperator(_angle_diagonals(angle, M), basis)
-
-
-def _angle_diagonals(fourier_angle, weights):
-    """c_q times weights on each diagonal n - n' = q; modes |q| >= dim drop."""
-    dim = weights.shape[0]
+    dim = basis.dim
+    consts, funcs = {}, {}
+    for q, c in fourier.items():
+        constant = isinstance(c, numbers.Number)
+        if not (constant or callable(c)):
+            raise DomainError(f"c_{q} must be a number or a callable of J, got {c!r}")
+        if abs(int(q)) < dim:
+            (consts if constant else funcs)[int(q)] = c
+    sums = dict.fromkeys(funcs, 0.0)
+    shape = (dim, dim) if consts else (0, 0)
+    gram, prod = np.zeros(shape), np.empty(shape)
+    for J, w, amps in _action_table(dist, basis.labels(), j_span):
+        if consts:
+            gram += np.matmul(amps * w, amps.T, out=prod)
+        for q, c in funcs.items():
+            lo, hi = max(0, q), min(dim, dim + q)
+            cw = w * np.array([c(x) for x in J.tolist()])
+            sums[q] = sums[q] + (amps[lo:hi] * amps[lo - q : hi - q]) @ cw
+    gram += gram.T  # the BLAS Gram is symmetric only to rounding
+    gram /= 2.0
     out = np.zeros((dim, dim), dtype=complex)
-    for q, cq in fourier_angle.items():
-        d = int(q)
-        if abs(d) > dim - 1:
-            continue
-        rows = np.arange(max(0, d), min(dim, dim + d))
-        cols = rows - d
-        out[rows, cols] += complex(cq) * weights[rows, cols]
-    return out
+    for q, c in consts.items():
+        rows = np.arange(max(0, q), min(dim, dim + q))
+        out[rows, rows - q] += complex(c) * gram[rows, rows - q]
+    for q, s in sums.items():
+        rows = np.arange(max(0, q), min(dim, dim + q))
+        out[rows, rows - q] += s
+    return TruncatedOperator(out, basis)
 
 
 def _action_table(dist, labels, j_span=None):
@@ -284,33 +291,6 @@ def _action_table(dist, labels, j_span=None):
             yield J, np.tile(w, cells.size), block.reshape(dim, J.size)
 
 
-def quantize_cyl_grid(dist, basis, f, n_phi=None, j_span=None):
-    """General quantization by explicit product quadrature.
-
-    Integrates f(J, phi) N(J) |J,phi><J,phi| over phi in [0, 2 pi) by
-    trapezoid and over J on the `_action_table` nodes; the workhorse for
-    the resolution-of-identity check and non-separable f.  Per node the
-    trapezoid is a Toeplitz matrix: the FFT of f(J, phi_k) at
-    (n - n') mod n_phi.  It is exact for angle modes |q| <= n_phi - dim
-    (default n_phi = 2 dim); a higher mode aliases silently onto
-    diagonal q - k n_phi.
-    """
-    if basis.mode != "two_sided":
-        raise DomainError("cylinder quantization needs a two_sided basis")
-    dim = basis.dim
-    if n_phi is None:
-        n_phi = 2 * dim
-    phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    toeplitz = np.subtract.outer(np.arange(dim), np.arange(dim)) % n_phi
-    out = np.zeros((dim, dim), dtype=complex)
-    # N(J) cancels against the measure weight
-    for Js, ws, block in _action_table(dist, basis.labels(), j_span):
-        for J, weight, amps in zip(Js.tolist(), ws.tolist(), block.T):
-            coeffs = np.fft.fft([f(J, phi) for phi in phis]) / n_phi
-            out += weight * (np.outer(amps, amps) * coeffs[toeplitz])
-    return TruncatedOperator(out, basis)
-
-
 def fourier_harmonic_defect(dist, basis):
     """Unitarity defect of the quantized fundamental harmonic.
 
@@ -318,7 +298,7 @@ def fourier_harmonic_defect(dist, basis):
     |(A A*)_{nn} - p_{1,0}^2| and the squared overlap it should equal.
     """
     p10 = overlap(dist, 1)
-    A = quantize_cyl(dist, basis, fourier_angle={1: 1.0 + 0.0j})
+    A = quantize_cyl(dist, basis, {1: 1.0 + 0.0j})
     prod = (A @ A.H).entries
     margin = max(1, basis.dim // 8)
     interior = np.arange(margin, basis.dim - margin)
@@ -336,8 +316,8 @@ def commutator_number_angle(dist, basis, route_tol=1e-10, overlaps=None):
     dim = basis.dim
     if overlaps is None:
         overlaps = build_overlap_matrix(dist, dim - 1)
-    A_J = quantize_cyl(dist, basis, f_action=lambda J: J)
-    A_angle = quantize_cyl(dist, basis, fourier_angle=sawtooth_fourier(dim - 1))
+    A_J = quantize_cyl(dist, basis, {0: lambda J: J})
+    A_angle = quantize_cyl(dist, basis, sawtooth_fourier(dim - 1))
     K = linalg.commutator(A_J, A_angle)
     direct = 1j * overlaps.band_matrix(dim)
     np.fill_diagonal(direct, 0.0)

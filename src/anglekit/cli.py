@@ -115,7 +115,7 @@ def _spectrum_operator(cfg):
     if cfg.construction == "circle":
         dist = circlecs.gaussian_distribution(cfg.sigma)
         basis = BasisSpec("two_sided", cfg.dim, -cfg.dim // 2)
-        op = circlecs.quantize_cyl(dist, basis, fourier_angle=specfun.sawtooth_fourier(cfg.dim - 1))
+        op = circlecs.quantize_cyl(dist, basis, specfun.sawtooth_fourier(cfg.dim - 1))
         return op, _fmt_float(cfg.sigma)
     harmonics = cfg.harmonics if cfg.harmonics is not None else cfg.dim // 2 - 1
     op = whquant.canonical_angle_B(cfg.dim, mode="cyclic", q_cutoff=harmonics)
@@ -141,7 +141,7 @@ def cmd_lower_symbol(cfg):
     else:
         dist = circlecs.gaussian_distribution(cfg.sigma)
         basis = BasisSpec("two_sided", cfg.dim, -cfg.dim // 2)
-        op = circlecs.quantize_cyl(dist, basis, fourier_angle=specfun.sawtooth_fourier(cfg.dim - 1))
+        op = circlecs.quantize_cyl(dist, basis, specfun.sawtooth_fourier(cfg.dim - 1))
         values = circlecs.lower_symbols_cyl(op, dist, cfg.J, angles)
     lines = ["J,gamma_or_phi,re,im"]
     for angle, val in zip(angles, values):

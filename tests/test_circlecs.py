@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from anglekit import circlecs, linalg
+from anglekit import linalg
 from anglekit.errors import DomainError, TruncationWarning
 from anglekit.circlecs import (
     CylinderPoint,
@@ -22,7 +22,6 @@ from anglekit.circlecs import (
     overlap,
     overlap_kernel,
     quantize_cyl,
-    quantize_cyl_grid,
 )
 from anglekit.linalg import BasisSpec, op_norm_max
 from anglekit.specfun import sawtooth_fourier
@@ -153,7 +152,7 @@ def test_quantum_probabilities_sum_to_one(J):
 def test_action_quantizes_to_number_operator():
     dist = gaussian_distribution(1.0)
     basis = two_sided(48)
-    A = quantize_cyl(dist, basis, f_action=lambda J: J)
+    A = quantize_cyl(dist, basis, {0: lambda J: J})
     assert np.abs(A.entries - np.diag(basis.labels().astype(complex))).max() <= 1e-9
 
 
@@ -161,10 +160,10 @@ def test_action_quantizes_to_number_operator():
 def test_compact_density_quantization_closed_forms(a):
     # every density edge n +- a is a panel edge of the action table
     dist, basis = raised_cosine(a), two_sided(16)
-    A_J = quantize_cyl(dist, basis, f_action=lambda J: J)
+    A_J = quantize_cyl(dist, basis, {0: lambda J: J})
     assert np.abs(A_J.entries - np.diag(basis.labels().astype(complex))).max() <= 1e-12
     for q in (1, 2, 3):
-        diag = np.diag(quantize_cyl(dist, basis, fourier_angle={q: 1}).entries, -q)
+        diag = np.diag(quantize_cyl(dist, basis, {q: 1}).entries, -q)
         assert np.abs(diag - raised_cosine_overlap(a, q)).max() <= 1e-12
 
 
@@ -172,7 +171,7 @@ def test_angle_band_matrix_formula():
     dist = gaussian_distribution(1.0)
     basis = two_sided(24)
     band = build_overlap_matrix(dist, 23)
-    A = quantize_cyl(dist, basis, fourier_angle=sawtooth_fourier(23))
+    A = quantize_cyl(dist, basis, sawtooth_fourier(23))
     assert np.allclose(np.diag(A.entries).real, math.pi)
     for n, npr in ((0, 1), (3, 7), (10, 11)):
         expected = 1j * band.value(npr - n) / (n - npr)
@@ -182,7 +181,7 @@ def test_angle_band_matrix_formula():
 def test_fundamental_harmonic_is_weighted_shift():
     dist = gaussian_distribution(1.0)
     basis = two_sided(16)
-    A = quantize_cyl(dist, basis, fourier_angle={1: 1.0 + 0.0j})
+    A = quantize_cyl(dist, basis, {1: 1.0 + 0.0j})
     p10 = overlap(dist, 1)
     expected = p10 * np.diag(np.ones(15), -1)
     assert np.abs(A.entries - expected).max() <= 1e-12
@@ -190,94 +189,47 @@ def test_fundamental_harmonic_is_weighted_shift():
 
 def test_general_product_function_against_dense_oracle():
     # independent oracle: dense trapezoid in J for each entry of the
-    # separable product f(J) cos(phi)
+    # non-separable f = J^2 e^{i phi} + cos(J) e^{-i phi} + 1, whose
+    # mode n - n' = q carries integral c_q(J) sqrt(p(J-n) p(J-n')) dJ
     dist = gaussian_distribution(1.0)
     basis = two_sided(12)
-    f_action = lambda J: J * J
-    A = quantize_cyl(
-        dist, basis, f_action=f_action, fourier_angle={1: 0.5 + 0j, -1: 0.5 + 0j}
-    )
+    fourier = {1: lambda J: J * J, -1: math.cos, 0: 1}
+    A = quantize_cyl(dist, basis, fourier)
     labels = basis.labels()
     Js = np.linspace(-16.0, 16.0, 6401)
-    for n, npr in ((0, 1), (2, 1), (-3 + 6, -4 + 6)):
-        row, col = n, npr
-        ln, lnp = labels[row], labels[col]
-        if abs(ln - lnp) != 1:
-            continue
-        vals = np.sqrt(
-            np.maximum([dist.pdf(J - ln) for J in Js], 0.0)
-            * np.maximum([dist.pdf(J - lnp) for J in Js], 0.0)
-        ) * np.array([f_action(J) for J in Js])
-        oracle = 0.5 * np.trapezoid(vals, Js)
+    root_p = lambda n: np.sqrt(np.maximum([dist.pdf(J - n) for J in Js], 0.0))
+    for row, col in ((0, 1), (2, 1), (3, 2), (5, 5), (7, 7), (4, 6), (9, 8)):
+        q = row - col
+        if q in fourier:
+            c = fourier[q]
+            cvals = np.array([c(J) for J in Js]) if callable(c) else c
+            oracle = np.trapezoid(root_p(labels[row]) * root_p(labels[col]) * cvals, Js)
+        else:
+            oracle = 0.0
         assert A.entries[row, col] == pytest.approx(oracle, rel=1e-6, abs=1e-9)
 
 
 def test_product_mode_past_truncation_is_zero():
-    # mode 40 has no diagonal in a 16-label window
-    A = quantize_cyl(
-        gaussian_distribution(5.0), two_sided(16), f_action=lambda J: 1.0, fourier_angle={40: 1}
-    )
+    # modes +-40 have no diagonal in a 16-label window, constant or not
+    A = quantize_cyl(gaussian_distribution(5.0), two_sided(16), {40: 1, -40: lambda J: J})
     assert np.count_nonzero(A.entries) == 0
-
-
-def test_grid_route_exact_up_to_n_phi_minus_dim():
-    # default n_phi = 2 * dim = 32: modes |q| <= n_phi - dim = 16 are exact,
-    # and mode 17 aliases onto diagonal 17 - n_phi = -15
-    dist, basis = gaussian_distribution(5.0), two_sided(16)
-    grid = lambda q: quantize_cyl_grid(dist, basis, lambda J, phi: np.exp(1j * q * phi)).entries
-    exact = lambda q: quantize_cyl(dist, basis, f_action=lambda J: 1, fourier_angle={q: 1}).entries
-    assert np.abs(grid(16) - exact(16)).max() <= 1e-12
-    assert np.abs(grid(17) - exact(-15)).max() <= 1e-12
-    assert np.abs(grid(17) - exact(17)).max() > 0.3
-
-
-def test_grid_route_matches_phase_gram_formula():
-    # the per-node Gram (phase * f / n_phi) @ phase^H with phase_{n,k} = e^{-i n phi_k},
-    # written out, against the FFT route for an f that is not a product
-    dist, basis = gaussian_distribution(1.0), two_sided(16)
-    f = lambda J, phi: (1.0 + 0.1 * J) * np.exp(1j * (2.0 * phi + 0.3 * J)) + np.cos(phi - J) ** 2
-    labels = basis.labels()
-    for n_phi in (32, 21):
-        phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
-        phase = np.exp(-1j * np.outer(labels, phis))
-        ref = np.zeros((16, 16), dtype=complex)
-        for Js, ws, block in circlecs._action_table(dist, labels):
-            for J, weight, amps in zip(Js.tolist(), ws.tolist(), block.T):
-                fvals = np.array([f(J, phi) for phi in phis])
-                gram = (phase * (fvals / n_phi)) @ phase.conj().T
-                ref += weight * (np.outer(amps, amps) * gram)
-        got = quantize_cyl_grid(dist, basis, f, n_phi=n_phi).entries
-        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-
-
-def test_product_quantization_matches_grid_route():
-    dist = gaussian_distribution(1.0)
-    basis = two_sided(48)
-    f_action = lambda J: J * J
-    fourier = {1: 0.5 + 0j, -1: 0.5 + 0j, 3: 0.25j, -3: -0.25j}
-    A = quantize_cyl(dist, basis, f_action=f_action, fourier_angle=fourier)
-    grid = quantize_cyl_grid(
-        dist,
-        basis,
-        lambda J, phi: f_action(J) * sum(c * np.exp(1j * q * phi) for q, c in fourier.items()),
-    )
-    assert np.abs(A.entries - grid.entries).max() <= 1e-12
 
 
 def test_grid_resolution_of_identity():
     dist = gaussian_distribution(1.0)
     basis = two_sided(48)
     span = 16.0
-    one = quantize_cyl_grid(dist, basis, lambda J, phi: 1.0, j_span=(-span, span))
+    one = quantize_cyl(dist, basis, {0: 1}, j_span=(-span, span))
     labels = basis.labels()
     interior = np.where(np.abs(labels) <= span - 7.0)[0]
     block = one.entries[np.ix_(interior, interior)]
     assert np.abs(block - np.eye(interior.size)).max() <= 1e-6
 
 
-def test_quantize_cyl_requires_some_function():
+def test_quantize_cyl_rejects_coefficient_of_unknown_form():
+    # the WH (g, half_power) pair has no meaning on the cylinder, where J < 0
     with pytest.raises(DomainError):
-        quantize_cyl(gaussian_distribution(1.0), two_sided(8))
+        quantize_cyl(gaussian_distribution(1.0), two_sided(8), {1: (lambda J: J, 1)})
 
 
 # ------------------------------------------------------------ harmonics
@@ -319,8 +271,8 @@ def test_commutator_with_general_angle_function():
     dist = gaussian_distribution(1.0)
     basis = two_sided(20)
     fourier = {1: 0.5 + 0j, -1: 0.5 + 0j}
-    A_J = quantize_cyl(dist, basis, f_action=lambda J: J)
-    A_f = quantize_cyl(dist, basis, fourier_angle=fourier)
+    A_J = quantize_cyl(dist, basis, {0: lambda J: J})
+    A_f = quantize_cyl(dist, basis, fourier)
     K = linalg.commutator(A_J, A_f)
     band = build_overlap_matrix(dist, 1)
     for n in range(3, 16):
@@ -384,7 +336,7 @@ def test_symbol_fourier_route_matches_trace_route():
     dist = gaussian_distribution(1.0)
     basis = two_sided(48)
     band = build_overlap_matrix(dist, 47)
-    A = quantize_cyl(dist, basis, fourier_angle=sawtooth_fourier(47))
+    A = quantize_cyl(dist, basis, sawtooth_fourier(47))
     J0, phi0 = 0.4, 2.1
     direct = lower_symbols_cyl(A, dist, J0, [phi0])[0].real
     series = math.pi
