@@ -123,10 +123,19 @@ def _spectrum_operator(cfg):
 
 
 def cmd_spectrum(cfg):
+    """Ascending eigenvalues as CSV, with no Jacobi solve.
+
+    The half-circle full angle reads its attached closed-form system; the
+    wh, circle and canonical matrices, pi I + i K with K real
+    antisymmetric, go to `linalg.chiral_eigenvalues`.
+    """
     op, param = _spectrum_operator(cfg)
-    eig = linalg.hermitian_eig(op)
+    if op.eig is not None:
+        values = op.eig.eigenvalues
+    else:
+        values = linalg.chiral_eigenvalues(op, math.pi)
     lines = ["construction,D,param,index,eigenvalue"]
-    for idx, lam in enumerate(eig.eigenvalues):
+    for idx, lam in enumerate(values):
         lines.append(f"{cfg.construction},{cfg.dim},{param},{idx},{_fmt_float(lam)}")
     _write_text(cfg.output, "\n".join(lines) + "\n")
     return EXIT_OK

@@ -12,10 +12,11 @@ tridiagonal Toeplitz, with eigenvalues cos(k pi/(D+1)) and DST-I sine
 vectors (Noschese, Pasquini & Reichel, NLAA 20 (2013) 302), and
 S = V C V* with V = diag((-i)^n).  In cyclic mode both are circulant:
 the DFT columns diagonalize them, with eigenvalues cos(2 pi k/D) and
--sin(2 pi k/D).  The full angle carries its block system as well.  An
-operator made from these by arithmetic, such as the rotated cosine of
-`covariance_flow`, carries none and goes to the Jacobi solver, like
-every other matrix.  With one BLAS thread on a 2-core x86 machine,
+-sin(2 pi k/D).  The full angle carries its block system as well, and
+so does the rotated cosine cos(theta) C - sin(theta) S of
+`covariance_flow`.  An operator made from these by arithmetic carries
+none and goes to the Jacobi solver, like every other matrix.  With one
+BLAS thread on a 2-core x86 machine,
 `commutator --dims 512 --margins 32` and `spectrum --construction
 halfcircle --dim 1024` each take about a second.
 
@@ -95,15 +96,22 @@ def _ascending(values, vectors):
     return EigenSystem(values[order], vectors[:, order])
 
 
+def _dft_symbols(dim):
+    """DFT columns F of the cyclic basis and, column by column, the eigenvalues of C and S."""
+    # U multiplies the DFT column e^{2 pi i k r / D} by e^{-2 pi i k / D}
+    rows = np.arange(dim)
+    kr = np.outer(rows, rows)
+    F = (_cos_pi(2 * kr, dim) + 1j * _sin_pi(2 * kr, dim)) / math.sqrt(dim)
+    return F, _cos_pi(2 * rows, dim), _sin_pi(-2 * rows, dim)
+
+
 def _shift_eigensystems(basis):
     """Exact eigensystems of C = (U + U*)/2 and S = (U - U*)/(2i) on basis."""
     dim = basis.dim
     rows = np.arange(dim)
     if basis.mode == "cyclic":
-        # U multiplies the DFT column e^{2 pi i k r / D} by e^{-2 pi i k / D}
-        kr = np.outer(rows, rows)
-        F = (_cos_pi(2 * kr, dim) + 1j * _sin_pi(2 * kr, dim)) / math.sqrt(dim)
-        return _ascending(_cos_pi(2 * rows, dim), F), _ascending(_sin_pi(-2 * rows, dim), F)
+        F, cos_k, sin_k = _dft_symbols(dim)
+        return _ascending(cos_k, F), _ascending(sin_k, F)
     # DST-I column k is sqrt(2/(D+1)) sin(pi (r+1) k/(D+1)); k = D..1 so cos(k pi/(D+1)) ascends
     k = np.arange(dim, 0, -1)
     Q = math.sqrt(2.0 / (dim + 1)) * _sin_pi(np.outer(rows + 1, k), dim + 1)
@@ -282,6 +290,22 @@ def commutator_defect(fam, angle, sigma, window_margin):
     return linalg.op_norm_max(linalg.window_restrict(dev, lo, hi))
 
 
+def _rotated_cosine_system(C, theta):
+    """Exact eigensystem of cos(theta) C - sin(theta) S, C from `cos_sin_pair`.
+
+    Two-sided, the matrix is U(theta) C U(theta)* with U(theta) =
+    diag(e^{i theta n}), so its eigenvectors are U(theta) V for those V
+    of C, with C's eigenvalues.  Cyclic, it is circulant: DFT column k
+    has eigenvalue cos(theta) cos(2 pi k/D) + sin(theta) sin(2 pi k/D),
+    which is cos(2 pi k/D - theta).
+    """
+    if C.basis.mode == "cyclic":
+        F, cos_k, sin_k = _dft_symbols(C.dim)
+        return _ascending(math.cos(theta) * cos_k - math.sin(theta) * sin_k, F)
+    phases = np.exp(1j * theta * C.basis.labels())
+    return EigenSystem(C.eig.eigenvalues, phases[:, None] * C.eig.eigenvectors)
+
+
 def covariance_flow(fam, theta, window_margin=None, route_tol=1e-10):
     """Rotate the pair (C, S) by theta and rebuild the angle operator.
 
@@ -289,7 +313,8 @@ def covariance_flow(fam, theta, window_margin=None, route_tol=1e-10):
     by linalg.rotate and with the closed forms
     cos(theta) C - sin(theta) S and cos(theta) S + sin(theta) C; the two
     must agree on the interior window before the rotated angle operator
-    is formed from the closed-form cosine.
+    is formed from the closed-form cosine, which carries its exact
+    eigensystem, so no Jacobi solve runs.
     """
     if fam.basis.mode == "one_sided":
         raise DomainError("covariance flow needs a two_sided or cyclic basis")
@@ -297,7 +322,8 @@ def covariance_flow(fam, theta, window_margin=None, route_tol=1e-10):
         window_margin = max(1, fam.basis.dim // 4)
     pair = cos_sin_pair(fam)
     ct, st = math.cos(theta), math.sin(theta)
-    C_closed = ct * pair.C - st * pair.S
+    C_closed = TruncatedOperator((ct * pair.C - st * pair.S).entries, fam.basis,
+                                 _rotated_cosine_system(pair.C, theta))
     S_closed = ct * pair.S + st * pair.C
     lo, hi = interior_window(fam.basis, window_margin)
     for closed, op in ((C_closed, pair.C), (S_closed, pair.S)):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import anglekit
+from anglekit import linalg
 
 settings.register_profile(
     "anglekit",
@@ -35,6 +36,16 @@ def cli_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(src)] + [str(Path(p).resolve()) for p in old if p])
     return env
+
+
+@pytest.fixture
+def no_jacobi(monkeypatch):
+    """Make any Jacobi solve fail the test."""
+
+    def refuse(dim):
+        raise AssertionError(f"Jacobi solve of dim {dim}")
+
+    monkeypatch.setattr(linalg, "_round_robin", refuse)
 
 
 def random_hermitian(dim, seed):

@@ -11,7 +11,8 @@ from anglekit.errors import DomainError
 # The report's lines in order; a refactor may not reorder or rename them.
 REPORT_LAYOUT = {
     "specfun": "gamma_ratio_bound laguerre_reflection theta_form_equality gauss_summation_at_one",
-    "linalg": "eig_reconstruction spectral_composition sign_part_contract exp_inverse",
+    "linalg": "eig_reconstruction spectral_composition sign_part_contract exp_inverse "
+    "chiral_spectrum",
     "halfcircle": "angle_support series_vs_spectral contraction_norms power_commutator_identity "
     "cyclic_exact_relations",
     "whquant": "ccr_from_quantization angle_matrix_structure angle_covariance_symbol_shift "
@@ -26,7 +27,7 @@ def test_suite_names_cover_every_module():
     assert checks.suite_names() == list(REPORT_LAYOUT)
     registered = [(s, inv) for s, suite in checks._SUITES.items() for inv, _ in suite.invariants]
     expected = [(name, inv) for name, line in REPORT_LAYOUT.items() for inv in line.split()]
-    assert len(expected) == 31
+    assert len(expected) == 32
     assert registered == expected
 
 
@@ -77,5 +78,5 @@ def test_threaded_run_matches_serial(cli_env):
         assert proc.returncode == 0, proc.stderr
         runs.append(proc.stdout)
     serial, threaded = runs
-    assert len(serial.splitlines()) == 6
+    assert len(serial.splitlines()) == 7
     assert serial == threaded

@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from anglekit import cli, linalg
+from anglekit import circlecs, cli, specfun, whquant
+from anglekit.linalg import BasisSpec
 
 
 def run_main(argv):
@@ -176,14 +177,6 @@ def test_lower_symbol_construction_key_is_a_configuration_error(tmp_path, capsys
     assert not out.exists()
 
 
-@pytest.fixture
-def no_jacobi(monkeypatch):
-    def refuse(dim):
-        raise AssertionError(f"Jacobi solve of dim {dim} on the shift route")
-
-    monkeypatch.setattr(linalg, "_round_robin", refuse)
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -206,6 +199,41 @@ def test_halfcircle_spectrum_at_dim_1024_is_closed_form(tmp_path, no_jacobi):
     upper = math.pi * np.arange(1, dim + 1) / (dim + 1)
     oracle = np.sort(np.concatenate([upper, upper + math.pi]))
     assert np.abs(np.array(got) - oracle).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "construction, matrix",
+    [
+        ("wh", lambda dim: whquant.angle_matrix(0.0, dim)),
+        ("circle", lambda dim: circlecs.quantize_cyl(
+            circlecs.gaussian_distribution(1.0), BasisSpec("two_sided", dim, -dim // 2),
+            specfun.sawtooth_fourier(dim - 1))),
+        ("canonical", lambda dim: whquant.canonical_angle_B(dim, "cyclic", dim // 2 - 1)),
+    ],
+    ids=["wh", "circle", "canonical"],
+)
+def test_chiral_spectra_run_no_jacobi(tmp_path, no_jacobi, construction, matrix):
+    out = tmp_path / "spec.csv"
+    dim = 256
+    assert run_main(["spectrum", "--construction", construction, "--dim", str(dim),
+                     "--output", str(out)]) == 0
+    got = np.array([float(line.split(",")[-1]) for line in out.read_text().splitlines()[1:]])
+    assert np.abs(got - np.linalg.eigvalsh(matrix(dim).entries)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("construction", ["wh", "circle"])
+def test_chiral_spectrum_bytes_independent_of_blas_threads(tmp_path, cli_env, construction):
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"spec_{threads}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "anglekit.cli", "spectrum", "--construction", construction,
+             "--dim", "128", "--output", str(out)],
+            capture_output=True, text=True, env=dict(cli_env, OPENBLAS_NUM_THREADS=threads),
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_negative_harmonics_rejected(capsys):

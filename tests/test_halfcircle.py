@@ -292,6 +292,19 @@ def test_covariance_flow_quarter_turn():
     assert op_norm_max(window_restrict(Sq - pair.C, lo, hi)) <= 1e-12
 
 
+@pytest.mark.parametrize("dim", CLOSED_FORM_DIMS)
+@pytest.mark.parametrize("mode", ["two_sided", "cyclic"])
+def test_rotated_cosine_carries_closed_form_system(no_jacobi, mode, dim):
+    fam = family(mode, dim)
+    for theta in (0.3, -1e-4, HALF_PI, 2.0):
+        C_theta, _, _ = covariance_flow(fam, theta)
+        vecs, vals = C_theta.eig.eigenvectors, C_theta.eig.eigenvalues
+        assert np.abs(vals - np.linalg.eigvalsh(C_theta.entries)).max() <= 1e-12, theta
+        scale = op_norm_max(C_theta)
+        assert np.abs((vecs * vals) @ vecs.conj().T - C_theta.entries).max() <= 1e-12 * scale
+        assert np.abs(vecs.conj().T @ vecs - np.eye(dim)).max() <= 1e-13, theta
+
+
 def test_covariance_derivative_matches_sigma():
     # d/dtheta of the conjugated angle at 0 equals +sign(S) on the interior
     dim, margin, h = 64, 16, 1e-4

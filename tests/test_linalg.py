@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from anglekit import linalg, whquant
+from anglekit import circlecs, linalg, specfun, whquant
 from anglekit.errors import BasisMismatchError, DomainError
 from anglekit.linalg import (
     BasisSpec,
     TruncatedOperator,
     anti_hermitian_exp,
+    chiral_eigenvalues,
     commutator,
     diagonal_sums,
     from_matrix,
@@ -144,6 +145,88 @@ def test_eig_bits_independent_of_blas_threads(tmp_path, cli_env):
     assert sorted(one.files) == sorted(two.files) and len(one.files) == 4
     for key in one.files:
         assert one[key].tobytes() == two[key].tobytes(), key
+
+
+# ------------------------------------------------------ chiral eigenvalues
+
+CHIRAL_DIMS = list(range(4, 18)) + [64, 128]
+
+
+def random_chiral(dim, seed, center=math.pi):
+    """center I + i K with K = R - R^T, exactly antisymmetric."""
+    raw = np.random.default_rng(seed).standard_normal((dim, dim))
+    return from_matrix(center * np.eye(dim) + 1j * (raw - raw.T))
+
+
+def circle_angle(sigma, dim):
+    basis = BasisSpec("two_sided", dim, -dim // 2)
+    dist = circlecs.gaussian_distribution(sigma)
+    return circlecs.quantize_cyl(dist, basis, specfun.sawtooth_fourier(dim - 1))
+
+
+def chiral_matrices(dim):
+    ops = {f"wh t={t}": whquant.angle_matrix(t, dim) for t in (0.0, 0.3, 0.7)}
+    ops.update({f"circle sigma={s}": circle_angle(s, dim) for s in (0.5, 1.0, 10.0)})
+    ops["canonical"] = whquant.canonical_angle_B(dim, "cyclic", dim // 2 - 1)
+    ops["random"] = random_chiral(dim, seed=dim)
+    return ops
+
+
+@pytest.mark.parametrize("dim", CHIRAL_DIMS)
+def test_chiral_eigenvalues_match_lapack_and_jacobi(dim):
+    for name, op in chiral_matrices(dim).items():
+        got = chiral_eigenvalues(op, math.pi)
+        assert np.all(np.diff(got) >= 0.0), name
+        assert np.abs(got - np.linalg.eigvalsh(op.entries)).max() <= 1e-12, name
+        jacobi = hermitian_eig(from_matrix(op.entries, op.basis)).eigenvalues
+        assert np.abs(got - jacobi).max() <= 1e-12, name
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 9, 64, 65])
+def test_chiral_offsets_mirror_exactly(dim):
+    # at center 0 the values returned are the offsets themselves
+    offsets = chiral_eigenvalues(random_chiral(dim, seed=dim, center=0.0), 0.0)
+    assert np.array_equal(offsets[::-1], -offsets)
+    values = chiral_eigenvalues(random_chiral(dim, seed=dim), math.pi)
+    if dim % 2:
+        assert values[dim // 2] == math.pi
+
+
+def tridiagonal_chiral(e):
+    K = np.diag(np.asarray(e, dtype=float), -1)
+    return from_matrix(math.pi * np.eye(len(e) + 1) + 1j * (K - K.T))
+
+
+def test_chiral_eigenvalues_of_split_tridiagonals():
+    assert np.array_equal(chiral_eigenvalues(from_matrix(math.pi * np.eye(7)), math.pi),
+                          np.full(7, math.pi))
+    # block-diagonal K: the reduction meets an exactly zero column and splits
+    blocks = np.zeros((11, 11), dtype=complex)
+    blocks[:5, :5] = random_chiral(5, seed=1).entries
+    blocks[5:, 5:] = random_chiral(6, seed=2).entries
+    # off-diagonals 1, 0.5, ...: the first Sturm point g/2 = 1 makes d_1 exactly 0
+    for op in (from_matrix(blocks), tridiagonal_chiral([1.0, 0.5, 0.25, 0.5, 0.0, 0.5, 0.25])):
+        got = chiral_eigenvalues(op, math.pi)
+        assert np.abs(got - np.linalg.eigvalsh(op.entries)).max() <= 1e-12
+
+
+def test_chiral_eigenvalues_reject_other_structure():
+    wh = whquant.angle_matrix(0.3, 16).entries
+    ulp = np.spacing(math.pi)
+    real_off = wh.copy()
+    real_off[2, 5] += np.spacing(abs(wh[2, 5]))
+    real_off[5, 2] += np.spacing(abs(wh[2, 5]))
+    skew = wh.copy()
+    skew[2, 5] += 1j * np.spacing(abs(wh[2, 5]))
+    far_diag = wh.copy()
+    far_diag[3, 3] += (linalg.CHIRAL_DIAG_ULPS + 1) * ulp
+    for mat in (random_hermitian(16, seed=4), real_off, skew, far_diag):
+        with pytest.raises(DomainError):
+            chiral_eigenvalues(from_matrix(mat), math.pi)
+    # the bound itself is accepted
+    near_diag = wh.copy()
+    near_diag[3, 3] += linalg.CHIRAL_DIAG_ULPS * ulp
+    assert chiral_eigenvalues(from_matrix(near_diag), math.pi).size == 16
 
 
 # ---------------------------------------------------- functional calculus
