@@ -22,7 +22,7 @@ import numpy as np
 from . import linalg
 from .errors import DomainError, TruncationWarning
 from .linalg import TruncatedOperator
-from .specfun import sawtooth_fourier, theta3_normalizer
+from .specfun import sawtooth_fourier
 
 __all__ = [
     "DistributionSpec",
@@ -62,15 +62,14 @@ class DistributionSpec:
     """Even, normalized density with a declared effective support radius.
 
     radius R satisfies pdf(x) < ~1e-16 for |x| > R; all quadrature
-    windows are derived from it.  ft, when given, is the Fourier
-    transform (1/sqrt(2 pi)) integral p(J) e^{-i k J} dJ.
+    windows and the lattice sum of `normalizer` are derived from it.
+    kind is 'gaussian' or 'custom'; only `overlap_kernel` reads it.
     """
 
     kind: str
     sigma: float
     pdf: object
     radius: float
-    ft: object = None
 
     def __post_init__(self):
         if self.sigma <= 0:
@@ -90,9 +89,7 @@ class DistributionSpec:
             raise DomainError(f"pdf must integrate to 1, got {mass}")
 
     def normalizer(self, J):
-        """Lattice sum N(J) = sum_n pdf(J - n)."""
-        if self.kind == "gaussian":
-            return theta3_normalizer(J, self.sigma, form="direct")
+        """Lattice sum N(J) = sum_n pdf(J - n) over |J - n| <= radius, by math.fsum."""
         lo = int(math.floor(J - self.radius))
         hi = int(math.ceil(J + self.radius))
         return math.fsum(self.pdf(J - n) for n in range(lo, hi + 1))
@@ -117,7 +114,7 @@ def _panel_integral(f, edges, scale):
 
 
 def gaussian_distribution(sigma):
-    """Gaussian density of width sigma with its closed-form transform."""
+    """Gaussian density of width sigma, radius 9 sigma + 1/2."""
     if sigma <= 0:
         raise DomainError(f"sigma must be positive, got {sigma}")
     pref = 1.0 / math.sqrt(2.0 * math.pi * sigma * sigma)
@@ -125,16 +122,13 @@ def gaussian_distribution(sigma):
     def pdf(x):
         return pref * math.exp(-x * x / (2.0 * sigma * sigma))
 
-    def ft(k):
-        return math.exp(-sigma * sigma * k * k / 2.0) / math.sqrt(2.0 * math.pi)
-
     radius = 9.0 * sigma + 0.5
-    return DistributionSpec(kind="gaussian", sigma=sigma, pdf=pdf, radius=radius, ft=ft)
+    return DistributionSpec(kind="gaussian", sigma=sigma, pdf=pdf, radius=radius)
 
 
-def custom_distribution(pdf, sigma, radius, ft=None):
+def custom_distribution(pdf, sigma, radius):
     """Wrap a user density; the constructor checks evenness and mass."""
-    return DistributionSpec(kind="custom", sigma=sigma, pdf=pdf, radius=radius, ft=ft)
+    return DistributionSpec(kind="custom", sigma=sigma, pdf=pdf, radius=radius)
 
 
 def overlap(dist, m):
@@ -299,19 +293,19 @@ def fourier_harmonic_defect(dist, basis):
     """
     p10 = overlap(dist, 1)
     A = quantize_cyl(dist, basis, {1: 1.0 + 0.0j})
-    prod = (A @ A.H).entries
-    margin = max(1, basis.dim // 8)
-    interior = np.arange(margin, basis.dim - margin)
-    defect = float(np.abs(np.real(np.diag(prod))[interior] - p10 ** 2).max())
+    window = linalg.interior_window(basis, max(1, basis.dim // 8))
+    prod = linalg.window_restrict(A @ A.H, *window).entries
+    defect = float(np.abs(np.real(np.diag(prod)) - p10 ** 2).max())
     return defect, p10 ** 2
 
 
-def commutator_number_angle(dist, basis, route_tol=1e-10, overlaps=None):
+def commutator_number_angle(dist, basis, overlaps=None):
     """Number-angle commutator, matrix route against the overlap formula.
 
     Route (a) commutes the separable quantizations of J and the angle;
     route (b) writes i p_{0,|n-n'|} off the diagonal directly.  Returns
-    (commutator, max deviation between routes on the interior window).
+    (commutator, max deviation between routes on the interior window of
+    margin max(1, dim // 8)) and warns when that deviation exceeds 1e-10.
     """
     dim = basis.dim
     if overlaps is None:
@@ -321,13 +315,9 @@ def commutator_number_angle(dist, basis, route_tol=1e-10, overlaps=None):
     K = linalg.commutator(A_J, A_angle)
     direct = 1j * overlaps.band_matrix(dim)
     np.fill_diagonal(direct, 0.0)
-    margin = max(1, dim // 8)
-    lo = basis.offset + margin
-    hi = basis.offset + dim - 1 - margin
-    dev = linalg.op_norm_max(
-        linalg.window_restrict(K - TruncatedOperator(direct, basis), lo, hi)
-    )
-    if dev > route_tol:
+    window = linalg.interior_window(basis, max(1, dim // 8))
+    dev = linalg.op_norm_max(linalg.window_restrict(K - TruncatedOperator(direct, basis), *window))
+    if dev > 1e-10:
         warnings.warn(
             f"commutator routes disagree by {dev:.3e}", TruncationWarning, stacklevel=2
         )

@@ -143,14 +143,12 @@ def cmd_spectrum(cfg):
 
 def cmd_lower_symbol(cfg):
     angles = np.linspace(0.0, 2.0 * math.pi, cfg.gamma_grid, endpoint=False)
+    op, _ = _spectrum_operator(cfg)
     if cfg.construction == "wh":
-        op = whquant.angle_matrix(cfg.t, cfg.dim)
         weight = whquant.WeightSpec(kind="cahill_glauber", t=cfg.t)
         values = whquant.lower_symbols(op, weight, cfg.J, angles, warn_leak=False)
     else:
         dist = circlecs.gaussian_distribution(cfg.sigma)
-        basis = BasisSpec("two_sided", cfg.dim, -cfg.dim // 2)
-        op = circlecs.quantize_cyl(dist, basis, specfun.sawtooth_fourier(cfg.dim - 1))
         values = circlecs.lower_symbols_cyl(op, dist, cfg.J, angles)
     lines = ["J,gamma_or_phi,re,im"]
     for angle, val in zip(angles, values):
@@ -172,7 +170,7 @@ def cmd_commutator(cfg):
         for margin in cfg.margins:
             if 2 * margin >= dim:
                 continue
-            lo, hi = halfcircle.interior_window(basis, margin)
+            lo, hi = linalg.interior_window(basis, margin)
             defect = halfcircle.commutator_defect(fam, angle, sigma, margin)
             lines.append(f"{dim},{margin},{lo},{hi},{_fmt_float(defect)}")
     _write_text(cfg.output, "\n".join(lines) + "\n")

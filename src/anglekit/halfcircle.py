@@ -183,31 +183,31 @@ def cos_sin_pair(fam):
     )
 
 
-def _check_contraction_spectrum(eig, tol=1e-10):
+def _check_contraction_spectrum(eig):
     lo, hi = eig.eigenvalues[0], eig.eigenvalues[-1]
-    if lo < -1.0 - tol or hi > 1.0 + tol:
-        raise DomainError(f"spectrum [{lo}, {hi}] leaves [-1, 1] beyond tolerance {tol}")
+    if lo < -1.0 - 1e-10 or hi > 1.0 + 1e-10:
+        raise DomainError(f"spectrum [{lo}, {hi}] leaves [-1, 1] beyond tolerance 1e-10")
 
 
-def angle_upper(C, method="spectral", tol=None, eig=None):
+def angle_upper(C, method="spectral", tol=None):
     """Upper half-circle angle operator ArcCos(C), spectrum in [0, pi].
 
-    spectral: arccos applied to the (clipped) eigenvalues of C.
+    spectral: arccos of the eigenvalues of C, the edges mapped to 0 or pi.
     series:   (pi/2) I - sum_n c_n C^{2n+1} with the MacLaurin
               coefficients c_n, summed until the term max-norm drops
               below tol.abs_tol.  Near eigenvalues +-1 the terms decay
               only like n^(-3/2), so series mode is slow there; the
               spectral route is the reference.
-    Both methods check that the spectrum of C lies in [-1, 1]; a
-    precomputed EigenSystem of C can be passed to reuse a decomposition.
+    Both methods check that the spectrum of C, from `hermitian_eig(C)`,
+    lies in [-1, 1]; a C that carries its eigensystem is not solved.
     """
     if tol is None:
         tol = SeriesTolerance(abs_tol=1e-10, max_terms=200_000)
-    if eig is None:
-        eig = linalg.hermitian_eig(C)
+    eig = linalg.hermitian_eig(C)
     _check_contraction_spectrum(eig)
     if method == "spectral":
-        return linalg.spectral_function(C, _arccos, eig=eig)
+        angles = np.array([_arccos(lam) for lam in eig.eigenvalues])
+        return linalg.from_spectrum(angles, eig.eigenvectors, C.basis)
     if method != "series":
         raise DomainError(f"method must be 'spectral' or 'series', got {method!r}")
     dim = C.dim
@@ -227,12 +227,12 @@ def angle_upper(C, method="spectral", tol=None, eig=None):
     return TruncatedOperator(out, C.basis)
 
 
-def angle_lower(C, eig=None):
+def angle_lower(C):
     """Lower half-circle angle operator ArcCos(C) + pi, spectrum in [pi, 2 pi]."""
-    if eig is None:
-        eig = linalg.hermitian_eig(C)
+    eig = linalg.hermitian_eig(C)
     _check_contraction_spectrum(eig)
-    return linalg.spectral_function(C, lambda lam: _arccos(lam) + math.pi, eig=eig)
+    angles = np.array([_arccos(lam) + math.pi for lam in eig.eigenvalues])
+    return linalg.from_spectrum(angles, eig.eigenvectors, C.basis)
 
 
 def full_angle(fam):
@@ -262,18 +262,9 @@ def full_angle(fam):
     return TruncatedOperator(out, BasisSpec("one_sided", 2 * dim, 0), system)
 
 
-def sigma_isometry(S, zero_tol=None):
-    """Sign part of S from its polar decomposition S = Sigma |S|."""
-    return linalg.sign_part(S, zero_tol=zero_tol)
-
-
-def interior_window(basis, margin):
-    """Label window [offset + margin, offset + dim - 1 - margin]."""
-    if margin < 0 or 2 * margin >= basis.dim:
-        raise DomainError(f"margin {margin} leaves no interior for dim {basis.dim}")
-    lo = basis.offset + margin
-    hi = basis.offset + basis.dim - 1 - margin
-    return lo, hi
+def sigma_isometry(S):
+    """Sign part Sigma of the polar decomposition S = Sigma |S| (`linalg.sign_part`)."""
+    return linalg.sign_part(S)
 
 
 def commutator_defect(fam, angle, sigma, window_margin):
@@ -285,7 +276,7 @@ def commutator_defect(fam, angle, sigma, window_margin):
     """
     if fam.basis.mode == "one_sided":
         raise DomainError("commutator defect needs a two_sided or cyclic basis")
-    lo, hi = interior_window(fam.basis, window_margin)
+    lo, hi = linalg.interior_window(fam.basis, window_margin)
     dev = linalg.commutator(angle, fam.N) - 1j * sigma
     return linalg.op_norm_max(linalg.window_restrict(dev, lo, hi))
 
@@ -306,29 +297,28 @@ def _rotated_cosine_system(C, theta):
     return EigenSystem(C.eig.eigenvalues, phases[:, None] * C.eig.eigenvectors)
 
 
-def covariance_flow(fam, theta, window_margin=None, route_tol=1e-10):
+def covariance_flow(fam, theta):
     """Rotate the pair (C, S) by theta and rebuild the angle operator.
 
     The conjugation exp(i theta N) . exp(-i theta N) is computed both
     by linalg.rotate and with the closed forms
     cos(theta) C - sin(theta) S and cos(theta) S + sin(theta) C; the two
-    must agree on the interior window before the rotated angle operator
-    is formed from the closed-form cosine, which carries its exact
-    eigensystem, so no Jacobi solve runs.
+    must agree to 1e-10 on the interior window of margin max(1, dim // 4),
+    else ConvergenceError.  The rotated angle operator is then formed
+    from the closed-form cosine, which carries its exact eigensystem, so
+    no Jacobi solve runs.
     """
     if fam.basis.mode == "one_sided":
         raise DomainError("covariance flow needs a two_sided or cyclic basis")
-    if window_margin is None:
-        window_margin = max(1, fam.basis.dim // 4)
     pair = cos_sin_pair(fam)
     ct, st = math.cos(theta), math.sin(theta)
     C_closed = TruncatedOperator((ct * pair.C - st * pair.S).entries, fam.basis,
                                  _rotated_cosine_system(pair.C, theta))
     S_closed = ct * pair.S + st * pair.C
-    lo, hi = interior_window(fam.basis, window_margin)
+    lo, hi = linalg.interior_window(fam.basis, max(1, fam.basis.dim // 4))
     for closed, op in ((C_closed, pair.C), (S_closed, pair.S)):
         dev = linalg.op_norm_max(linalg.window_restrict(closed - linalg.rotate(op, theta), lo, hi))
-        if dev > route_tol:
+        if dev > 1e-10:
             raise ConvergenceError(
                 f"covariance routes disagree by {dev:.3e} on interior window"
             )

@@ -39,12 +39,15 @@ __all__ = [
     "commutator",
     "op_norm_max",
     "window_restrict",
+    "interior_window",
     "rotate",
     "diagonal_sums",
     "rotated_traces",
 ]
 
 _MODES = ("one_sided", "two_sided", "cyclic")
+_MAX_SWEEPS = 60  # Jacobi sweeps before ConvergenceError
+_REL_OFF_TOL = 1e-14  # Jacobi stops at off-diagonal Frobenius mass below this times ||M||_F
 
 
 @dataclass(frozen=True)
@@ -205,7 +208,7 @@ def _rotate_rows(M, p, q, c, sph, sphc, work):
     M[q] = np.add(x, y, out=x)
 
 
-def hermitian_eig(op, max_sweeps=60, rel_off_tol=1e-14):
+def hermitian_eig(op):
     """Eigendecomposition of a Hermitian operator.
 
     An operator that carries an exact eigensystem (`op.eig`) gets it
@@ -225,12 +228,12 @@ def hermitian_eig(op, max_sweeps=60, rel_off_tol=1e-14):
     for n = dim rounded up to even, each annihilating dim // 2 disjoint
     pivots at once (an odd dim leaves one index idle per round).  Every
     pivot (p, q) is removed by a phase rotation composed with a real
-    Jacobi rotation; pivots with |A_pq| <= rel_off_tol * ||M||_F / dim
-    are skipped.  A round applies all its rotations to the rows, then to
+    Jacobi rotation; pivots with |A_pq| <= 1e-14 ||M||_F / dim are
+    skipped.  A round applies all its rotations to the rows, then to
     the columns by rotating the rows of the conjugate transpose, with
     elementwise numpy only.  Sweeps stop once the off-diagonal Frobenius
-    mass drops below rel_off_tol * ||M||_F (with a stagnation guard at
-    the float64 rounding floor).
+    mass drops below 1e-14 ||M||_F (with a stagnation guard at the
+    float64 rounding floor).
 
     The eigenvalues are the Rayleigh quotients Re(v^H M v) / (v^H v) of
     the computed eigenvectors against the input M, so an eigenvector
@@ -238,8 +241,8 @@ def hermitian_eig(op, max_sweeps=60, rel_off_tol=1e-14):
     ascend; ties keep the index order of the diagonal, so the result is
     deterministic.
 
-    Raises ConvergenceError if max_sweeps is exhausted, and DomainError
-    for visibly non-Hermitian input.
+    Raises ConvergenceError when 60 sweeps do not converge, and
+    DomainError for visibly non-Hermitian input.
     """
     if op.eig is not None:
         return op.eig
@@ -253,7 +256,7 @@ def hermitian_eig(op, max_sweeps=60, rel_off_tol=1e-14):
     norm_f = float(np.linalg.norm(A))
     if norm_f == 0.0:
         return EigenSystem(np.zeros(dim), W)
-    target = rel_off_tol * norm_f
+    target = _REL_OFF_TOL * norm_f
     skip = target / dim
     floor = 1e-12 * norm_f
     prev_off = math.inf
@@ -261,7 +264,7 @@ def hermitian_eig(op, max_sweeps=60, rel_off_tol=1e-14):
     schedule = _round_robin(dim)
     spare = np.empty_like(A)
     work = np.empty((4, dim // 2, dim), dtype=complex)
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         off = _offdiag_frobenius(A)
         if off <= target or (off >= prev_off and off <= floor):
             converged = True
@@ -290,7 +293,7 @@ def hermitian_eig(op, max_sweeps=60, rel_off_tol=1e-14):
             A[p, q] = 0.0
             A[q, p] = 0.0
     if not converged:
-        raise ConvergenceError(f"Jacobi did not converge in {max_sweeps} sweeps (dim {dim})")
+        raise ConvergenceError(f"Jacobi did not converge in {_MAX_SWEEPS} sweeps (dim {dim})")
     w = np.einsum("ij,jk,ik->i", W, mat, W.conj()).real / np.einsum("ij,ij->i", W, W.conj()).real
     order = np.argsort(w, kind="stable")
     return EigenSystem(w[order], W.conj().T[:, order])
@@ -417,14 +420,14 @@ def _sturm_counts(b2, x, pivmin):
     return (pivots <= 0.0).sum(axis=0)
 
 
-def spectral_function(op, f, eig=None):
+def spectral_function(op, f):
     """Apply a real function to a Hermitian operator through its spectrum.
 
-    Computes V f(Lambda) V^H and symmetrizes the product, which keeps
-    the output Hermitian to rounding.  A precomputed EigenSystem can be
-    passed to reuse a decomposition.
+    Computes V f(Lambda) V^H from `hermitian_eig(op)` and symmetrizes the
+    product, which keeps the output Hermitian to rounding.  An operator
+    that carries its eigensystem (`TruncatedOperator.eig`) is not solved.
     """
-    es = eig if eig is not None else hermitian_eig(op)
+    es = hermitian_eig(op)
     fvals = np.array([f(lam) for lam in es.eigenvalues], dtype=float)
     return from_spectrum(fvals, es.eigenvectors, op.basis)
 
@@ -438,21 +441,20 @@ def from_spectrum(values, vectors, basis):
     return TruncatedOperator((out + out.conj().T) / 2.0, basis)
 
 
-def sign_part(op, zero_tol=None, eig=None):
-    """Spectral sign with a dead zone: 0 on |lambda| <= zero_tol, else +-1.
+def sign_part(op):
+    """Spectral sign with a dead zone: 0 on |lambda| <= 1e-8 max|entry|, else +-1.
 
-    zero_tol defaults to 1e-8 * max|entry|, separating the true kernel
-    from rounding noise.  The output satisfies Sigma = Sigma^3.
+    The dead zone separates the true kernel from rounding noise.  The
+    output satisfies Sigma = Sigma^3.
     """
-    if zero_tol is None:
-        zero_tol = 1e-8 * op_norm_max(op)
+    zero_tol = 1e-8 * op_norm_max(op)
 
     def thresholded_sign(lam):
         if abs(lam) <= zero_tol:
             return 0.0
         return 1.0 if lam > 0 else -1.0
 
-    return spectral_function(op, thresholded_sign, eig=eig)
+    return spectral_function(op, thresholded_sign)
 
 
 def anti_hermitian_exp(op):
@@ -490,6 +492,15 @@ def window_restrict(op, lo, hi):
         mode = "two_sided"
     basis = BasisSpec(mode, keep.size, int(labels[keep[0]]) if mode == "two_sided" else 0)
     return TruncatedOperator(sub, basis)
+
+
+def interior_window(basis, margin):
+    """Label window [offset + margin, offset + dim - 1 - margin], for `window_restrict`."""
+    if margin < 0 or 2 * margin >= basis.dim:
+        raise DomainError(f"margin {margin} leaves no interior for dim {basis.dim}")
+    lo = basis.offset + margin
+    hi = basis.offset + basis.dim - 1 - margin
+    return lo, hi
 
 
 def rotate(op, theta):

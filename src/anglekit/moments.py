@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
-from .specfun import SeriesTolerance, ln_gamma
+from .specfun import DEFAULT_TOL, ln_gamma
 
 __all__ = [
     "FactorialSequence",
@@ -21,9 +21,6 @@ __all__ = [
     "s_k",
     "half_factorial_bound_check",
 ]
-
-DEFAULT_TOL = SeriesTolerance(abs_tol=1e-15, max_terms=100_000)
-
 
 @dataclass(frozen=True)
 class FactorialSequence:
@@ -56,23 +53,23 @@ def integer_sequence():
     )
 
 
-def generalized_exp(seq, t, tol=DEFAULT_TOL):
-    """N(t) = sum_n t^n / x_n!, for t below the convergence radius."""
+def generalized_exp(seq, t):
+    """N(t) = sum_n t^n / x_n!, for t below the convergence radius, to 1e-15 of the total."""
     if t < 0:
         raise DomainError(f"t must be nonnegative, got {t}")
     if t >= seq.radius:
         raise DomainError(f"t={t} at or beyond the convergence radius {seq.radius}")
     total = 1.0
-    for n in range(1, tol.max_terms):
+    for n in range(1, DEFAULT_TOL.max_terms):
         term = math.exp(n * math.log(t) - seq.log_factorial(float(n))) if t > 0 else 0.0
         total += term
-        if term < tol.abs_tol * total:
+        if term < DEFAULT_TOL.abs_tol * total:
             return total
     raise ConvergenceError("generalized exponential did not converge")
 
 
-def s_k(seq, k, t, tol=DEFAULT_TOL):
-    """S_k(t) = sum_n x_{k/2+n}! / (x_n! x_{n+k}!) t^{n+k/2}."""
+def s_k(seq, k, t):
+    """S_k(t) = sum_n x_{k/2+n}! / (x_n! x_{n+k}!) t^{n+k/2}, to 1e-15 of the total."""
     if k < 0:
         raise DomainError(f"k must be nonnegative, got {k}")
     if t < 0:
@@ -83,7 +80,7 @@ def s_k(seq, k, t, tol=DEFAULT_TOL):
         return 0.0 if k > 0 else 1.0
     log_t = math.log(t)
     total = 0.0
-    for n in range(tol.max_terms):
+    for n in range(DEFAULT_TOL.max_terms):
         term = math.exp(
             seq.log_factorial(k / 2.0 + n)
             - seq.log_factorial(float(n))
@@ -91,7 +88,7 @@ def s_k(seq, k, t, tol=DEFAULT_TOL):
             + (n + k / 2.0) * log_t
         )
         total += term
-        if n > 2 and term < tol.abs_tol * total:
+        if n > 2 and term < DEFAULT_TOL.abs_tol * total:
             return total
     raise ConvergenceError(f"S_k series did not converge for k={k}, t={t}")
 

@@ -165,8 +165,8 @@ class QuadratureScheme:
     def radial_rule(self, alpha):
         return _radial_rule(self.n_J, alpha)
 
-    def refined(self, factor=1.5):
-        return QuadratureScheme(n_J=min(160, int(math.ceil(self.n_J * factor))))
+    def refined(self):
+        return QuadratureScheme(n_J=min(160, int(math.ceil(self.n_J * 1.5))))
 
 
 # Radii per _radial_fill call in quantize: bounds the (batch, dim, dim) block.
@@ -436,7 +436,7 @@ def lower_symbols(A, weight, J, gammas, warn_leak=True):
     return linalg.rotated_traces(_diagonal_sums(A, weight, J), gammas)
 
 
-def d_q_cs(q, J, tol=None):
+def d_q_cs(q, J):
     """Sine-series coefficient of the angle symbol at t = 0.
 
     d_q = e^{-J} J^{q/2} Gamma(q/2+1)/Gamma(q+1) 1F1(q/2+1; q+1; J),
@@ -448,14 +448,13 @@ def d_q_cs(q, J, tol=None):
         raise DomainError(f"J must be nonnegative, got {J}")
     if J == 0.0:
         return 0.0
-    if tol is None:
-        tol = SeriesTolerance(abs_tol=1e-16, max_terms=200_000)
     log_pref = -J + (q / 2.0) * math.log(J) + ln_gamma(q / 2.0 + 1.0) - ln_gamma(q + 1.0)
-    hyp = kummer_1f1(q / 2.0 + 1.0, q + 1.0, J, tol=tol)
+    hyp = kummer_1f1(q / 2.0 + 1.0, q + 1.0, J,
+                     tol=SeriesTolerance(abs_tol=1e-16, max_terms=200_000))
     return math.exp(log_pref + math.log(hyp))
 
 
-def d_q_series(q, J, t, n_max=200, rel_tol=1e-13):
+def d_q_series(q, J, t):
     """Reference evaluation of the published general-t symbol coefficient.
 
     Reproduces the triple Laguerre sum as displayed, with one repair:
@@ -466,7 +465,8 @@ def d_q_series(q, J, t, n_max=200, rel_tol=1e-13):
     NOT consistent with the trace of the angle matrix against displaced
     densities (it even exceeds its stated bound of 1), so general-t
     sine coefficients should be taken from symbol_sine_coefficients,
-    which is the quadrature-free trace route.
+    which is the quadrature-free trace route.  Sums stop at 200 terms or,
+    past n = 2J, at an outer term below 1e-13 of the total.
     """
     if q < 1 or q > 12:
         raise DomainError(f"d_q_series supports 1 <= q <= 12, got {q}")
@@ -479,7 +479,7 @@ def d_q_series(q, J, t, n_max=200, rel_tol=1e-13):
     log_j = math.log(J)
     pref = (q / 2.0 + 2.0) * math.log1p(-t * t) - J
     total = 0.0
-    for n in range(n_max):
+    for n in range(200):
         gam = ln_gamma(q / 2.0 + n + 1.0)
         f21 = gauss_2f1_terminating(-n, q / 2.0, -q / 2.0 - n, t)
         inner = 0.0
@@ -498,7 +498,7 @@ def d_q_series(q, J, t, n_max=200, rel_tol=1e-13):
             for m in range(n + 1, q + n + 1):
                 term = math.exp(m * math.log(t) - log_fact_qn + (q / 2.0) * log_j)
                 inner += ((-1.0) ** (m + n)) * term * assoc_laguerre(n, m - n, J) * assoc_laguerre(m, q + n - m, J)
-            for m in range(q + n + 1, q + n + 1 + n_max):
+            for m in range(q + n + 1, q + n + 201):
                 term = math.exp(m * math.log(t) - ln_gamma(m + 1.0) + (m - q / 2.0 - n) * log_j)
                 contrib = ((-1.0) ** q) * term * assoc_laguerre(n, m - n, J) * assoc_laguerre(q + n, m - q - n, J)
                 inner += contrib
@@ -506,7 +506,7 @@ def d_q_series(q, J, t, n_max=200, rel_tol=1e-13):
                     break
         piece = math.exp(gam) * f21 * inner
         total += piece
-        if n > 2 * J and abs(piece) < rel_tol * abs(total):
+        if n > 2 * J and abs(piece) < 1e-13 * abs(total):
             break
     return math.exp(pref) * total
 
@@ -571,7 +571,7 @@ def canonical_angle_B(dim, mode="cyclic", q_cutoff=0):
     return TruncatedOperator(out, basis)
 
 
-def covariance_checks(z, z_prime, theta, dim, weight=WeightSpec(), quad=QuadratureScheme()):
+def covariance_checks(z, z_prime, theta, dim):
     """Defect report for the displacement covariance identities.
 
     Returns max-norm defects on the top-left dim/2 block for
@@ -579,7 +579,7 @@ def covariance_checks(z, z_prime, theta, dim, weight=WeightSpec(), quad=Quadratu
     (b) rotation covariance U(theta) D(z) U(theta)* = D(e^{i theta} z),
     (c) parity covariance P D(z) P = D(-z),
     (d) translation covariance of the map, A_{f(z - z0)} = D(z0) A_f D(z0)*
-        probed with f(z) = z and z0 = z'.
+        probed with f(z) = z and z0 = z' under WeightSpec() and QuadratureScheme().
     """
     if dim < 8:
         raise DomainError("covariance checks need dim >= 8")
@@ -588,7 +588,7 @@ def covariance_checks(z, z_prime, theta, dim, weight=WeightSpec(), quad=Quadratu
     defect = lambda a, b: float(np.abs(a - b)[:half, :half].max())
     Dz, Dzp = disp(z), disp(z_prime).entries
     phase = np.exp((z * np.conj(z_prime) - np.conj(z) * z_prime) / 2.0)
-    Az = quantize({1: ((lambda J: 1.0), 1)}, weight, quad, dim).entries
+    Az = quantize({1: ((lambda J: 1.0), 1)}, WeightSpec(), QuadratureScheme(), dim).entries
     return {
         "addition": defect(Dz.entries @ Dzp, phase * disp(z + z_prime).entries),
         "rotation": defect(linalg.rotate(Dz, theta).entries, disp(np.exp(1j * theta) * z).entries),

@@ -124,6 +124,15 @@ def test_cs_vector_norm_and_phase_covariance():
     assert np.abs(shifted - phases * vec).max() <= 1e-12
 
 
+@pytest.mark.parametrize("a", [0.7, 1.3, 3.0])
+def test_cs_vector_of_compact_density_has_unit_norm(a):
+    # the lattice sum of `normalizer` over |J - n| <= radius serves any density
+    basis = two_sided(32)
+    for J in (-2.6, 0.0, 0.5, 4.25):
+        vec = cs_vector(raised_cosine(a), CylinderPoint(J, 1.1), basis)
+        assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
+
+
 def test_cs_vector_small_width_pins_to_basis_state():
     dist = gaussian_distribution(0.05)
     basis = two_sided(32)

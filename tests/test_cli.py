@@ -58,6 +58,22 @@ def test_lower_symbol_grid_tracks_sawtooth(tmp_path):
     assert worst <= 0.05
 
 
+def test_lower_symbol_circle_csv_matches_lower_symbols_cyl(tmp_path):
+    out = tmp_path / "sym.csv"
+    code = run_main(["lower-symbol", "--construction", "circle", "--sigma", "1.5", "--J", "0.3",
+                     "--dim", "48", "--gamma-grid", "16", "--output", str(out)])
+    assert code == 0
+    dist = circlecs.gaussian_distribution(1.5)
+    A = circlecs.quantize_cyl(dist, BasisSpec("two_sided", 48, -24), specfun.sawtooth_fourier(47))
+    phis = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
+    expected = circlecs.lower_symbols_cyl(A, dist, 0.3, phis)
+    lines = out.read_text().splitlines()
+    assert lines[0] == "J,gamma_or_phi,re,im"
+    assert len(lines) == 17
+    for line, phi, val in zip(lines[1:], phis, expected):
+        assert line == f"{0.3!r},{float(phi)!r},{float(val.real)!r},{float(val.imag)!r}"
+
+
 def test_commutator_defect_table(tmp_path):
     out = tmp_path / "defect.csv"
     code = run_main(["commutator", "--dims", "32,64", "--margins", "8,12",

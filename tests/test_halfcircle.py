@@ -287,7 +287,7 @@ def test_covariance_flow_quarter_turn():
     fam = family("two_sided", 32)
     pair = cos_sin_pair(fam)
     Cq, Sq, _ = covariance_flow(fam, math.pi / 2.0)
-    lo, hi = halfcircle.interior_window(fam.basis, 8)
+    lo, hi = linalg.interior_window(fam.basis, 8)
     assert op_norm_max(window_restrict(Cq + pair.S, lo, hi)) <= 1e-12
     assert op_norm_max(window_restrict(Sq - pair.C, lo, hi)) <= 1e-12
 
@@ -316,6 +316,6 @@ def test_covariance_derivative_matches_sigma():
     sig = sigma_isometry(pair.S)
     A = angle_upper(pair.C, method="spectral")
     defect = commutator_defect(fam, A, sig, window_margin=margin)
-    lo, hi = halfcircle.interior_window(fam.basis, margin)
+    lo, hi = linalg.interior_window(fam.basis, margin)
     dev = op_norm_max(window_restrict(derivative - sig, lo, hi))
     assert dev <= 1e-5 + defect

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from anglekit import circlecs, linalg, specfun, whquant
-from anglekit.errors import BasisMismatchError, DomainError
+from anglekit.errors import BasisMismatchError, ConvergenceError, DomainError
 from anglekit.linalg import (
     BasisSpec,
     TruncatedOperator,
@@ -105,6 +105,15 @@ def test_eig_values_match_lapack_oracle(dim, seed):
 def test_eig_rejects_non_hermitian():
     with pytest.raises(DomainError):
         hermitian_eig(from_matrix(np.array([[0.0, 1.0], [0.0, 0.0]])))
+
+
+def test_eig_raises_when_sweeps_run_out(monkeypatch):
+    # one sweep cannot clear a dense 24x24 matrix, and 60 sweeps can
+    op = from_matrix(random_hermitian(24, seed=99))
+    hermitian_eig(op)
+    monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+    with pytest.raises(ConvergenceError, match="1 sweeps"):
+        hermitian_eig(op)
 
 
 def test_eig_deterministic_repeat():

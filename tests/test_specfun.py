@@ -33,13 +33,13 @@ def gauss_2f1_frac(n, b, c, x):
     Stops once the numerator Pochhammer vanishes; every later term
     carries the same zero factor.
     """
-    total = Fraction(0)
-    for k in range(n + 1):
-        num = pochhammer_frac(Fraction(-n), k) * pochhammer_frac(b, k)
+    term = total = Fraction(1)
+    for k in range(n):
+        num = (k - n) * (b + k)
         if num == 0:
             break
-        den = pochhammer_frac(c, k) * math.factorial(k)
-        total += num / den * x ** k
+        term *= num / ((c + k) * (k + 1)) * x
+        total += term
     return total
 
 
@@ -133,6 +133,20 @@ def test_2f1_numerator_zero_stops_before_denominator_pole():
     val = gauss_2f1_terminating(-9, (3 - 9) / 2.0, -(3 + 9) / 2.0, 0.4)
     oracle = gauss_2f1_frac(9, Fraction(-3), Fraction(-6), Fraction(2, 5))
     assert val == pytest.approx(float(oracle), rel=1e-12)
+
+
+@pytest.mark.parametrize("t", [0.9, 0.99])
+def test_2f1_angle_coefficient_sums_near_unit_argument(t):
+    # 2F1(-n, s/2; -(2n+s)/2; t) of f_coefficient, whose terms grow large
+    # and cancel near t = 1
+    worst = 0.0
+    for n in (40, 128, 255):
+        for sep in (1, 2, 30, 64):
+            b, c = Fraction(sep, 2), Fraction(-(2 * n + sep), 2)
+            exact = float(gauss_2f1_frac(n, b, c, Fraction(t)))
+            val = gauss_2f1_terminating(-n, sep / 2.0, -(2 * n + sep) / 2.0, t)
+            worst = max(worst, abs(val - exact) / abs(exact))
+    assert worst <= 1e-14
 
 
 # -------------------------------------------------------------- 1F1
