@@ -4,16 +4,15 @@ A width-sigma density p(J) on the line generates states
 |J, phi> = N(J)^{-1/2} sum_n sqrt(p(J-n)) e^{-i n phi} |e_n> over the
 two-sided basis.  By rotation covariance the quantization of
 f(J, phi) = sum_q c_q(J) e^{i q phi} has entries
-integral c_{n-n'}(J) sqrt(p(J-n) p(J-n')) dJ, so quantize_cyl needs no
-angle grid and reads one table of action nodes and amplitudes
-sqrt(p(J-n)), and lower_symbols_cyl serves a whole angle grid from one
-amplitude vector.
+integral c_{n-n'}(J) sqrt(p(J-n) p(J-n')) dJ: quantize_cyl hands the
+amplitudes sqrt(p(J-n)) at one table of action nodes to
+linalg.quantize_modes, the kernel it shares with whquant.quantize, and
+lower_symbols_cyl serves a whole angle grid from one amplitude vector.
 The overlap matrix p_{n,n'} = integral sqrt(p_n p_{n'}), computed by its
 own quadrature, encodes the number-angle commutator completely.
 """
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -207,44 +206,19 @@ def quantize_cyl(dist, basis, fourier, j_span=None):
     meaning at J < 0.  By rotation covariance the angle integral is
     exact, so mode q fills diagonal n - n' = q alone with
     integral c_q(J) sqrt(p(J-n) p(J-n')) dJ over the `_action_table`
-    nodes (j_span as there), and modes with |q| >= dim drop.  Constant
-    modes read one weighted Gram; a J-dependent mode integrates its own
-    diagonal.
+    nodes (j_span as there), whose amplitude columns sqrt(p(J-n)) are
+    the frames of linalg.quantize_modes; modes with |q| >= dim drop.
     """
     if basis.mode != "two_sided":
         raise DomainError("cylinder quantization needs a two_sided basis")
-    dim = basis.dim
-    consts, funcs = {}, {}
-    for q, c in fourier.items():
-        constant = isinstance(c, numbers.Number)
-        if not (constant or callable(c)):
-            raise DomainError(f"c_{q} must be a number or a callable of J, got {c!r}")
-        if abs(int(q)) < dim:
-            (consts if constant else funcs)[int(q)] = c
-    sums = dict.fromkeys(funcs, 0.0)
-    shape = (dim, dim) if consts else (0, 0)
-    gram, prod = np.zeros(shape), np.empty(shape)
-    for J, w, amps in _action_table(dist, basis.labels(), j_span):
-        if consts:
-            gram += np.matmul(amps * w, amps.T, out=prod)
-        for q, c in funcs.items():
-            lo, hi = max(0, q), min(dim, dim + q)
-            cw = w * np.array([c(x) for x in J.tolist()])
-            sums[q] = sums[q] + (amps[lo:hi] * amps[lo - q : hi - q]) @ cw
-    gram += gram.T  # the BLAS Gram is symmetric only to rounding
-    gram /= 2.0
-    out = np.zeros((dim, dim), dtype=complex)
-    for q, c in consts.items():
-        rows = np.arange(max(0, q), min(dim, dim + q))
-        out[rows, rows - q] += complex(c) * gram[rows, rows - q]
-    for q, s in sums.items():
-        rows = np.arange(max(0, q), min(dim, dim + q))
-        out[rows, rows - q] += s
-    return TruncatedOperator(out, basis)
+    if j_span is not None and j_span[0] >= j_span[1]:
+        raise DomainError(f"empty action window [{j_span[0]}, {j_span[1]}]")
+    frames = _action_table(dist, basis.labels(), j_span)
+    return TruncatedOperator(linalg.quantize_modes(fourier, frames, basis.dim), basis)
 
 
 def _action_table(dist, labels, j_span=None):
-    """Yield blocks (J, w, amps) of action nodes, weights and amps[n, i] = sqrt(p(J_i - labels[n])).
+    """Yield frames (J, w, F) of action nodes, weights and F[n, i, 0] = sqrt(p(J_i - labels[n])).
 
     Unit cells anchored at labels[0] - radius are cut into
     ceil(1 / min(sigma, 1)) equal panels and at frac(2 radius), so every
@@ -263,14 +237,12 @@ def _action_table(dist, labels, j_span=None):
         first, last, ends = 0, math.ceil(dim - 1 + 2.0 * r), ()
     else:
         lo, hi = j_span
-        if lo >= hi:
-            raise DomainError(f"empty action window [{lo}, {hi}]")
         first, last = math.floor(lo - anchor), math.ceil(hi - anchor)
         ends, first, last = sorted({first, last - 1}), first + 1, last - 1
     for k in ends:
         J, wk = _gl_rule(np.unique(np.clip(anchor + k + cuts, lo, hi)))
         vals = [[dist.pdf(a - n) for a in J.tolist()] for n in labels.tolist()]
-        yield J, wk, np.sqrt(np.maximum(vals, 0.0)).reshape(dim, J.size)
+        yield J, wk, np.sqrt(np.maximum(vals, 0.0)).reshape(dim, J.size, 1)
     if first < last:
         # table[s - s0, i] = sqrt(p(s - r + x_i)) at offset s = k - j of cell k and label j
         s0 = first - dim + 1
@@ -282,7 +254,7 @@ def _action_table(dist, labels, j_span=None):
             cells = np.arange(k, min(k + step, last))
             J = ((anchor + cells)[:, None] + x).ravel()
             block = table[cells - np.arange(dim)[:, None] - s0]  # (label, cell, node)
-            yield J, np.tile(w, cells.size), block.reshape(dim, J.size)
+            yield J, np.tile(w, cells.size), block.reshape(dim, J.size, 1)
 
 
 def fourier_harmonic_defect(dist, basis):

@@ -16,10 +16,12 @@ verifies that structure, reduces K to tridiagonal form and bisects,
 with no Jacobi solve and no BLAS call.  Rotation covariance under
 U(theta) = diag(e^{i theta n}) lives here too, shared by both integral
 quantizations and the checks: `rotate`, `diagonal_sums` and
-`rotated_traces`.
+`rotated_traces`, and `quantize_modes`, the one quantization kernel of
+the plane and the cylinder.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +44,7 @@ __all__ = [
     "interior_window",
     "rotate",
     "diagonal_sums",
+    "quantize_modes",
     "rotated_traces",
 ]
 
@@ -72,14 +75,6 @@ class BasisSpec:
 
     def labels(self):
         return np.arange(self.offset, self.offset + self.dim)
-
-    def row_of(self, label):
-        if self.mode == "cyclic":
-            return int(label) % self.dim
-        row = int(label) - self.offset
-        if not 0 <= row < self.dim:
-            raise DomainError(f"label {label} outside basis range")
-        return row
 
 
 @dataclass(frozen=True, eq=False)
@@ -521,6 +516,47 @@ def diagonal_sums(M, A):
     index = (np.subtract.outer(np.arange(dim), np.arange(dim)) + (dim - 1)).ravel()
     MA = (M * A.T).ravel()
     return np.bincount(index, MA.real) + 1j * np.bincount(index, MA.imag)
+
+
+def quantize_modes(fourier, frames, dim):
+    """Quantize f = sum_q c_q(J) e^{i q a} from real frames: mode q fills diagonal q alone.
+
+    fourier maps q to c_q, a number or a callable of J (else DomainError).
+    frames yields blocks (J, w, F): action nodes, weights and real frames
+    at angle 0, F[:, i, :] of shape (dim, cols) at node J[i].  States at
+    angle a are U(a) F, so the angle integral is exact: entry (n, n - q)
+    is sum_i w_i c_q(J_i) (F_i F_i^T)_{n, n-q}, modes |q| >= dim drop, and
+    frames is not read when none is left.  Constant modes read one
+    weighted Gram, accumulated in place; a callable mode integrates its
+    own diagonal.  The adjoint is `diagonal_sums`:
+    tr(quantize_modes({q: c}) A) = sum_i w_i c(J_i) s_q(F_i F_i^T, A).
+    """
+    consts, funcs = {}, {}
+    for q, c in fourier.items():
+        constant = isinstance(c, numbers.Number)
+        if not (constant or callable(c)):
+            raise DomainError(f"c_{q} must be a number or a callable of J, got {c!r}")
+        if abs(int(q)) < dim:
+            (consts if constant else funcs)[int(q)] = c
+    sums = dict.fromkeys(funcs, 0.0)
+    gram = np.zeros((dim, dim) if consts else (0, 0))
+    prod = np.empty_like(gram)
+    for J, w, F in frames if consts or funcs else ():
+        if consts:
+            weighted = (F * w[:, None]).reshape(dim, -1)
+            gram += np.matmul(weighted, F.reshape(dim, -1).T, out=prod)
+        for q, c in funcs.items():
+            lo, hi = max(0, q), min(dim, dim + q)
+            cw = w * np.array([c(x) for x in J.tolist()])
+            sums[q] = sums[q] + np.einsum("ikc,ikc->ik", F[lo:hi], F[lo - q : hi - q]) @ cw
+    gram += gram.T  # the BLAS Gram is symmetric only to rounding
+    gram /= 2.0
+    sums.update((q, complex(c) * np.diagonal(gram, -q)) for q, c in consts.items())
+    out = np.zeros((dim, dim), dtype=complex)
+    for q, s in sums.items():
+        rows = np.arange(max(0, q), min(dim, dim + q))
+        out[rows, rows - q] += s
+    return out
 
 
 def rotated_traces(s_d, angles):

@@ -2,21 +2,17 @@
 
 Displacement operators are built entrywise from associated Laguerre
 recurrences with running rescaling, so entries stay accurate far past
-the point where factorials overflow.  Only real radii are ever filled:
-the recurrence runs in numpy over every offset and over a batch of radii
-(quantize fills its radial nodes FILL_BATCH = 16 at a time), and
-rotation covariance, D(r e^{i gamma}) = U(gamma) D(r) U(gamma)* with
-U(gamma) = diag(e^{i gamma n}), supplies the phases.  The same
-covariance lets lower_symbols serve a whole angle grid from one fill
-per action J, through the shared kernels linalg.diagonal_sums and
-linalg.rotated_traces.  The quantization map integrates
-f(z) D(z) rho D(z)* over the plane for f = sum_q c_q(J) e^{i q gamma};
-by the same covariance the angle integral is exactly 2 pi delta_{qd},
-so mode q fills diagonal q alone (modes |q| >= dim drop).  The action
-J = |z|^2 takes generalized Gauss-Laguerre rules: diagonal q carries a
-factor J^{|q|/2}, so each mode goes to the alpha = 0 or 1/2 rule by the
-parity of |q| plus the declared half-power of its coefficient, keeping
-the map polynomial-exact at t = 0.
+the point where factorials overflow.  Only real radii are filled, a
+batch at a time; rotation covariance, D(r e^{i gamma}) =
+U(gamma) D(r) U(gamma)* with U(gamma) = diag(e^{i gamma n}), supplies
+the phases.  It also lets lower_symbols serve a whole angle grid from
+one fill per action J, and makes the angle integral of the quantization
+map exact: quantize hands the real frames D(sqrt J) rho^{1/2} to
+linalg.quantize_modes, the kernel it shares with circlecs.quantize_cyl.
+The action J = |z|^2 takes generalized Gauss-Laguerre rules: diagonal q
+carries a factor J^{|q|/2}, so each mode goes to the alpha = 0 or 1/2
+rule by the parity of |q| plus the declared half-power of its
+coefficient, keeping the map polynomial-exact at t = 0.
 
 Angle quantization enters twice: as the explicit quadrature and as the
 closed-form matrix with entries i F_{nn'}(t) / (n' - n) built from
@@ -24,6 +20,7 @@ terminating hypergeometric sums.  Both normalizations follow the same
 published convention; see f_coefficient for the fine print at t > 0.
 """
 
+import cmath
 import functools
 import math
 import numbers
@@ -31,7 +28,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_genlaguerre
+from scipy.special import roots_genlaguerre, xlogy
 
 from .errors import DomainError, QuadratureWarning, TruncationWarning
 from .linalg import BasisSpec, TruncatedOperator
@@ -169,12 +166,12 @@ class QuadratureScheme:
         return QuadratureScheme(n_J=min(160, int(math.ceil(self.n_J * 1.5))))
 
 
-# Radii per _radial_fill call in quantize: bounds the (batch, dim, dim) block.
+# Radii per _radial_fill call in quantize: bounds the (dim, batch, cols) frame block.
 FILL_BATCH = 16
 
 
-def _radial_fill(radii, dim):
-    """Real D(r_k) for a batch of radii r_k > 0, shape (K, dim, dim).
+def _radial_fill(radii, dim, cols=None):
+    """Real D(r_k)[:, :cols] for a batch of radii r_k >= 0, shape (K, dim, cols).
 
     Along offset a = m - n >= 0 the entry is e^{-J/2} r^a S_n with
     J = r^2 and S_n = sqrt(n!/(n+a)!) L_n^{(a)}(J).  The three-term
@@ -183,25 +180,29 @@ def _radial_fill(radii, dim):
     leaves [1e-100, 1e100], so intermediate Laguerre growth never
     overflows, and entries whose log scale falls below -745 stay zero.
     Step n writes column n of the lower triangle and, by parity
-    D_{mn} = (-1)^{m+n} D_{nm}, row n of the upper triangle.
+    D_{mn} = (-1)^{m+n} D_{nm}, row n of the upper triangle, so the
+    first cols steps fill the first cols columns (cols defaults to dim).
+    The result is a view of a (dim, K, cols) array, the frame layout of
+    linalg.quantize_modes.
     """
+    cols = dim if cols is None else cols
     r = np.asarray(radii, dtype=float)
     J = (r * r)[:, None]
     a = np.arange(dim, dtype=float)
     sign = 1.0 - 2.0 * (np.arange(dim) % 2)
-    pref_ln = -J / 2.0 + a * np.log(r)[:, None]
+    pref_ln = -J / 2.0 + xlogy(a, r[:, None])  # D(0) = I: r^0 = 1
     lg = np.array([ln_gamma(k + 1.0) for k in range(dim)])
     s_prev = np.zeros((r.size, dim))
     s_cur = np.repeat(np.exp(-0.5 * lg)[None, :], r.size, axis=0)
     scale_ln = np.zeros((r.size, dim))
-    out = np.zeros((r.size, dim, dim))
-    for n in range(dim):
+    out = np.zeros((dim, r.size, cols))
+    for n in range(cols):
         live = dim - n  # offsets a < live still have a row n + a
         s_prev, s_cur, scale_ln = s_prev[:, :live], s_cur[:, :live], scale_ln[:, :live]
         val_ln = pref_ln[:, :live] + scale_ln
         col = np.where(val_ln > -745.0, s_cur * np.exp(val_ln), 0.0)
-        out[:, n:, n] = col
-        out[:, n, n:] = col * sign[:live]
+        out[n:, :, n] = col.T
+        out[n, :, n:] = col[:, : cols - n] * sign[: cols - n]
         s_next = (
             (2.0 * n + 1.0 + a[:live] - J) * s_cur
             - np.sqrt(n * (n + a[:live])) * s_prev
@@ -214,7 +215,15 @@ def _radial_fill(radii, dim):
             s_cur /= div
             s_prev /= div
             scale_ln += np.log(div)
-    return out
+    return out.transpose(1, 0, 2)
+
+
+def _frames(radii, rho):
+    """Plane frames D(r_k) rho^{1/2} on the support of the diagonal rho, shape (dim, K, cols)."""
+    cols = int(np.flatnonzero(rho).max(initial=-1)) + 1
+    F = _radial_fill(radii, rho.size, cols).transpose(1, 0, 2)
+    F *= np.sqrt(rho[:cols])
+    return F
 
 
 def displacement_laguerre(z, dim):
@@ -223,21 +232,15 @@ def displacement_laguerre(z, dim):
     By rotation covariance D(z) = U(arg z) D(|z|) U(arg z)* with
     U(theta) = diag(e^{i theta n}), so only the real matrix D(|z|) is
     filled (one recurrence run, upper triangle by parity, see
-    _radial_fill) and entry (m, n) then takes the phase (z/|z|)^{m-n}.
+    _radial_fill) and linalg.rotate supplies the phases.
     The parity rule D_{mn}(z) = (-1)^{m+n} conj(D_{nm}(z)) is the
     footnote identity between L_n^{(m-n)} and L_m^{(n-m)} in disguise.
     """
     if dim < 2:
         raise DomainError(f"displacement needs dim >= 2, got {dim}")
     z = complex(z)
-    if z == 0:
-        return TruncatedOperator(np.eye(dim, dtype=complex), BasisSpec("one_sided", dim, 0))
-    unit = z / abs(z)
-    phase = np.cumprod(np.concatenate(([1.0 + 0.0j], np.full(dim - 1, unit))))
-    offset = np.subtract.outer(np.arange(dim), np.arange(dim))
-    phase = phase[np.abs(offset)]
-    phase = np.where(offset < 0, phase.conj(), phase)
-    return TruncatedOperator(phase * _radial_fill([abs(z)], dim)[0], BasisSpec("one_sided", dim, 0))
+    D = TruncatedOperator(_radial_fill([abs(z)], dim)[0], BasisSpec("one_sided", dim, 0))
+    return linalg.rotate(D, cmath.phase(z))
 
 
 def coherent_state(z, dim):
@@ -267,19 +270,23 @@ def m_s_diagonal(t, dim):
     )
 
 
-def _normalize_fourier(fourier):
-    """Accept {q: number}, {q: callable} or {q: (callable, half_power)}; return the last."""
+def _plane_modes(fourier):
+    """Map {q: c_q} to {q: (callable c_q, alpha of its Gauss-Laguerre rule)}.
+
+    A pair (g, half_power) folds J^{half_power/2} into g.  A number
+    becomes a constant callable, so it takes the same path through
+    linalg.quantize_modes as its callable spelling, bit for bit.
+    """
     out = {}
     for q, spec in fourier.items():
-        if isinstance(spec, numbers.Number):
-            out[int(q)] = ((lambda J, c=spec: c), 0)
-        elif callable(spec):
-            out[int(q)] = (spec, 0)
-        else:
-            g, s = spec
-            if s not in (0, 1):
-                raise DomainError(f"half_power must be 0 or 1, got {s}")
-            out[int(q)] = (g, int(s))
+        g, s = spec if isinstance(spec, tuple) else (spec, 0)
+        if s not in (0, 1):
+            raise DomainError(f"half_power must be 0 or 1, got {s}")
+        if isinstance(g, numbers.Number):
+            g = (lambda J, c=g: c)
+        if s and callable(g):
+            g = (lambda J, g=g: g(J) * math.sqrt(J))
+        out[int(q)] = (g, 0.5 * ((abs(int(q)) + s) % 2))
     return out
 
 
@@ -310,9 +317,10 @@ def quantize(fourier, weight, quad, dim, check_resolution=False):
         When True, recompute at 1.5x nodes and warn if the max-norm of
         the difference exceeds 1e-6.
     """
-    result = _quantize_once(_normalize_fourier(fourier), weight, quad, dim)
+    modes = _plane_modes(fourier)
+    result = _quantize_once(modes, weight, quad, dim)
     if check_resolution:
-        refined = _quantize_once(_normalize_fourier(fourier), weight, quad.refined(), dim)
+        refined = _quantize_once(modes, weight, quad.refined(), dim)
         drift = linalg.op_norm_max(refined - result)
         if drift > 1e-6:
             warnings.warn(
@@ -323,37 +331,27 @@ def quantize(fourier, weight, quad, dim, check_resolution=False):
     return result
 
 
-def _quantize_once(fourier, weight, quad, dim):
-    root_rho = np.sqrt(weight.diagonal(dim))
+def _quantize_once(modes, weight, quad, dim):
+    rho = weight.diagonal(dim)
     out = np.zeros((dim, dim), dtype=complex)
-    # The angle integral is 2 pi delta_{qd}: mode q fills diagonal q alone,
-    # and modes past the truncation fill nothing.
     for alpha in (0.0, 0.5):
-        group = []
-        for q, (g, s) in fourier.items():
-            if abs(q) < dim and 0.5 * ((abs(q) + s) % 2) == alpha:
-                rows = np.arange(max(0, -q), min(dim, dim - q))
-                group.append((g, s, rows, rows + q))
-        if not group:
-            continue
-        nodes, wts = quad.radial_rule(alpha)
-        live = []
-        for J, w in zip(nodes, wts):
-            if w <= 0.0 or J <= 0.0:
-                continue
-            log_ws = [math.log(w) + J + (s / 2.0 - alpha) * math.log(J) for _, s, _, _ in group]
-            if min(log_ws) <= 700.0:  # else the weight underflowed upstream
-                live.append((J, log_ws))
-        for start in range(0, len(live), FILL_BATCH):
-            batch = live[start : start + FILL_BATCH]
-            filled = _radial_fill(np.sqrt([J for J, _ in batch]), dim)
-            filled *= root_rho  # D(r) rho D(r)^T = (D(r) rho^{1/2})(D(r) rho^{1/2})^T
-            for (J, log_ws), Dr in zip(batch, filled):
-                MJ = Dr @ Dr.T
-                for (g, _, rows, cols), log_w in zip(group, log_ws):
-                    if log_w <= 700.0:
-                        out[rows, cols] += (math.exp(log_w) * g(J)) * MJ[rows, cols]
+        group = {-q: g for q, (g, a) in modes.items() if a == alpha}  # the plane fills n' - n = q
+        out += linalg.quantize_modes(group, _plane_frames(quad, alpha, rho), dim)
     return TruncatedOperator(out, BasisSpec("one_sided", dim, 0))
+
+
+def _plane_frames(quad, alpha, rho):
+    """Blocks (J, w e^J J^-alpha, _frames) of the alpha Gauss-Laguerre rule, FILL_BATCH nodes each.
+
+    A node whose log weight log w + J - alpha log J exceeds 700 is
+    dropped: its Laguerre weight underflowed upstream.
+    """
+    J, w = quad.radial_rule(alpha)  # every node and weight is positive for n_J <= 160
+    log_w = np.log(w) + J - alpha * np.log(J)
+    J, w = J[log_w <= 700.0], np.exp(log_w[log_w <= 700.0])
+    for k in range(0, J.size, FILL_BATCH):
+        block = slice(k, k + FILL_BATCH)
+        yield J[block], w[block], _frames(np.sqrt(J[block]), rho)
 
 
 def f_coefficient(n, n_prime, t):
@@ -400,17 +398,10 @@ def angle_matrix(t, dim):
 
 def _diagonal_sums(A, weight, J):
     """linalg.diagonal_sums of M = D(sqrt J) rho D(sqrt J)^T against A."""
-    dim = A.dim
     if J < 0:
         raise DomainError(f"J must be nonnegative, got {J}")
-    rho = weight.diagonal(dim)
-    if rho[0] == 1.0:
-        vec = coherent_state(math.sqrt(J), dim).real
-        M = np.outer(vec, vec)
-    else:
-        Dr = _radial_fill([math.sqrt(J)], dim)[0] if J > 0 else np.eye(dim)
-        M = (Dr * rho) @ Dr.T
-    return linalg.diagonal_sums(M, A.entries)
+    F = _frames([math.sqrt(J)], weight.diagonal(A.dim))[:, 0]
+    return linalg.diagonal_sums(F @ F.T, A.entries)
 
 
 def lower_symbols(A, weight, J, gammas, warn_leak=True):
@@ -419,11 +410,10 @@ def lower_symbols(A, weight, J, gammas, warn_leak=True):
     Rotation covariance gives D(z) rho D(z)* = U(gamma) M U(gamma)* with
     M = D(sqrt J) rho D(sqrt J)^T real, so the symbol is
     sum_d e^{i gamma d} s_d with s_d = sum_{m-n=d} M_mn A_nm
-    (linalg.diagonal_sums, linalg.rotated_traces): one radial fill and
-    one O(dim^2) pass serve the whole grid.  For rho = |0><0|
-    M is the outer product of the real coherent state.  Real (to eigen
-    accuracy) when A is Hermitian and rho a density; emits one
-    TruncationWarning when the displaced state's Poisson tail past the
+    (linalg.diagonal_sums, linalg.rotated_traces): one radial fill of
+    the columns in rho's support and one O(dim^2) pass serve the whole
+    grid.  Real (to eigen accuracy) when A is Hermitian and rho a
+    density; emits one TruncationWarning when the displaced state's Poisson tail past the
     truncation exceeds 1e-10.
     """
     dim = A.dim

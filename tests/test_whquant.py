@@ -502,6 +502,13 @@ def test_d_q_series_reduces_to_closed_form_at_zero_temperature():
             assert d_q_series(q, J, 0.0) == pytest.approx(d_q_cs(q, J), abs=1e-12)
 
 
+def test_d_q_series_at_positive_temperature():
+    # the displayed general-t sum exceeds its stated bound of 1 ...
+    assert d_q_series(1, 8.0, 0.3) > 1.0
+    # ... and still tends to the t = 0 closed form as t -> 0
+    assert d_q_series(3, 5.0, 1e-9) == pytest.approx(d_q_cs(3, 5.0), rel=1e-8)
+
+
 def test_d_q_series_domain_guards():
     with pytest.raises(DomainError):
         d_q_series(13, 1.0, 0.1)
