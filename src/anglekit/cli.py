@@ -123,7 +123,7 @@ def _spectrum_operator(cfg):
 
 
 def cmd_spectrum(cfg):
-    """Ascending eigenvalues as CSV, with no Jacobi solve.
+    """Ascending eigenvalues as CSV, with no eigenvector solve.
 
     The half-circle full angle reads its attached closed-form system; the
     wh, circle and canonical matrices, pi I + i K with K real

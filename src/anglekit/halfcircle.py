@@ -15,8 +15,8 @@ the DFT columns diagonalize them, with eigenvalues cos(2 pi k/D) and
 -sin(2 pi k/D).  The full angle carries its block system as well, and
 so does the rotated cosine cos(theta) C - sin(theta) S of
 `covariance_flow`.  An operator made from these by arithmetic carries
-none and goes to the Jacobi solver, like every other matrix.  With one
-BLAS thread on a 2-core x86 machine,
+none and goes to the general solve of `linalg.hermitian_eig`, like
+every other matrix.  With one BLAS thread on a 2-core x86 machine,
 `commutator --dims 512 --margins 32` and `spectrum --construction
 halfcircle --dim 1024` each take about a second.
 
@@ -306,7 +306,7 @@ def covariance_flow(fam, theta):
     must agree to 1e-10 on the interior window of margin max(1, dim // 4),
     else ConvergenceError.  The rotated angle operator is then formed
     from the closed-form cosine, which carries its exact eigensystem, so
-    no Jacobi solve runs.
+    no eigensolver runs.
     """
     if fam.basis.mode == "one_sided":
         raise DomainError("covariance flow needs a two_sided or cyclic basis")

@@ -1,8 +1,9 @@
 """Dense complex Hermitian linear algebra on truncated operators.
 
-The eigensolver is a Jacobi iteration with complex rotations in a fixed
-round-robin order: each round rotates dim/2 disjoint index pairs at once
-with elementwise numpy and no BLAS, so identical inputs give
+The eigensolver reduces a Hermitian matrix to real symmetric
+tridiagonal form with Householder reflectors, finds every eigenvalue by
+Sturm-count multisection and every eigenvector by inverse iteration,
+all with elementwise numpy and no BLAS, so identical inputs give
 bit-identical output on a given platform, whatever the BLAS thread
 count.  Its eigenvalues are the Rayleigh quotients of the computed
 eigenvectors against the input.  An operator whose construction gives
@@ -12,8 +13,9 @@ its eigensystem in closed form carries it (`TruncatedOperator.eig`), and
 exponentials) is built on `hermitian_eig`.  `chiral_eigenvalues` is the
 eigenvalues-only route for matrices of the form center I + i K with K
 real antisymmetric (the WH, circle and canonical angle matrices): it
-verifies that structure, reduces K to tridiagonal form and bisects,
-with no Jacobi solve and no BLAS call.  Rotation covariance under
+verifies that structure, reduces K to tridiagonal form and bisects with
+the same Sturm-count kernel, with no eigenvector solve and no BLAS
+call.  Rotation covariance under
 U(theta) = diag(e^{i theta n}) lives here too, shared by both integral
 quantizations and the checks: `rotate`, `diagonal_sums` and
 `rotated_traces`, and `quantize_modes`, the one quantization kernel of
@@ -49,8 +51,10 @@ __all__ = [
 ]
 
 _MODES = ("one_sided", "two_sided", "cyclic")
-_MAX_SWEEPS = 60  # Jacobi sweeps before ConvergenceError
-_REL_OFF_TOL = 1e-14  # Jacobi stops at off-diagonal Frobenius mass below this times ||M||_F
+_SECTIONS = 8  # multisection: 7 Sturm counts per interval and round
+_ROUNDS = 18  # 8^18 = 2^54: the final width lies below the rounding of the bound
+_INVERSE_STEPS = 3  # inverse-iteration steps, then the residual is checked
+_CLUSTER_GAP = 1e-3  # eigenvalues within this times ||T||_1 are reorthogonalised together
 
 
 @dataclass(frozen=True)
@@ -160,84 +164,42 @@ def op_norm_max(op):
     return float(np.abs(mat).max()) if mat.size else 0.0
 
 
-def _offdiag_frobenius(mat):
-    off = mat.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
-
-
-def _round_robin(dim):
-    """Pair schedule of one sweep: round-robin rounds of disjoint pairs p < q.
-
-    Indices 0..n-1 (n = dim rounded up to even; the extra index is idle)
-    sit on a ring with 0 fixed; each of the n-1 rounds pairs the i-th
-    ring position with the (n-1-i)-th and then turns the ring by one.
-    Every pair p < q meets exactly once per sweep.
-    """
-    n = dim + dim % 2
-    ring = np.arange(1, n)
-    rounds = []
-    for turn in range(n - 1):
-        order = np.concatenate(([0], np.roll(ring, turn)))
-        a, b = order[: n // 2], order[::-1][: n // 2]
-        keep = np.maximum(a, b) < dim
-        rounds.append((np.minimum(a, b)[keep], np.maximum(a, b)[keep]))
-    return rounds
-
-
-def _rotate_rows(M, p, q, c, sph, sphc, work):
-    """Rows p, q <- (c p - sph q, sphc p + c q) for every pair at once.
-
-    work holds four scratch blocks of at least len(p) rows, so a round
-    allocates no matrix-sized temporaries.
-    """
-    rp, rq, x, y = work[:, : len(p)]
-    # the indices are in range; mode "clip" only skips take's buffered copy
-    np.take(M, p, axis=0, out=rp, mode="clip")
-    np.take(M, q, axis=0, out=rq, mode="clip")
-    np.multiply(rp, c, out=x)
-    np.multiply(rq, sph, out=y)
-    M[p] = np.subtract(x, y, out=x)
-    np.multiply(rq, c, out=x)
-    np.multiply(rp, sphc, out=y)
-    M[q] = np.add(x, y, out=x)
-
-
 def hermitian_eig(op):
     """Eigendecomposition of a Hermitian operator.
 
     An operator that carries an exact eigensystem (`op.eig`) gets it
     back unchanged, with no solve: the shift family's C and S and the
     full angle built from them carry closed-form systems (see
-    `halfcircle`).  On a 2-core x86 machine with one BLAS thread,
-    `spectrum --construction halfcircle --dim 1024` then takes 1.1 s,
-    and criterion 3's defect sweep up to D=512 0.5 s where the solves
-    below took 95 s.
+    `halfcircle`).  When only the eigenvalues of a chiral matrix
+    center I + i K are needed, `chiral_eigenvalues` is the faster route.
 
-    Every other matrix goes to round-robin Jacobi sweeps, which give
-    eigenvectors as well as eigenvalues for any Hermitian input.  When
-    only the eigenvalues of a chiral matrix center I + i K are needed,
-    `chiral_eigenvalues` is the faster route.  Each sweep
-    runs the fixed round-robin schedule of `_round_robin` (Brent & Luk,
-    SIAM J. Sci. Stat. Comput. 6 (1985) 69): n - 1 rounds
-    for n = dim rounded up to even, each annihilating dim // 2 disjoint
-    pivots at once (an odd dim leaves one index idle per round).  Every
-    pivot (p, q) is removed by a phase rotation composed with a real
-    Jacobi rotation; pivots with |A_pq| <= 1e-14 ||M||_F / dim are
-    skipped.  A round applies all its rotations to the rows, then to
-    the columns by rotating the rows of the conjugate transpose, with
-    elementwise numpy only.  Sweeps stop once the off-diagonal Frobenius
-    mass drops below 1e-14 ||M||_F (with a stagnation guard at the
-    float64 rounding floor).
+    Every other matrix M is solved as (M + M^H) / (2 max|M_mn|) in four
+    stages, all elementwise numpy with no BLAS call:
 
+    1. complex Householder reflectors reduce it to a tridiagonal matrix,
+       and diagonal phases make that real symmetric with off-diagonals
+       e_k >= 0 (`_hermitian_tridiagonal`);
+    2. T splits into unreduced blocks where e_k == 0, and Sturm-count
+       multisection (Barth, Martin & Wilkinson, Numer. Math. 9 (1967)
+       386) finds every eigenvalue of each block from its Gershgorin
+       interval (`_multisection`);
+    3. inverse iteration (Peters & Wilkinson, Handbook for Automatic
+       Computation II (1971)), run at all shifts of a block at once,
+       gives the block's eigenvectors (`_block_vectors`);
+    4. the phases and reflectors carry them back to eigenvectors of M.
+
+    A diagonal M splits into 1 x 1 blocks and gets exact unit vectors.
     The eigenvalues are the Rayleigh quotients Re(v^H M v) / (v^H v) of
     the computed eigenvectors against the input M, so an eigenvector
     whose image is exact gives an exact eigenvalue.  Output eigenvalues
-    ascend; ties keep the index order of the diagonal, so the result is
-    deterministic.
+    ascend; ties keep the order of the blocks and of the diagonal, so
+    the result is deterministic.  With one BLAS thread on a 2-core x86
+    machine a dense solve takes about 0.08 s at D = 128, 0.3 s at
+    D = 256 and 2 s at D = 512.
 
-    Raises ConvergenceError when 60 sweeps do not converge, and
-    DomainError for visibly non-Hermitian input.
+    Raises ConvergenceError when an eigenvector misses its tridiagonal
+    residual bound after _INVERSE_STEPS steps, and DomainError for
+    visibly non-Hermitian input.
     """
     if op.eig is not None:
         return op.eig
@@ -246,58 +208,159 @@ def hermitian_eig(op):
     scale = op_norm_max(op)
     if scale > 0 and op_norm_max(mat - mat.conj().T) > 1e-12 * scale:
         raise DomainError("hermitian_eig requires a Hermitian matrix")
-    A = np.array(mat, dtype=complex)
-    W = np.eye(dim, dtype=complex)  # V^H: the rotations act on its rows
-    norm_f = float(np.linalg.norm(A))
-    if norm_f == 0.0:
-        return EigenSystem(np.zeros(dim), W)
-    target = _REL_OFF_TOL * norm_f
-    skip = target / dim
-    floor = 1e-12 * norm_f
-    prev_off = math.inf
-    converged = False
-    schedule = _round_robin(dim)
-    spare = np.empty_like(A)
-    work = np.empty((4, dim // 2, dim), dtype=complex)
-    for _ in range(_MAX_SWEEPS):
-        off = _offdiag_frobenius(A)
-        if off <= target or (off >= prev_off and off <= floor):
-            converged = True
-            break
-        prev_off = off
-        for p, q in schedule:
-            apq = A[p, q]
-            r = np.abs(apq)
-            live = r > skip
-            if not live.all():
-                p, q, apq, r = p[live], q[live], apq[live], r[live]
-                if p.size == 0:
-                    continue
-            phase = apq / r
-            tau = (A[q, q].real - A[p, p].real) / (2.0 * r)
-            t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            c = c[:, None]
-            sph = (s * phase)[:, None]
-            sphc = (s * phase.conj())[:, None]
-            _rotate_rows(A, p, q, c, sph, sphc, work)
-            _rotate_rows(W, p, q, c, sph, sphc, work)
-            A, spare = np.conjugate(A.T, out=spare), A
-            _rotate_rows(A, p, q, c, sph, sphc, work)
-            A[p, q] = 0.0
-            A[q, p] = 0.0
-    if not converged:
-        raise ConvergenceError(f"Jacobi did not converge in {_MAX_SWEEPS} sweeps (dim {dim})")
-    w = np.einsum("ij,jk,ik->i", W, mat, W.conj()).real / np.einsum("ij,ij->i", W, W.conj()).real
+    if scale == 0.0:
+        return EigenSystem(np.zeros(dim), np.eye(dim, dtype=complex))
+    d, e, phases, reflectors = _hermitian_tridiagonal((mat + mat.conj().T) / (2.0 * scale))
+    Z = np.zeros((dim, dim))
+    cuts = np.concatenate(([0], np.flatnonzero(e == 0.0) + 1, [dim]))
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        Z[lo:hi, lo:hi] = _block_vectors(d[lo:hi], e[lo:hi - 1])
+    V = phases[:, None] * Z
+    for k, v, beta in reversed(reflectors):
+        rows = V[k + 1:]
+        rows -= np.multiply.outer(beta * v, np.einsum("i,ij->j", v.conj(), rows))
+    w = np.einsum("ji,jk,ki->i", V.conj(), mat, V).real / np.einsum("ji,ji->i", V.conj(), V).real
     order = np.argsort(w, kind="stable")
-    return EigenSystem(w[order], W.conj().T[:, order])
+    return EigenSystem(w[order], V[:, order])
+
+
+def _hermitian_tridiagonal(A):
+    """Real symmetric tridiagonal (d, e >= 0) unitarily similar to the Hermitian A.
+
+    Reflector k, H = I - beta v v^H on rows and columns k + 1.., sends the
+    column below the diagonal to alpha e_1, |alpha| its norm; on the
+    trailing block B, H B H = B - v q^H - q v^H with p = beta B v and
+    q = p - (beta / 2)(v^H p) v.  A column that is already zero is
+    skipped, so e_k == 0 exactly there.  The subdiagonal t_k of the
+    result is complex; with phase_0 = 1 and phase_{k+1} =
+    phase_k t_k / |t_k|, A = Q P T P^H Q^H for P = diag(phases), Q the
+    product of the reflectors in the order returned.
+    """
+    B = np.array(A, dtype=complex)
+    dim = B.shape[0]
+    t = np.zeros(max(dim - 1, 0), dtype=complex)
+    reflectors = []
+    for k in range(dim - 2):
+        x = B[k + 1:, k]
+        norm = math.sqrt((x.real * x.real + x.imag * x.imag).sum())
+        if norm == 0.0:
+            continue  # the tridiagonal splits here
+        lead = abs(x[0])
+        t[k] = -(x[0] / lead if lead else 1.0) * norm
+        v = x.copy()
+        v[0] -= t[k]
+        beta = 1.0 / (norm * (norm + lead))
+        sub = B[k + 1:, k + 1:]
+        p = beta * np.einsum("ij,j->i", sub, v)
+        q = p - (0.5 * beta * np.einsum("i,i->", v.conj(), p).real) * v
+        update = np.multiply.outer(v, q.conj())
+        update += np.multiply.outer(q, v.conj())  # exactly Hermitian, so B stays so
+        sub -= update
+        reflectors.append((k, v, beta))
+    if dim >= 2:
+        t[-1] = B[-1, -2]
+    e = np.abs(t)
+    unit = np.ones_like(t)
+    np.divide(t, e, out=unit, where=e > 0.0)
+    phases = np.concatenate(([1.0 + 0j], np.cumprod(unit)))
+    return B.diagonal().real.copy(), e, phases, reflectors
+
+
+def _block_vectors(d, e):
+    """Orthonormal eigenvector columns of the unreduced symmetric tridiagonal (d, e).
+
+    The shifts are the block's eigenvalues from `_multisection`, each at
+    least 10 eps ||T||_1 above the one before, so coincident eigenvalues
+    get distinct shifts.  Each of _INVERSE_STEPS steps solves
+    (T - shift) x = b for all shifts at once (`_shifted_lu`), starting
+    from fixed pseudorandom vectors, orthonormalises with modified
+    Gram-Schmidt inside each cluster of eigenvalues at most
+    _CLUSTER_GAP ||T||_1 apart (the gap rule of LAPACK dstein) and
+    normalizes the rest.  Every column must then have
+    ||T x - lambda x||_inf <= 4 dim eps ||T||_1, else ConvergenceError.
+    """
+    dim = d.size
+    if dim == 1:
+        return np.ones((1, 1))
+    eps = np.finfo(float).eps
+    radius = np.concatenate(([0.0], e)) + np.concatenate((e, [0.0]))
+    norm = float((np.abs(d) + radius).max())
+    lo = float((d - radius).min())
+    lam = _multisection(d, e, np.arange(dim), lo, float((d + radius).max()) - lo)
+    ramp = 10.0 * eps * norm * np.arange(dim)
+    factors = _shifted_lu(d, e, np.maximum.accumulate(lam - ramp) + ramp, eps * norm)
+    cuts = np.flatnonzero(np.diff(lam) > _CLUSTER_GAP * norm) + 1
+    clusters = [(a, b) for a, b in zip(np.r_[0, cuts], np.r_[cuts, dim]) if b - a > 1]
+    X = np.random.default_rng(0).uniform(-1.0, 1.0, (dim, dim))
+    for _ in range(_INVERSE_STEPS):
+        X = _shifted_solve(factors, X)
+        for a, b in clusters:
+            for j in range(a, b - 1):
+                X[:, j] /= math.sqrt((X[:, j] * X[:, j]).sum())
+                X[:, j + 1:b] -= np.multiply.outer(X[:, j], (X[:, j:j + 1] * X[:, j + 1:b]).sum(axis=0))
+        X /= np.sqrt((X * X).sum(axis=0))
+    resid = d[:, None] * X - lam * X
+    resid[:-1] += e[:, None] * X[1:]
+    resid[1:] += e[:, None] * X[:-1]
+    worst = float(np.abs(resid).max()) / (eps * norm)
+    if not worst <= 4 * dim:
+        raise ConvergenceError(
+            f"inverse iteration left a residual of {worst:.3g} eps ||T|| after "
+            f"{_INVERSE_STEPS} steps (block of {dim})"
+        )
+    return X
+
+
+def _shifted_lu(d, e, shifts, tiny):
+    """LU factors of T - s I with partial pivoting, for every shift s at once.
+
+    Row k + 1 leads at step k when |e_k| exceeds the current pivot; U then
+    has two superdiagonals (LAPACK dlagtf).  Pivots of U below tiny in
+    magnitude become +-tiny (dlagts), so exact shifts stay solvable.
+    Arrays are (row, shift).
+    """
+    dim, m = d.size, shifts.size
+    swap = np.empty((dim - 1, m), dtype=bool)
+    mult = np.empty((dim - 1, m))
+    u0 = np.empty((dim, m))
+    u1 = np.empty((dim - 1, m))
+    u2 = np.zeros((dim - 1, m))
+    piv = d[0] - shifts  # the current row: piv at column k, sup at column k + 1
+    sup = np.full(m, e[0])
+    for k in range(dim - 1):
+        below = d[k + 1] - shifts
+        nxt = e[k + 1] if k + 2 < dim else 0.0
+        sw = swap[k]
+        np.less(np.abs(piv), e[k], out=sw)
+        mult[k] = np.where(sw, piv, e[k]) / np.where(sw, e[k], piv)
+        u0[k] = np.where(sw, e[k], piv)
+        u1[k] = np.where(sw, below, sup)
+        u2[k] = np.where(sw, nxt, 0.0)
+        piv = np.where(sw, sup - mult[k] * below, below - mult[k] * sup)
+        sup = np.where(sw, -mult[k] * nxt, nxt)
+    u0[-1] = piv
+    small = np.abs(u0) < tiny
+    u0[small] = np.where(u0[small] < 0.0, -tiny, tiny)
+    return swap, mult, u0, u1, u2
+
+
+def _shifted_solve(factors, B):
+    """Solve (T - s_j I) x_j = b_j for every column j, from `_shifted_lu` factors."""
+    swap, mult, u0, u1, u2 = factors
+    Y = np.array(B, dtype=float)
+    for k in range(Y.shape[0] - 1):
+        top, bottom = Y[k].copy(), Y[k + 1].copy()
+        Y[k] = np.where(swap[k], bottom, top)
+        Y[k + 1] = np.where(swap[k], top, bottom) - mult[k] * Y[k]
+    Y[-1] /= u0[-1]
+    Y[-2] = (Y[-2] - u1[-1] * Y[-1]) / u0[-2]
+    for k in range(Y.shape[0] - 3, -1, -1):
+        Y[k] = (Y[k] - u1[k] * Y[k + 1] - u2[k] * Y[k + 2]) / u0[k]
+    return Y
 
 
 # The circle quantizer's diagonal is pi times a Gram diagonal, 2-5 ulp off pi.
 CHIRAL_DIAG_ULPS = 16
-_SECTIONS = 8  # multisection: 7 Sturm counts per interval and round
-_ROUNDS = 18  # 8^18 = 2^54: the final width lies below the rounding of the bound
 
 
 def chiral_eigenvalues(op, center):
@@ -368,51 +431,62 @@ def _antisymmetric_tridiagonal(K):
 def _mirrored_spectrum(e):
     """Ascending eigenvalues of the zero-diagonal symmetric tridiagonal with off-diagonals |e|.
 
-    Locates the upper half only, every eigenvalue at once, starting from
-    [0, g] with g = 2 max|e| the Gershgorin bound; the lower half is its
-    mirror.  Each round splits every interval into _SECTIONS equal parts
-    and keeps the one whose Sturm counts bracket the eigenvalue, so
-    _ROUNDS rounds narrow it to g / 2^54.
+    Locates the upper half only, from [0, g] with g = 2 max|e| the
+    Gershgorin bound; the lower half is its mirror.
     """
     dim = e.size + 1
     half = dim // 2
     upper = np.zeros(half)
-    b2 = np.concatenate(([0.0], e * e))  # b2[i] = e_{i-1}^2, with e_{-1} = 0
     g = 2.0 * float(np.abs(e).max(initial=0.0))
     if half and g > 0.0:
-        pivmin = np.finfo(float).tiny * max(1.0, float(b2.max()))
-        index = np.arange(dim - half, dim)[:, None]
-        fractions = np.arange(1, _SECTIONS) / _SECTIONS
-        lo, width = np.zeros(half), g
-        for _ in range(_ROUNDS):
-            points = lo[:, None] + width * fractions
-            counts = _sturm_counts(b2, points.ravel(), pivmin).reshape(points.shape)
-            width /= _SECTIONS
-            # eigenvalue j lies above every point with at most j eigenvalues <= it
-            lo = lo + width * (counts <= index).sum(axis=1)
-        upper = lo + 0.5 * width
+        upper = _multisection(np.zeros(dim), e, np.arange(dim - half, dim), 0.0, g)
     return np.concatenate([-upper[::-1], np.zeros(dim % 2), upper])
 
 
-def _sturm_counts(b2, x, pivmin):
-    """Number of eigenvalues <= x, for every x at once, of the tridiagonal of `_mirrored_spectrum`.
+def _multisection(d, e, index, lo, width):
+    """Eigenvalues number `index` (from 0, ascending) of the symmetric tridiagonal (d, e).
 
-    The LDL^T pivots of T - x are d_0 = -x and d_i = -x - b2[i] / d_{i-1};
-    the count is the number of pivots <= 0.  A pivot of magnitude below
-    pivmin is replaced by -pivmin before its sign is counted (LAPACK
-    dstebz), so a zero pivot counts as non-positive and the next one
-    stays finite.
+    All of them lie in [lo, lo + width] and are found at once: each
+    round splits every interval into _SECTIONS equal parts and keeps the
+    one whose Sturm counts bracket the eigenvalue, so _ROUNDS rounds
+    narrow it to width / 2^54.
     """
-    pivots = np.ones((b2.size + 1, x.size))  # row 0 is a positive d_{-1}, never counted
+    b2 = np.concatenate(([0.0], e * e))  # b2[i] = e_{i-1}^2, with e_{-1} = 0
+    pivmin = np.finfo(float).tiny * max(1.0, float(b2.max()))
+    index = index[:, None]
+    fractions = np.arange(1, _SECTIONS) / _SECTIONS
+    lo = np.full(index.size, lo)
+    for _ in range(_ROUNDS):
+        points = lo[:, None] + width * fractions
+        counts = _sturm_counts(d, b2, points.ravel(), pivmin).reshape(points.shape)
+        width /= _SECTIONS
+        # eigenvalue j lies above every point with at most j eigenvalues <= it
+        lo = lo + width * (counts <= index).sum(axis=1)
+    return lo + 0.5 * width
+
+
+def _sturm_counts(d, b2, x, pivmin):
+    """Number of eigenvalues <= x, for every x at once, of the tridiagonal with diagonal d.
+
+    The LDL^T pivots of T - x are p_0 = d_0 - x and
+    p_i = (d_i - b2[i] / p_{i-1}) - x; the count is the number of pivots
+    <= 0.  A pivot below pivmin is replaced by -pivmin before its sign is
+    counted (LAPACK dstebz), so a zero pivot counts as non-positive and
+    the next one stays finite.  Only the last pivot row is kept.
+    """
+    prev = np.ones(x.size)  # a positive p_{-1}, never counted
+    piv = np.empty(x.size)
     small = np.empty(x.size, dtype=bool)
-    minus_x = -x
-    for i, q in enumerate(b2):
-        d = pivots[i + 1]
-        np.divide(q, pivots[i], out=d)
-        np.subtract(minus_x, d, out=d)
-        np.less(d, pivmin, out=small)
-        np.minimum(d, -pivmin, out=d, where=small)  # (-pivmin, pivmin) -> -pivmin
-    return (pivots <= 0.0).sum(axis=0)
+    count = np.zeros(x.size, dtype=np.intp)
+    for di, q in zip(d.tolist(), b2.tolist()):
+        np.divide(q, prev, out=piv)
+        np.subtract(di, piv, out=piv)
+        np.subtract(piv, x, out=piv)
+        np.less(piv, pivmin, out=small)
+        np.minimum(piv, -pivmin, out=piv, where=small)  # (-pivmin, pivmin) -> -pivmin
+        count += small  # after the replacement, exactly these pivots are <= 0
+        prev, piv = piv, prev
+    return count
 
 
 def spectral_function(op, f):

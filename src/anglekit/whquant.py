@@ -341,14 +341,9 @@ def _quantize_once(modes, weight, quad, dim):
 
 
 def _plane_frames(quad, alpha, rho):
-    """Blocks (J, w e^J J^-alpha, _frames) of the alpha Gauss-Laguerre rule, FILL_BATCH nodes each.
-
-    A node whose log weight log w + J - alpha log J exceeds 700 is
-    dropped: its Laguerre weight underflowed upstream.
-    """
+    """Blocks (J, w e^J J^-alpha, _frames) of the alpha Gauss-Laguerre rule, FILL_BATCH nodes each."""
     J, w = quad.radial_rule(alpha)  # every node and weight is positive for n_J <= 160
-    log_w = np.log(w) + J - alpha * np.log(J)
-    J, w = J[log_w <= 700.0], np.exp(log_w[log_w <= 700.0])
+    w = np.exp(np.log(w) + J - alpha * np.log(J))
     for k in range(0, J.size, FILL_BATCH):
         block = slice(k, k + FILL_BATCH)
         yield J[block], w[block], _frames(np.sqrt(J[block]), rho)

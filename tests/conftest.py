@@ -39,13 +39,17 @@ def cli_env():
 
 
 @pytest.fixture
-def no_jacobi(monkeypatch):
-    """Make any Jacobi solve fail the test."""
+def no_eig_solve(monkeypatch):
+    """Make any general `hermitian_eig` solve fail the test.
 
-    def refuse(dim):
-        raise AssertionError(f"Jacobi solve of dim {dim}")
+    Patches the Householder reduction, which only that solve reaches: the
+    chiral route shares the Sturm-count kernel, not the reduction.
+    """
 
-    monkeypatch.setattr(linalg, "_round_robin", refuse)
+    def refuse(A):
+        raise AssertionError(f"hermitian_eig solve of dim {A.shape[0]}")
+
+    monkeypatch.setattr(linalg, "_hermitian_tridiagonal", refuse)
 
 
 def random_hermitian(dim, seed):

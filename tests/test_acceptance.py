@@ -9,7 +9,7 @@ than repeating the computation.  On a 2-core x86 machine the module took
 the canonical recovery of criterion 9 1.6-2.0 s, and everything else
 under a second each.  Criterion 3's sweep up to dimension 512 takes
 0.1-0.5 s, because the shift family carries closed-form eigensystems
-and runs no Jacobi solve.
+and runs no eigensolver.
 """
 
 import json

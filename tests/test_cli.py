@@ -202,11 +202,11 @@ def test_lower_symbol_construction_key_is_a_configuration_error(tmp_path, capsys
     ],
     ids=["commutator-512", "cyclic-256", "one-sided-256"],
 )
-def test_shift_route_runs_no_jacobi(tmp_path, no_jacobi, argv):
+def test_shift_route_runs_no_jacobi(tmp_path, no_eig_solve, argv):
     assert run_main([*argv, "--output", str(tmp_path / "out.csv")]) == 0
 
 
-def test_halfcircle_spectrum_at_dim_1024_is_closed_form(tmp_path, no_jacobi):
+def test_halfcircle_spectrum_at_dim_1024_is_closed_form(tmp_path, no_eig_solve):
     out = tmp_path / "spec.csv"
     dim = 1024
     assert run_main(["spectrum", "--construction", "halfcircle", "--mode", "two_sided",
@@ -228,7 +228,7 @@ def test_halfcircle_spectrum_at_dim_1024_is_closed_form(tmp_path, no_jacobi):
     ],
     ids=["wh", "circle", "canonical"],
 )
-def test_chiral_spectra_run_no_jacobi(tmp_path, no_jacobi, construction, matrix):
+def test_chiral_spectra_run_no_jacobi(tmp_path, no_eig_solve, construction, matrix):
     out = tmp_path / "spec.csv"
     dim = 256
     assert run_main(["spectrum", "--construction", construction, "--dim", str(dim),

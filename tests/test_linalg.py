@@ -80,7 +80,7 @@ def test_eig_cyclic_cosine_spectrum():
 
 
 def test_eig_reconstruction_and_unitarity():
-    # odd 65 leaves one index idle in every round-robin round
+    # an even and an odd dimension
     for dim in (96, 65):
         op = from_matrix(random_hermitian(dim, seed=7))
         es = hermitian_eig(op)
@@ -106,13 +106,70 @@ def test_eig_rejects_non_hermitian():
         hermitian_eig(from_matrix(np.array([[0.0, 1.0], [0.0, 0.0]])))
 
 
-def test_eig_raises_when_sweeps_run_out(monkeypatch):
-    # one sweep cannot clear a dense 24x24 matrix, and 60 sweeps can
+def test_eig_raises_when_inverse_steps_run_out(monkeypatch):
+    # three steps clear a dense 24x24 matrix; with none, the start vectors miss the residual bound
     op = from_matrix(random_hermitian(24, seed=99))
     hermitian_eig(op)
-    monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
-    with pytest.raises(ConvergenceError, match="1 sweeps"):
+    monkeypatch.setattr(linalg, "_INVERSE_STEPS", 0)
+    with pytest.raises(ConvergenceError, match="after 0 steps"):
         hermitian_eig(op)
+
+
+def test_no_eig_solve_fixture_fires(no_eig_solve):
+    with pytest.raises(AssertionError, match="hermitian_eig solve of dim 8"):
+        hermitian_eig(from_matrix(random_hermitian(8, seed=8)))
+
+
+def assert_eigensystem(mat):
+    es = hermitian_eig(from_matrix(mat))
+    V, w = es.eigenvectors, es.eigenvalues
+    scale = np.abs(mat).max()
+    assert np.all(np.diff(w) >= 0.0)
+    assert np.abs((V * w) @ V.conj().T - mat).max() <= 1e-10 * scale
+    assert np.abs(mat @ V - V * w).max() <= 1e-10 * scale
+    assert np.abs(V.conj().T @ V - np.eye(len(mat))).max() <= 1e-11
+    lapack = np.linalg.eigvalsh(mat)
+    assert np.abs(w - lapack).max() <= 1e-11 * max(1.0, np.abs(lapack).max())
+    return es
+
+
+def random_unitary(dim, seed):
+    q, r = np.linalg.qr(random_hermitian(dim, seed) + 1j * np.eye(dim))
+    return q * (r.diagonal() / np.abs(r.diagonal()))
+
+
+def test_eig_wilkinson_pairs():
+    # W21+: its largest eigenvalues come in pairs that agree to ~1e-14
+    W = np.diag(np.abs(np.arange(-10.0, 11.0))) + np.diag(np.ones(20), 1) + np.diag(np.ones(20), -1)
+    w = assert_eigensystem(W).eigenvalues
+    assert w[-1] - w[-2] < 1e-13
+
+
+def test_eig_hidden_multiplicities():
+    Q = random_unitary(40, seed=40)
+    mat = (Q * np.repeat([-1.0, 0.0, 1.0, 2.0], 10)) @ Q.conj().T
+    w = assert_eigensystem((mat + mat.conj().T) / 2.0).eigenvalues
+    assert np.abs(w - np.repeat([-1.0, 0.0, 1.0, 2.0], 10)).max() <= 1e-13
+
+
+def test_eig_block_diagonal_splits():
+    mat = np.zeros((12, 12), dtype=complex)
+    mat[:5, :5] = random_hermitian(5, seed=5)
+    mat[5:, 5:] = random_hermitian(7, seed=7)
+    _, e, _, _ = linalg._hermitian_tridiagonal(mat)
+    assert e[4] == 0.0
+    assert_eigensystem(mat)
+
+
+def test_eig_diagonal_ties_give_unit_vectors_in_index_order():
+    es = assert_eigensystem(np.diag([2.0, 1.0, 2.0, 1.0, 3.0, 1.0]))
+    assert np.array_equal(es.eigenvalues, [1.0, 1.0, 1.0, 2.0, 2.0, 3.0])
+    assert np.array_equal(es.eigenvectors, np.eye(6)[:, [1, 3, 5, 0, 2, 4]])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 65, 256])
+def test_eig_small_odd_and_large_dims(dim):
+    assert_eigensystem(random_hermitian(dim, seed=dim))
 
 
 def test_eig_deterministic_repeat():
@@ -186,8 +243,8 @@ def test_chiral_eigenvalues_match_lapack_and_jacobi(dim):
         got = chiral_eigenvalues(op, math.pi)
         assert np.all(np.diff(got) >= 0.0), name
         assert np.abs(got - np.linalg.eigvalsh(op.entries)).max() <= 1e-12, name
-        jacobi = hermitian_eig(from_matrix(op.entries, op.basis)).eigenvalues
-        assert np.abs(got - jacobi).max() <= 1e-12, name
+        solved = hermitian_eig(from_matrix(op.entries, op.basis)).eigenvalues
+        assert np.abs(got - solved).max() <= 1e-12, name
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 8, 9, 64, 65])

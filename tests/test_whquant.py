@@ -243,6 +243,15 @@ def test_density_diagonal_limits():
 
 # ---------------------------------------------------------- quantization
 
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_radial_weights_positive_at_node_cap(alpha):
+    # quantize reads every node of the rule, so none may underflow or overflow at the cap
+    J, w = QuadratureScheme(n_J=160).radial_rule(alpha)
+    assert np.all(np.isfinite(w)) and np.all(w > 0.0)
+    scaled = np.exp(np.log(w) + J - alpha * np.log(J))
+    assert np.all(np.isfinite(scaled)) and np.all(scaled > 0.0)
+
+
 def test_resolution_of_identity():
     quad = QuadratureScheme(n_J=80)
     for t in (0.0, 0.3):
