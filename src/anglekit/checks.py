@@ -159,8 +159,8 @@ def _chiral_spectrum(params):
 
     B = pi I + i sum_{n <= Q} (U^n - U^{-n})/n has, at DFT node k, the
     eigenvalue pi + sum_{n <= Q, 2n != 0 mod D} 2 sin(2 pi k n/D)/n.  The
-    route reads B - pi I at center 0 (its diagonal is exactly 0), so the
-    values it returns are the offsets from pi, which must mirror exactly.
+    route reads B - pi I, whose diagonal is exactly 0, so the values it
+    returns are the offsets from pi, which must mirror exactly.
     """
     worst = 0.0
     for dim, cutoff in ((64, 31), (65, 32)):
@@ -168,8 +168,7 @@ def _chiral_spectrum(params):
         n = np.array([m for m in range(1, cutoff + 1) if (2 * m) % dim])
         kn = np.outer(np.arange(dim), n) % dim
         oracle = np.sort((2.0 * np.sin(2.0 * math.pi * kn / dim) / n).sum(axis=1))
-        centered = TruncatedOperator(B.entries - math.pi * np.eye(dim), B.basis)
-        offsets = linalg.chiral_eigenvalues(centered, 0.0)
+        offsets = linalg.chiral_eigenvalues(linalg.from_matrix(B.entries - math.pi * np.eye(dim)))
         worst = max(worst, float(np.abs(offsets - oracle).max()),
                     float(np.abs(offsets + offsets[::-1]).max()))
     return worst, 1e-12

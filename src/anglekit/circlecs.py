@@ -4,15 +4,17 @@ A width-sigma density p(J) on the line generates states
 |J, phi> = N(J)^{-1/2} sum_n sqrt(p(J-n)) e^{-i n phi} |e_n> over the
 two-sided basis.  By rotation covariance the quantization of
 f(J, phi) = sum_q c_q(J) e^{i q phi} has entries
-integral c_{n-n'}(J) sqrt(p(J-n) p(J-n')) dJ: quantize_cyl hands the
-amplitudes sqrt(p(J-n)) at one table of action nodes to
-linalg.quantize_modes, the kernel it shares with whquant.quantize, and
+integral c_{n-n'}(J) sqrt(p(J-n) p(J-n')) dJ over one table of action
+nodes: quantize_cyl fills a constant mode as c_{n-n'} g_{|n-n'|}, g the
+lattice overlap profile of that table, and hands callable modes to
+linalg.quantize_modes, the kernel it shares with whquant.quantize.
 lower_symbols_cyl serves a whole angle grid from one amplitude vector.
 The overlap matrix p_{n,n'} = integral sqrt(p_n p_{n'}), computed by its
 own quadrature, encodes the number-angle commutator completely.
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -161,12 +163,7 @@ class OverlapMatrix:
         return float(self.values[s]) if s <= self.half_bandwidth else 0.0
 
     def band_matrix(self, dim):
-        idx = np.arange(dim)
-        sep = np.abs(idx[:, None] - idx[None, :])
-        out = np.zeros((dim, dim))
-        mask = sep <= self.half_bandwidth
-        out[mask] = self.values[sep[mask]]
-        return out
+        return linalg.fill_diagonals({q: self.value(q) for q in range(1 - dim, dim)}, dim).real
 
 
 def build_overlap_matrix(dist, half_bandwidth):
@@ -203,58 +200,80 @@ def quantize_cyl(dist, basis, fourier, j_span=None):
 
     fourier maps q to c_q, a number or a callable of J: the contract of
     whquant.quantize without its (g, half_power) pair, which has no
-    meaning at J < 0.  By rotation covariance the angle integral is
-    exact, so mode q fills diagonal n - n' = q alone with
-    integral c_q(J) sqrt(p(J-n) p(J-n')) dJ over the `_action_table`
-    nodes (j_span as there), whose amplitude columns sqrt(p(J-n)) are
-    the frames of linalg.quantize_modes; modes with |q| >= dim drop.
+    meaning at J < 0.  By rotation covariance mode q fills diagonal
+    n - n' = q alone with integral c_q(J) sqrt(p(J-n) p(J-n')) dJ over
+    the `_action_table` nodes (j_span as there); modes |q| >= dim drop.
+    The default window is lattice covariant, so a number mode fills its
+    diagonal with c_q g_|q|, g_q = sum_s sum_i w_i T[s, i] T[s + q, i]
+    over the whole sqrt(p) table T of `_cell_table` (for the Gaussian,
+    exp(-q^2 / (8 sigma^2))): exactly Toeplitz.  Callable modes, and
+    every mode under an explicit j_span, go to linalg.quantize_modes with
+    the amplitude columns sqrt(p(J-n)) as frames, one pass over the table
+    per mode: the sawtooth to q = 127 at D = 128 takes 0.19 s with a
+    j_span, 0.01 s on the default window.
     """
     if basis.mode != "two_sided":
         raise DomainError("cylinder quantization needs a two_sided basis")
     if j_span is not None and j_span[0] >= j_span[1]:
         raise DomainError(f"empty action window [{j_span[0]}, {j_span[1]}]")
-    frames = _action_table(dist, basis.labels(), j_span)
-    return TruncatedOperator(linalg.quantize_modes(fourier, frames, basis.dim), basis)
+    dim = basis.dim
+    consts = {int(q): c for q, c in fourier.items()
+              if j_span is None and isinstance(c, numbers.Number) and abs(q) < dim}
+    funcs = {q: c for q, c in fourier.items() if int(q) not in consts}
+    out = linalg.quantize_modes(funcs, _action_table(dist, basis.labels(), j_span), dim)
+    if consts:
+        _, _, w, T = _cell_table(dist, 1 - dim, math.ceil(dim - 1 + 2.0 * dist.radius))
+        T, rows = T.T.copy(), T.shape[0]  # pairwise sums along the offsets, then the nodes
+        g = [((T[:, : rows - q] * T[:, q:]).sum(axis=1) * w).sum() for q in range(dim)]
+        out += linalg.fill_diagonals({q: c * g[abs(q)] for q, c in consts.items()}, dim)
+    return TruncatedOperator(out, basis)
+
+
+def _cell_table(dist, s0, s1):
+    """Cell cuts, nodes x, weights w and T[s - s0, i] = sqrt(p(s - radius + x_i)), s0 <= s < s1.
+
+    The unit cell is cut into ceil(1 / min(sigma, 1)) equal panels and at
+    frac(2 radius): a cell anchored at n - radius has n +- radius on panel edges.
+    """
+    m = math.ceil(1.0 / min(max(dist.sigma, 1e-3), 1.0))
+    cuts = np.unique(np.append(np.arange(m + 1) / m, 2.0 * dist.radius % 1.0))
+    x, w = _gl_rule(cuts)
+    vals = (dist.pdf(x_i + (s - dist.radius)) for s in range(s0, s1) for x_i in x.tolist())
+    table = np.fromiter(vals, float, x.size * max(s1 - s0, 0)).reshape(-1, x.size)
+    return cuts, x, w, np.sqrt(np.maximum(table, 0.0))
 
 
 def _action_table(dist, labels, j_span=None):
     """Yield frames (J, w, F) of action nodes, weights and F[n, i, 0] = sqrt(p(J_i - labels[n])).
 
-    Unit cells anchored at labels[0] - radius are cut into
-    ceil(1 / min(sigma, 1)) equal panels and at frac(2 radius), so every
-    density edge n +- radius is a panel edge and J - n lands on the same
-    cell-local nodes for every label: sqrt(p) is tabulated once per
-    (lattice offset, local node).  The default window is the whole cells
-    covering [labels[0] - radius, labels[-1] + radius]; the two end cells
-    of an explicit j_span = (lo, hi) are clipped to it and evaluated directly.
+    Unit cells of `_cell_table` are anchored at labels[0] - radius, so
+    J - n lands on the same cell-local nodes for every label: sqrt(p) is
+    tabulated once per (lattice offset, local node).  The default window
+    is the whole cells covering [labels[0] - radius, labels[-1] + radius];
+    the two end cells of an explicit j_span = (lo, hi) are clipped to it
+    and evaluated directly.
     """
-    r, dim = dist.radius, len(labels)
-    m = math.ceil(1.0 / min(max(dist.sigma, 1e-3), 1.0))
-    cuts = np.unique(np.append(np.arange(m + 1) / m, 2.0 * r % 1.0))
-    x, w = _gl_rule(cuts)
-    anchor = float(labels[0]) - r
+    dim = len(labels)
+    anchor = float(labels[0]) - dist.radius
     if j_span is None:
-        first, last, ends = 0, math.ceil(dim - 1 + 2.0 * r), ()
+        first, last, ends = 0, math.ceil(dim - 1 + 2.0 * dist.radius), ()
     else:
         lo, hi = j_span
         first, last = math.floor(lo - anchor), math.ceil(hi - anchor)
         ends, first, last = sorted({first, last - 1}), first + 1, last - 1
+    # table[s - s0, i] at offset s = k - j of cell k and label j
+    s0 = first - dim + 1
+    cuts, x, w, table = _cell_table(dist, s0, last)
     for k in ends:
         J, wk = _gl_rule(np.unique(np.clip(anchor + k + cuts, lo, hi)))
         vals = [[dist.pdf(a - n) for a in J.tolist()] for n in labels.tolist()]
         yield J, wk, np.sqrt(np.maximum(vals, 0.0)).reshape(dim, J.size, 1)
-    if first < last:
-        # table[s - s0, i] = sqrt(p(s - r + x_i)) at offset s = k - j of cell k and label j
-        s0 = first - dim + 1
-        vals = (dist.pdf(x_i + (s - r)) for s in range(s0, last) for x_i in x.tolist())
-        table = np.fromiter(vals, float, x.size * (last - s0)).reshape(-1, x.size)
-        table = np.sqrt(np.maximum(table, 0.0))
-        step = max(1, 256 // x.size)  # cells per block: at most 256 nodes x dim labels
-        for k in range(first, last, step):
-            cells = np.arange(k, min(k + step, last))
-            J = ((anchor + cells)[:, None] + x).ravel()
-            block = table[cells - np.arange(dim)[:, None] - s0]  # (label, cell, node)
-            yield J, np.tile(w, cells.size), block.reshape(dim, J.size, 1)
+    step = max(1, 256 // x.size)  # cells per block: at most 256 nodes x dim labels
+    for k in range(first, last, step):
+        cells = np.arange(k, min(k + step, last))
+        J = ((anchor + cells)[:, None] + x).ravel()
+        block = table[cells - np.arange(dim)[:, None] - s0]  # (label, cell, node)
+        yield J, np.tile(w, cells.size), block.reshape(dim, J.size, 1)
 
 
 def fourier_harmonic_defect(dist, basis):

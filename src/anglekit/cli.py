@@ -126,14 +126,11 @@ def cmd_spectrum(cfg):
     """Ascending eigenvalues as CSV, with no eigenvector solve.
 
     The half-circle full angle reads its attached closed-form system; the
-    wh, circle and canonical matrices, pi I + i K with K real
-    antisymmetric, go to `linalg.chiral_eigenvalues`.
+    wh, circle and canonical matrices, c I + i K with K real
+    antisymmetric (c = pi, pi g_0 and pi), go to `linalg.chiral_eigenvalues`.
     """
     op, param = _spectrum_operator(cfg)
-    if op.eig is not None:
-        values = op.eig.eigenvalues
-    else:
-        values = linalg.chiral_eigenvalues(op, math.pi)
+    values = op.eig.eigenvalues if op.eig is not None else linalg.chiral_eigenvalues(op)
     lines = ["construction,D,param,index,eigenvalue"]
     for idx, lam in enumerate(values):
         lines.append(f"{cfg.construction},{cfg.dim},{param},{idx},{_fmt_float(lam)}")

@@ -11,15 +11,15 @@ its eigensystem in closed form carries it (`TruncatedOperator.eig`), and
 `hermitian_eig` returns that instead of solving.  Everything downstream
 (spectral functional calculus, sign/polar parts, anti-Hermitian
 exponentials) is built on `hermitian_eig`.  `chiral_eigenvalues` is the
-eigenvalues-only route for matrices of the form center I + i K with K
-real antisymmetric (the WH, circle and canonical angle matrices): it
-verifies that structure, reduces K to tridiagonal form and bisects with
-the same Sturm-count kernel, with no eigenvector solve and no BLAS
-call.  Rotation covariance under
+eigenvalues-only route for matrices of the form c I + i K with K real
+antisymmetric (the WH, circle and canonical angle matrices): it
+verifies that structure, reads c from the diagonal, reduces K to
+tridiagonal form and bisects with the same Sturm-count kernel, with no
+eigenvector solve and no BLAS call.  Rotation covariance under
 U(theta) = diag(e^{i theta n}) lives here too, shared by both integral
 quantizations and the checks: `rotate`, `diagonal_sums` and
-`rotated_traces`, and `quantize_modes`, the one quantization kernel of
-the plane and the cylinder.
+`rotated_traces`, and `quantize_modes`, the one per-diagonal
+quantization kernel of the plane and the cylinder, with no BLAS call.
 """
 
 import math
@@ -47,6 +47,7 @@ __all__ = [
     "rotate",
     "diagonal_sums",
     "quantize_modes",
+    "fill_diagonals",
     "rotated_traces",
 ]
 
@@ -171,7 +172,7 @@ def hermitian_eig(op):
     back unchanged, with no solve: the shift family's C and S and the
     full angle built from them carry closed-form systems (see
     `halfcircle`).  When only the eigenvalues of a chiral matrix
-    center I + i K are needed, `chiral_eigenvalues` is the faster route.
+    c I + i K are needed, `chiral_eigenvalues` is the faster route.
 
     Every other matrix M is solved as (M + M^H) / (2 max|M_mn|) in four
     stages, all elementwise numpy with no BLAS call:
@@ -359,19 +360,14 @@ def _shifted_solve(factors, B):
     return Y
 
 
-# The circle quantizer's diagonal is pi times a Gram diagonal, 2-5 ulp off pi.
-CHIRAL_DIAG_ULPS = 16
-
-
-def chiral_eigenvalues(op, center):
-    """Ascending eigenvalues of a matrix M = center I + i K, K real antisymmetric.
+def chiral_eigenvalues(op):
+    """Ascending eigenvalues of a matrix M = c I + i K, K real antisymmetric.
 
     The structure is verified first, and DomainError raised if it fails:
     the off-diagonal real part must be exactly 0, K + K^T (K the
-    imaginary part) exactly 0, and the diagonal d within
-    CHIRAL_DIAG_ULPS ulp of |center|.  The values returned are
-    center + x_k for the spectrum x of i K, so by Weyl's inequality they
-    lie within max|d - center| of the spectrum of M.
+    imaginary part) exactly 0, and the diagonal exactly uniform, its
+    value the center c.  The values returned are c + x_k for the
+    spectrum x of i K.
 
     K is reduced to antisymmetric tridiagonal form T = Q^T K Q by
     Householder reflectors (Ward & Gray, ACM TOMS 4 (1978) 278), whose
@@ -380,22 +376,20 @@ def chiral_eigenvalues(op, center):
     vectorised Sturm-count bisection (Barth, Martin & Wilkinson, Numer.
     Math. 9 (1967) 386), eight sections per round, and mirrored, so
     x_{D-1-k} == -x_k bit for bit and an odd D has the middle value
-    exactly center.  All of it is elementwise numpy with no BLAS call, so
+    exactly c.  All of it is elementwise numpy with no BLAS call, so
     the bits do not depend on the BLAS thread count.  Eigenvalues only:
     eigenvectors come from `hermitian_eig`.
     """
     mat = op.entries
     diag = mat.diagonal().real
-    real_off = mat.real - np.diag(diag)
     K = mat.imag
-    if np.any(real_off != 0.0):
+    if np.any(mat.real - np.diag(diag) != 0.0):
         raise DomainError("chiral_eigenvalues needs a purely imaginary off-diagonal")
     if np.any(K + K.T != 0.0):
         raise DomainError("chiral_eigenvalues needs an antisymmetric imaginary part")
-    drift = float(np.abs(diag - center).max())
-    if drift > CHIRAL_DIAG_ULPS * np.spacing(abs(center)):
-        raise DomainError(f"diagonal lies {drift:.3e} from center {center!r}")
-    return center + _mirrored_spectrum(_antisymmetric_tridiagonal(K))
+    if np.any(diag != diag[0]):
+        raise DomainError(f"diagonal spans [{diag.min():.17g}, {diag.max():.17g}], not one center")
+    return diag[0] + _mirrored_spectrum(_antisymmetric_tridiagonal(K))
 
 
 def _antisymmetric_tridiagonal(K):
@@ -600,32 +594,28 @@ def quantize_modes(fourier, frames, dim):
     at angle 0, F[:, i, :] of shape (dim, cols) at node J[i].  States at
     angle a are U(a) F, so the angle integral is exact: entry (n, n - q)
     is sum_i w_i c_q(J_i) (F_i F_i^T)_{n, n-q}, modes |q| >= dim drop, and
-    frames is not read when none is left.  Constant modes read one
-    weighted Gram, accumulated in place; a callable mode integrates its
-    own diagonal.  The adjoint is `diagonal_sums`:
+    frames is not read when none is left.  Every mode integrates its own
+    diagonal, elementwise with no BLAS call, for `fill_diagonals` to
+    write, so a number and its constant callable give the same bits.
+    The adjoint is `diagonal_sums`:
     tr(quantize_modes({q: c}) A) = sum_i w_i c(J_i) s_q(F_i F_i^T, A).
     """
-    consts, funcs = {}, {}
     for q, c in fourier.items():
-        constant = isinstance(c, numbers.Number)
-        if not (constant or callable(c)):
+        if not (isinstance(c, numbers.Number) or callable(c)):
             raise DomainError(f"c_{q} must be a number or a callable of J, got {c!r}")
-        if abs(int(q)) < dim:
-            (consts if constant else funcs)[int(q)] = c
-    sums = dict.fromkeys(funcs, 0.0)
-    gram = np.zeros((dim, dim) if consts else (0, 0))
-    prod = np.empty_like(gram)
-    for J, w, F in frames if consts or funcs else ():
-        if consts:
-            weighted = (F * w[:, None]).reshape(dim, -1)
-            gram += np.matmul(weighted, F.reshape(dim, -1).T, out=prod)
-        for q, c in funcs.items():
+    modes = {int(q): c for q, c in fourier.items() if abs(int(q)) < dim}
+    sums = dict.fromkeys(modes, 0.0)
+    for J, w, F in frames if modes else ():
+        for q, c in modes.items():
             lo, hi = max(0, q), min(dim, dim + q)
-            cw = w * np.array([c(x) for x in J.tolist()])
-            sums[q] = sums[q] + np.einsum("ikc,ikc->ik", F[lo:hi], F[lo - q : hi - q]) @ cw
-    gram += gram.T  # the BLAS Gram is symmetric only to rounding
-    gram /= 2.0
-    sums.update((q, complex(c) * np.diagonal(gram, -q)) for q, c in consts.items())
+            cw = w * (np.array([c(x) for x in J.tolist()]) if callable(c) else c)
+            FF = np.einsum("ikc,ikc->ik", F[lo:hi], F[lo - q : hi - q])
+            sums[q] = sums[q] + (FF * cw).sum(axis=1)  # pairwise over the nodes
+    return fill_diagonals(sums, dim)
+
+
+def fill_diagonals(sums, dim):
+    """The dim x dim matrix with s_q (a number, or dim - |q| entries) on diagonal n - n' = q."""
     out = np.zeros((dim, dim), dtype=complex)
     for q, s in sums.items():
         rows = np.arange(max(0, q), min(dim, dim + q))

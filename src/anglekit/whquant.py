@@ -114,12 +114,7 @@ class WeightSpec:
                     stacklevel=2,
                 )
             return d
-        n = np.arange(dim)
-        if self.t == 0.0:
-            d = np.zeros(dim)
-            d[0] = 1.0
-            return d
-        return (1.0 - self.t) * self.t ** n
+        return (1.0 - self.t) * self.t ** np.arange(dim)  # 0^0 = 1: the vacuum at t = 0
 
 
 @dataclass(frozen=True)
@@ -271,21 +266,19 @@ def m_s_diagonal(t, dim):
 
 
 def _plane_modes(fourier):
-    """Map {q: c_q} to {q: (callable c_q, alpha of its Gauss-Laguerre rule)}.
+    """Map {q: c_q} to {q: (c_q, alpha of its Gauss-Laguerre rule)}.
 
-    A pair (g, half_power) folds J^{half_power/2} into g.  A number
-    becomes a constant callable, so it takes the same path through
-    linalg.quantize_modes as its callable spelling, bit for bit.
+    A pair (g, half_power) folds J^{half_power/2} into g, which then
+    becomes a callable.  A bare number stays a number: linalg.quantize_modes
+    integrates it on the same path as its constant callable, bit for bit.
     """
     out = {}
     for q, spec in fourier.items():
         g, s = spec if isinstance(spec, tuple) else (spec, 0)
         if s not in (0, 1):
             raise DomainError(f"half_power must be 0 or 1, got {s}")
-        if isinstance(g, numbers.Number):
-            g = (lambda J, c=g: c)
-        if s and callable(g):
-            g = (lambda J, g=g: g(J) * math.sqrt(J))
+        if s and (callable(g) or isinstance(g, numbers.Number)):
+            g = (lambda J, g=g: (g(J) if callable(g) else g) * math.sqrt(J))
         out[int(q)] = (g, 0.5 * ((abs(int(q)) + s) % 2))
     return out
 
@@ -381,8 +374,7 @@ def f_coefficient(n, n_prime, t):
 
 def angle_matrix(t, dim):
     """Closed-form angle operator: pi on the diagonal, i F_{nn'}/(n'-n) off it."""
-    out = np.zeros((dim, dim), dtype=complex)
-    np.fill_diagonal(out, math.pi)
+    out = math.pi * np.eye(dim, dtype=complex)
     for n in range(dim):
         for np_ in range(n + 1, dim):
             val = 1j * f_coefficient(n, np_, t) / (np_ - n)

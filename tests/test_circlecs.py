@@ -187,6 +187,23 @@ def test_angle_band_matrix_formula():
         assert A.entries[n, npr] == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("sigma", [0.3, 1.0, 10.0])
+def test_angle_matrix_is_toeplitz_and_persymmetric(sigma):
+    # on the default window a number mode fills its diagonal with one value,
+    # c_q times the overlap profile g_q = exp(-q^2 / (8 sigma^2)) of the Gaussian
+    dim = 64
+    dist, basis = gaussian_distribution(sigma), two_sided(dim)
+    A = quantize_cyl(dist, basis, sawtooth_fourier(dim - 1)).entries
+    for q in range(1 - dim, dim):
+        diag = np.diag(A, -q)
+        assert np.all(diag == diag[0]), q
+    K = A.imag
+    assert np.array_equal(K[::-1, ::-1], -K)
+    profile = quantize_cyl(dist, basis, dict.fromkeys(range(dim), 1.0)).entries[:, 0]
+    q = np.arange(dim)
+    assert np.abs(profile - np.exp(-q * q / (8.0 * sigma * sigma))).max() <= 1.5e-15
+
+
 def test_fundamental_harmonic_is_weighted_shift():
     dist = gaussian_distribution(1.0)
     basis = two_sided(16)

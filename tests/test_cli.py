@@ -122,18 +122,20 @@ def test_check_rejects_narrowing_no_suite_reads(tmp_path, capsys):
 
 
 def test_check_threads_agree(tmp_path, cli_env):
-    # the report is byte-identical whatever thread count the BLAS runs with
-    reports = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"report_{threads}.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "anglekit.cli", "check", "linalg",
-             "--output", str(out)],
-            capture_output=True, text=True, env=dict(cli_env, OPENBLAS_NUM_THREADS=threads),
-        )
-        assert proc.returncode == 0, proc.stderr
-        reports.append(out.read_bytes())
-    assert reports[0] == reports[1]
+    # the reports are byte-identical whatever thread count the BLAS runs with:
+    # the eigensolver and both quantization maps make no BLAS call
+    for suite in ("linalg", "whquant", "circlecs"):
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{suite}_{threads}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "anglekit.cli", "check", suite,
+                 "--output", str(out)],
+                capture_output=True, text=True, env=dict(cli_env, OPENBLAS_NUM_THREADS=threads),
+            )
+            assert proc.returncode == 0, proc.stderr
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1], suite
 
 
 def test_threads_flag_and_key_rejected(tmp_path, capsys):
