@@ -162,8 +162,9 @@ class OverlapMatrix:
         s = abs(int(separation))
         return float(self.values[s]) if s <= self.half_bandwidth else 0.0
 
-    def band_matrix(self, dim):
-        return linalg.fill_diagonals({q: self.value(q) for q in range(1 - dim, dim)}, dim).real
+    def band_matrix(self, basis):
+        band = {q: self.value(q) for q in range(1 - basis.dim, basis.dim)}
+        return linalg.fill_diagonals(band, basis).real
 
 
 def build_overlap_matrix(dist, half_bandwidth):
@@ -205,10 +206,10 @@ def quantize_cyl(dist, basis, fourier, j_span=None):
     the `_action_table` nodes (j_span as there); modes |q| >= dim drop.
     The default window is lattice covariant, so a number mode fills its
     diagonal with c_q g_|q|, g_q = sum_s sum_i w_i T[s, i] T[s + q, i]
-    over the whole sqrt(p) table T of `_cell_table` (for the Gaussian,
+    over the whole sqrt(p) table T of the window (for the Gaussian,
     exp(-q^2 / (8 sigma^2))): exactly Toeplitz.  Callable modes, and
     every mode under an explicit j_span, go to linalg.quantize_modes with
-    the amplitude columns sqrt(p(J-n)) as frames, one pass over the table
+    the amplitude columns sqrt(p(J-n)) of the same T as frames, one pass
     per mode: the sawtooth to q = 127 at D = 128 takes 0.19 s with a
     j_span, 0.01 s on the default window.
     """
@@ -220,12 +221,12 @@ def quantize_cyl(dist, basis, fourier, j_span=None):
     consts = {int(q): c for q, c in fourier.items()
               if j_span is None and isinstance(c, numbers.Number) and abs(q) < dim}
     funcs = {q: c for q, c in fourier.items() if int(q) not in consts}
-    out = linalg.quantize_modes(funcs, _action_table(dist, basis.labels(), j_span), dim)
+    w, T, frames = _action_table(dist, basis.labels(), j_span)
+    out = linalg.quantize_modes(funcs, frames, basis)
     if consts:
-        _, _, w, T = _cell_table(dist, 1 - dim, math.ceil(dim - 1 + 2.0 * dist.radius))
         T, rows = T.T.copy(), T.shape[0]  # pairwise sums along the offsets, then the nodes
         g = [((T[:, : rows - q] * T[:, q:]).sum(axis=1) * w).sum() for q in range(dim)]
-        out += linalg.fill_diagonals({q: c * g[abs(q)] for q, c in consts.items()}, dim)
+        out += linalg.fill_diagonals({q: c * g[abs(q)] for q, c in consts.items()}, basis)
     return TruncatedOperator(out, basis)
 
 
@@ -244,13 +245,14 @@ def _cell_table(dist, s0, s1):
 
 
 def _action_table(dist, labels, j_span=None):
-    """Yield frames (J, w, F) of action nodes, weights and F[n, i, 0] = sqrt(p(J_i - labels[n])).
+    """Weights w and sqrt(p) table T of `_cell_table` for the window, and its frames.
 
-    Unit cells of `_cell_table` are anchored at labels[0] - radius, so
-    J - n lands on the same cell-local nodes for every label: sqrt(p) is
-    tabulated once per (lattice offset, local node).  The default window
-    is the whole cells covering [labels[0] - radius, labels[-1] + radius];
-    the two end cells of an explicit j_span = (lo, hi) are clipped to it
+    The frames are a generator of (J, w, F), F[n, i, 0] = sqrt(p(J_i - labels[n])).
+    Unit cells are anchored at labels[0] - radius, so J - n lands on the
+    same cell-local nodes for every label: T[s - s0, i] holds offset
+    s = k - j of cell k and label j, s0 = 1 - dim on the default window,
+    the whole cells covering [labels[0] - radius, labels[-1] + radius].
+    The two end cells of an explicit j_span = (lo, hi) are clipped to it
     and evaluated directly.
     """
     dim = len(labels)
@@ -261,19 +263,22 @@ def _action_table(dist, labels, j_span=None):
         lo, hi = j_span
         first, last = math.floor(lo - anchor), math.ceil(hi - anchor)
         ends, first, last = sorted({first, last - 1}), first + 1, last - 1
-    # table[s - s0, i] at offset s = k - j of cell k and label j
     s0 = first - dim + 1
     cuts, x, w, table = _cell_table(dist, s0, last)
-    for k in ends:
-        J, wk = _gl_rule(np.unique(np.clip(anchor + k + cuts, lo, hi)))
-        vals = [[dist.pdf(a - n) for a in J.tolist()] for n in labels.tolist()]
-        yield J, wk, np.sqrt(np.maximum(vals, 0.0)).reshape(dim, J.size, 1)
-    step = max(1, 256 // x.size)  # cells per block: at most 256 nodes x dim labels
-    for k in range(first, last, step):
-        cells = np.arange(k, min(k + step, last))
-        J = ((anchor + cells)[:, None] + x).ravel()
-        block = table[cells - np.arange(dim)[:, None] - s0]  # (label, cell, node)
-        yield J, np.tile(w, cells.size), block.reshape(dim, J.size, 1)
+
+    def frames():
+        for k in ends:
+            J, wk = _gl_rule(np.unique(np.clip(anchor + k + cuts, lo, hi)))
+            vals = [[dist.pdf(a - n) for a in J.tolist()] for n in labels.tolist()]
+            yield J, wk, np.sqrt(np.maximum(vals, 0.0)).reshape(dim, J.size, 1)
+        step = max(1, 256 // x.size)  # cells per block: at most 256 nodes x dim labels
+        for k in range(first, last, step):
+            cells = np.arange(k, min(k + step, last))
+            J = ((anchor + cells)[:, None] + x).ravel()
+            block = table[cells - np.arange(dim)[:, None] - s0]  # (label, cell, node)
+            yield J, np.tile(w, cells.size), block.reshape(dim, J.size, 1)
+
+    return w, table, frames()
 
 
 def fourier_harmonic_defect(dist, basis):
@@ -290,21 +295,19 @@ def fourier_harmonic_defect(dist, basis):
     return defect, p10 ** 2
 
 
-def commutator_number_angle(dist, basis, overlaps=None):
+def commutator_number_angle(dist, basis):
     """Number-angle commutator, matrix route against the overlap formula.
 
     Route (a) commutes the separable quantizations of J and the angle;
-    route (b) writes i p_{0,|n-n'|} off the diagonal directly.  Returns
-    (commutator, max deviation between routes on the interior window of
-    margin max(1, dim // 8)) and warns when that deviation exceeds 1e-10.
+    route (b) writes i p_{0,|n-n'|} of `build_overlap_matrix` off the
+    diagonal.  Returns (commutator, max deviation between routes on the
+    interior window of margin max(1, dim // 8)) and warns past 1e-10.
     """
     dim = basis.dim
-    if overlaps is None:
-        overlaps = build_overlap_matrix(dist, dim - 1)
     A_J = quantize_cyl(dist, basis, {0: lambda J: J})
     A_angle = quantize_cyl(dist, basis, sawtooth_fourier(dim - 1))
     K = linalg.commutator(A_J, A_angle)
-    direct = 1j * overlaps.band_matrix(dim)
+    direct = 1j * build_overlap_matrix(dist, dim - 1).band_matrix(basis)
     np.fill_diagonal(direct, 0.0)
     window = linalg.interior_window(basis, max(1, dim // 8))
     dev = linalg.op_norm_max(linalg.window_restrict(K - TruncatedOperator(direct, basis), *window))

@@ -46,8 +46,6 @@ class ExperimentConfig:
     output: str = None
 
     def validate(self):
-        if self.construction not in _CONSTRUCTIONS:
-            raise DomainError(f"construction must be one of {_CONSTRUCTIONS}")
         if not 4 <= self.dim <= 1024:
             raise DomainError(f"dim must lie in [4, 1024], got {self.dim}")
         if self.mode not in ("one_sided", "two_sided", "cyclic"):
@@ -68,6 +66,8 @@ class ExperimentConfig:
         for m in self.margins:
             if m < 1:
                 raise DomainError(f"margin {m} must be positive")
+            if 2 * m >= max(self.dims, default=0):
+                raise DomainError(f"margin {m} is at least half of every sweep dim")
         return self
 
 
@@ -253,7 +253,8 @@ def build_parser():
     p_comm = sub.add_parser("commutator", help="commutation defect vs window table")
     add_common(p_comm)
     p_comm.add_argument("--dims", help="comma-separated dimensions (default 128,256)")
-    p_comm.add_argument("--margins", help="comma-separated window margins (default 32,64)")
+    p_comm.add_argument("--margins", help="comma-separated window margins (default 32,64); "
+                        "a D with 2*margin >= D is skipped, a margin no D fits is an error")
 
     p_check = sub.add_parser("check", help="run invariant suites")
     add_common(p_check)
@@ -281,10 +282,15 @@ def _config_from_args(args):
                 cast = _int_list if field.type is tuple else field.type
                 setattr(cfg, field.name, cast(value))
                 provided.add(field.name)
-    if args.command == "lower-symbol" and cfg.construction not in _SYMBOL_CONSTRUCTIONS:
+    allowed = _SYMBOL_CONSTRUCTIONS if args.command == "lower-symbol" else _CONSTRUCTIONS
+    if cfg.construction not in allowed:
         raise DomainError(
-            f"lower-symbol supports constructions {_SYMBOL_CONSTRUCTIONS}, got {cfg.construction!r}"
+            f"{args.command} supports constructions {allowed}, got {cfg.construction!r}"
         )
+    # a provided field the command does not read is reported before any value is judged
+    subject, unread = _unread(args, cfg, provided)
+    if unread:
+        raise DomainError(f"{subject} does not read {', '.join(sorted(unread))}")
     return cfg.validate(), provided
 
 
@@ -295,11 +301,6 @@ def main(argv=None):
         cfg, provided = _config_from_args(args)
     except (DomainError, OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    subject, unread = _unread(args, cfg, provided)
-    if unread:
-        print(f"configuration error: {subject} does not read {', '.join(sorted(unread))}",
-              file=sys.stderr)
         return EXIT_USAGE
     try:
         if args.command == "spectrum":

@@ -136,15 +136,10 @@ class CosSinPair:
 
 
 def build_shift_family(basis):
-    """Shift U (entry 1 where label(row) = label(col) + 1) and diagonal N."""
+    """Shift U, ones on diagonal n - n' = 1 (wrapped on a cyclic basis), and diagonal N."""
     if basis.dim < 4:
         raise DomainError(f"shift family needs dim >= 4, got {basis.dim}")
-    dim = basis.dim
-    U = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim - 1):
-        U[col + 1, col] = 1.0
-    if basis.mode == "cyclic":
-        U[0, dim - 1] = 1.0
+    U = linalg.fill_diagonals({1: 1.0}, basis)
     N = np.diag(basis.labels().astype(float)).astype(complex)
     return ShiftFamily(
         U=TruncatedOperator(U, basis),

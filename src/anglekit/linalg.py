@@ -20,6 +20,8 @@ U(theta) = diag(e^{i theta n}) lives here too, shared by both integral
 quantizations and the checks: `rotate`, `diagonal_sums` and
 `rotated_traces`, and `quantize_modes`, the one per-diagonal
 quantization kernel of the plane and the cylinder, with no BLAS call.
+`fill_diagonals`, the one band builder, writes every shift, Toeplitz and
+circulant matrix and both quantization maps, wrapped on a cyclic basis.
 """
 
 import math
@@ -586,7 +588,7 @@ def diagonal_sums(M, A):
     return np.bincount(index, MA.real) + 1j * np.bincount(index, MA.imag)
 
 
-def quantize_modes(fourier, frames, dim):
+def quantize_modes(fourier, frames, basis):
     """Quantize f = sum_q c_q(J) e^{i q a} from real frames: mode q fills diagonal q alone.
 
     fourier maps q to c_q, a number or a callable of J (else DomainError).
@@ -603,6 +605,7 @@ def quantize_modes(fourier, frames, dim):
     for q, c in fourier.items():
         if not (isinstance(c, numbers.Number) or callable(c)):
             raise DomainError(f"c_{q} must be a number or a callable of J, got {c!r}")
+    dim = basis.dim
     modes = {int(q): c for q, c in fourier.items() if abs(int(q)) < dim}
     sums = dict.fromkeys(modes, 0.0)
     for J, w, F in frames if modes else ():
@@ -611,15 +614,21 @@ def quantize_modes(fourier, frames, dim):
             cw = w * (np.array([c(x) for x in J.tolist()]) if callable(c) else c)
             FF = np.einsum("ikc,ikc->ik", F[lo:hi], F[lo - q : hi - q])
             sums[q] = sums[q] + (FF * cw).sum(axis=1)  # pairwise over the nodes
-    return fill_diagonals(sums, dim)
+    return fill_diagonals(sums, basis)
 
 
-def fill_diagonals(sums, dim):
-    """The dim x dim matrix with s_q (a number, or dim - |q| entries) on diagonal n - n' = q."""
+def fill_diagonals(sums, basis):
+    """The matrix on basis with each s_q of sums added in turn on diagonal n - n' = q.
+
+    s_q is a number or the diagonal's values: D of them on a cyclic basis,
+    where diagonal q wraps mod D, else D - |q|, and |q| >= D drops out.
+    """
+    dim = basis.dim
     out = np.zeros((dim, dim), dtype=complex)
+    cyclic = basis.mode == "cyclic"
     for q, s in sums.items():
-        rows = np.arange(max(0, q), min(dim, dim + q))
-        out[rows, rows - q] += s
+        rows = np.arange(dim) if cyclic else np.arange(max(0, q), min(dim, dim + q))
+        out[rows, (rows - q) % dim] += s
     return out
 
 

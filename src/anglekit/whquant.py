@@ -39,6 +39,7 @@ from .specfun import (
     gauss_2f1_terminating,
     kummer_1f1,
     ln_gamma,
+    sawtooth_fourier,
 )
 
 __all__ = [
@@ -158,6 +159,9 @@ class QuadratureScheme:
         return _radial_rule(self.n_J, alpha)
 
     def refined(self):
+        """1.5x the nodes, at most 160; DomainError at n_J = 160, where no node can be added."""
+        if self.n_J == 160:
+            raise DomainError("n_J = 160 is the cap: refinement adds no node")
         return QuadratureScheme(n_J=min(160, int(math.ceil(self.n_J * 1.5))))
 
 
@@ -308,13 +312,13 @@ def quantize(fourier, weight, quad, dim, check_resolution=False):
         Truncation dimension of the output operator.
     check_resolution : bool
         When True, recompute at 1.5x nodes and warn if the max-norm of
-        the difference exceeds 1e-6.
+        the difference exceeds 1e-6; DomainError at n_J = 160.
     """
     modes = _plane_modes(fourier)
+    finer = quad.refined() if check_resolution else None
     result = _quantize_once(modes, weight, quad, dim)
-    if check_resolution:
-        refined = _quantize_once(modes, weight, quad.refined(), dim)
-        drift = linalg.op_norm_max(refined - result)
+    if finer is not None:
+        drift = linalg.op_norm_max(_quantize_once(modes, weight, finer, dim) - result)
         if drift > 1e-6:
             warnings.warn(
                 f"quantize changed by {drift:.3e} under 1.5x refinement",
@@ -326,11 +330,12 @@ def quantize(fourier, weight, quad, dim, check_resolution=False):
 
 def _quantize_once(modes, weight, quad, dim):
     rho = weight.diagonal(dim)
+    basis = BasisSpec("one_sided", dim, 0)
     out = np.zeros((dim, dim), dtype=complex)
     for alpha in (0.0, 0.5):
         group = {-q: g for q, (g, a) in modes.items() if a == alpha}  # the plane fills n' - n = q
-        out += linalg.quantize_modes(group, _plane_frames(quad, alpha, rho), dim)
-    return TruncatedOperator(out, BasisSpec("one_sided", dim, 0))
+        out += linalg.quantize_modes(group, _plane_frames(quad, alpha, rho), basis)
+    return TruncatedOperator(out, basis)
 
 
 def _plane_frames(quad, alpha, rho):
@@ -374,13 +379,12 @@ def f_coefficient(n, n_prime, t):
 
 def angle_matrix(t, dim):
     """Closed-form angle operator: pi on the diagonal, i F_{nn'}/(n'-n) off it."""
-    out = math.pi * np.eye(dim, dtype=complex)
-    for n in range(dim):
-        for np_ in range(n + 1, dim):
-            val = 1j * f_coefficient(n, np_, t) / (np_ - n)
-            out[n, np_] = val
-            out[np_, n] = val.conjugate()
-    return TruncatedOperator(out, BasisSpec("one_sided", dim, 0))
+    basis = BasisSpec("one_sided", dim, 0)
+    bands = {0: math.pi}
+    for s in range(1, dim):
+        upper = np.array([1j * f_coefficient(n, n + s, t) / s for n in range(dim - s)])
+        bands[-s], bands[s] = upper, upper.conj()
+    return TruncatedOperator(linalg.fill_diagonals(bands, basis), basis)
 
 
 def _diagonal_sums(A, weight, J):
@@ -522,30 +526,17 @@ def commutator_symbol(point, t, dim):
 def canonical_angle_B(dim, mode="cyclic", q_cutoff=0):
     """Canonical angle operator pi I + i sum_{1<=n<=Q} (U^n - U^{-n})/n.
 
-    U^n holds its ones at ((j + n) mod D, j) in cyclic mode and at
-    (j + n, j), j < D - n, in two-sided mode; U^{-n} is its transpose.
-    The ones are placed by index, O(Q D) work.  Where U^n and U^{-n}
-    coincide (cyclic, 2n = 0 mod D) the term vanishes and is skipped.
+    `sawtooth_fourier(Q)` filled on the basis: i/n on diagonal n, where
+    U^n has its ones, and -i/n on diagonal -n, wrapped mod D in cyclic
+    mode, cut at |n| >= D in two-sided mode.  Where the two coincide
+    (cyclic, 2n = 0 mod D) they cancel exactly.
     """
     if mode not in ("cyclic", "two_sided"):
         raise DomainError("canonical angle needs a cyclic or two_sided basis")
     if dim < 4:
         raise DomainError(f"shift family needs dim >= 4, got {dim}")
-    offset = 0 if mode == "cyclic" else -(dim // 2)
-    basis = BasisSpec(mode, dim, offset)
-    out = math.pi * np.eye(dim, dtype=complex)
-    cols = np.arange(dim)
-    for n in range(1, q_cutoff + 1):
-        if mode == "cyclic":
-            if (2 * n) % dim == 0:
-                continue
-            j, rows = cols, (cols + n) % dim
-        else:
-            j = cols[: max(dim - n, 0)]
-            rows = j + n
-        out[rows, j] += 1j / n
-        out[j, rows] -= 1j / n
-    return TruncatedOperator(out, basis)
+    basis = BasisSpec(mode, dim, 0 if mode == "cyclic" else -(dim // 2))
+    return TruncatedOperator(linalg.fill_diagonals(sawtooth_fourier(q_cutoff), basis), basis)
 
 
 def covariance_checks(z, z_prime, theta, dim):

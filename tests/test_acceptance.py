@@ -168,8 +168,7 @@ def test_criterion_09_canonical_commutator_recovery():
     dist = circlecs.gaussian_distribution(sigma)
     dim = 2 * (int(math.ceil(dist.radius)) + 3)
     basis = BasisSpec("two_sided", dim, -dim // 2)
-    band = circlecs.build_overlap_matrix(dist, dim - 1)
-    K, _ = circlecs.commutator_number_angle(dist, basis, overlaps=band)
+    K, _ = circlecs.commutator_number_angle(dist, basis)
     val = circlecs.lower_symbols_cyl(K, dist, 0.0, [math.pi])[0]
     circle_dev = abs(val - (-1j))
     ok = worst_wh <= 0.05 and circle_dev <= 0.02
@@ -184,7 +183,7 @@ def test_criterion_10_circle_cs_suite():
     harmonic_defect, p2 = circlecs.fourier_harmonic_defect(dist, basis)
     p2_dev = abs(p2 - math.exp(-0.25))
     band = circlecs.build_overlap_matrix(dist, 47)
-    K, route_dev = circlecs.commutator_number_angle(dist, basis, overlaps=band)
+    K, route_dev = circlecs.commutator_number_angle(dist, basis)
     entry_dev = 0.0
     for n in range(12, 36):
         for npr in range(n - 6, n + 7):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from anglekit import linalg
+from anglekit import circlecs, linalg
 from anglekit.errors import DomainError, TruncationWarning
 from anglekit.circlecs import (
     CylinderPoint,
@@ -106,7 +106,7 @@ def test_overlap_matrix_band():
     assert band.value(0) == 1.0
     assert band.value(-3) == band.value(3)
     assert band.value(9) == 0.0
-    mat = band.band_matrix(6)
+    mat = band.band_matrix(two_sided(6))
     assert mat[0, 5] == band.value(5)
     assert np.allclose(np.diag(mat), 1.0)
 
@@ -204,6 +204,16 @@ def test_angle_matrix_is_toeplitz_and_persymmetric(sigma):
     assert np.abs(profile - np.exp(-q * q / (8.0 * sigma * sigma))).max() <= 1.5e-15
 
 
+def test_mixed_map_tabulates_sqrt_p_once(monkeypatch):
+    # the number modes' profile and the callable modes' frames read one sqrt(p) table
+    calls = []
+    cell_table = circlecs._cell_table
+    monkeypatch.setattr(circlecs, "_cell_table",
+                        lambda dist, s0, s1: calls.append((s0, s1)) or cell_table(dist, s0, s1))
+    quantize_cyl(gaussian_distribution(1.0), two_sided(128), {0: lambda J: J, 1: 1.0, -1: 1.0})
+    assert calls == [(-127, 146)]
+
+
 def test_fundamental_harmonic_is_weighted_shift():
     dist = gaussian_distribution(1.0)
     basis = two_sided(16)
@@ -283,7 +293,7 @@ def test_commutator_routes_agree_and_encode_overlaps():
     dist = gaussian_distribution(1.0)
     basis = two_sided(32)
     band = build_overlap_matrix(dist, 31)
-    K, dev = commutator_number_angle(dist, basis, overlaps=band)
+    K, dev = commutator_number_angle(dist, basis)
     assert dev <= 1e-10
     assert op_norm_max(K + K.H) <= 1e-10
     for n, npr in ((10, 11), (12, 18), (20, 15)):

@@ -90,6 +90,18 @@ def test_commutator_defect_table(tmp_path):
     assert min(by_dim[64]) <= min(by_dim[32]) * 1.5
 
 
+def test_margin_that_fits_no_dim_rejected(tmp_path, capsys):
+    # a margin too wide for every D would leave the table empty
+    assert run_main(["commutator", "--dims", "64", "--margins", "32"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "configuration error: margin 32 is at least half of every sweep dim\n"
+    # one that fits some D skips the others
+    out = tmp_path / "defect.csv"
+    assert run_main(["commutator", "--dims", "32,64", "--margins", "16", "--output", str(out)]) == 0
+    assert [line.split(",")[:2] for line in out.read_text().splitlines()[1:]] == [["64", "16"]]
+
+
 def test_check_single_suite_json(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = run_main(["check", "moments", "--output", str(out)])

@@ -466,7 +466,7 @@ def test_quantize_modes_is_adjoint_of_diagonal_sums():
     fourier = {0: 1.5, 2: 0.5 - 2.0j, -3: lambda J: J * J, 4: lambda J: 1j / J, 11: 7.0}
     for cols in (1, 4):
         frames = _random_frames(rng, dim, cols)
-        Q = linalg.quantize_modes(fourier, frames, dim)
+        Q = linalg.quantize_modes(fourier, frames, BasisSpec("one_sided", dim))
         expected = 0.0
         for J, w, F in frames:
             for i in range(J.size):
@@ -485,12 +485,13 @@ def test_quantize_modes_constant_and_callable_paths_agree():
     for cols in (1, 3):
         frames = _random_frames(rng, dim, cols)
         for q, c in ((0, 2.5), (1, 0.75j), (-5, -1.25 + 0.5j)):
-            as_number = linalg.quantize_modes({q: c}, frames, dim)
-            as_callable = linalg.quantize_modes({q: lambda J, c=c: c}, frames, dim)
+            basis = BasisSpec("two_sided", dim, -dim // 2)
+            as_number = linalg.quantize_modes({q: c}, frames, basis)
+            as_callable = linalg.quantize_modes({q: lambda J, c=c: c}, frames, basis)
             assert np.count_nonzero(np.diag(as_number, -q)) == dim - abs(q)
             assert np.array_equal(as_number, as_callable)
 
 
 def test_quantize_modes_rejects_coefficient_of_unknown_form():
     with pytest.raises(DomainError):
-        linalg.quantize_modes({1: "one"}, [], 4)
+        linalg.quantize_modes({1: "one"}, [], BasisSpec("one_sided", 4))

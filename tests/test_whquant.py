@@ -292,6 +292,15 @@ def test_quantize_under_resolution_warns():
         )
 
 
+def test_refinement_at_node_cap_is_an_error():
+    # at the cap the refined rule would be the rule itself and could never warn
+    assert QuadratureScheme(n_J=107).refined().n_J == 160
+    with pytest.raises(DomainError, match="cap"):
+        QuadratureScheme(n_J=160).refined()
+    with pytest.raises(DomainError, match="cap"):
+        quantize({0: 1.0}, WeightSpec(), QuadratureScheme(n_J=160), 8, check_resolution=True)
+
+
 def test_quantized_sawtooth_is_angle_matrix_over_one_minus_t():
     # f_coefficient: at t > 0 the map's off-diagonals are angle_matrix(t)/(1-t)
     quad = QuadratureScheme(n_J=96)
