@@ -374,6 +374,18 @@ def _boltzmann_diagonal(params):
     return max(nonneg, decreasing, trace_dev), 1e-12
 
 
+def _angle_grid_vs_scalar(params):
+    # angle_matrix's grid recurrence against the scalar oracle, pair by pair
+    t, dim = (params.t if params.t is not None else 0.25), 48
+    A = whquant.angle_matrix(t, dim).entries
+    worst = 0.0
+    for n in range(dim):
+        for npr in range(n + 1, dim):
+            scalar = 1j * whquant.f_coefficient(n, npr, t) / (npr - n)
+            worst = max(worst, abs(A[n, npr] - scalar) / abs(scalar))
+    return worst, 1e-13
+
+
 # ---------------------------------------------------------------- circlecs
 
 
@@ -549,6 +561,7 @@ _SUITES = {
         ("wh_resolution_identity", _wh_resolution_identity),
         ("fourier_taylor_bridge", _fourier_taylor_bridge),
         ("boltzmann_diagonal", _boltzmann_diagonal),
+        ("angle_grid_vs_scalar", _angle_grid_vs_scalar),
     ]),
     "circlecs": _Suite(("dim", "sigma"), [
         ("circle_resolution_identity", _circle_resolution_identity),

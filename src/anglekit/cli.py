@@ -60,13 +60,17 @@ class ExperimentConfig:
             raise DomainError(f"J must be nonnegative, got {self.J}")
         if self.gamma_grid < 8:
             raise DomainError(f"gamma-grid must be at least 8, got {self.gamma_grid}")
+        if not self.dims:
+            raise DomainError("dims names no sweep dim")
+        if not self.margins:
+            raise DomainError("margins names no window margin")
         for d in self.dims:
             if not 8 <= d <= 1024:
                 raise DomainError(f"sweep dim {d} outside [8, 1024]")
         for m in self.margins:
             if m < 1:
                 raise DomainError(f"margin {m} must be positive")
-            if 2 * m >= max(self.dims, default=0):
+            if 2 * m >= max(self.dims):
                 raise DomainError(f"margin {m} is at least half of every sweep dim")
         return self
 

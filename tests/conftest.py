@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import anglekit
-from anglekit import linalg
+from anglekit import linalg, specfun, whquant
 
 settings.register_profile(
     "anglekit",
@@ -50,6 +50,21 @@ def no_eig_solve(monkeypatch):
         raise AssertionError(f"hermitian_eig solve of dim {A.shape[0]}")
 
     monkeypatch.setattr(linalg, "_hermitian_tridiagonal", refuse)
+
+
+@pytest.fixture
+def no_scalar_angle(monkeypatch):
+    """Make any scalar `f_coefficient` or terminating 2F1 call fail the test.
+
+    `whquant` binds `gauss_2f1_terminating` by name, so both bindings are patched.
+    """
+
+    def refuse(*args):
+        raise AssertionError(f"scalar angle coefficient call {args}")
+
+    monkeypatch.setattr(whquant, "f_coefficient", refuse)
+    monkeypatch.setattr(whquant, "gauss_2f1_terminating", refuse)
+    monkeypatch.setattr(specfun, "gauss_2f1_terminating", refuse)
 
 
 def random_hermitian(dim, seed):

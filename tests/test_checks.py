@@ -16,7 +16,8 @@ REPORT_LAYOUT = {
     "halfcircle": "angle_support series_vs_spectral contraction_norms power_commutator_identity "
     "cyclic_exact_relations",
     "whquant": "ccr_from_quantization angle_matrix_structure angle_covariance_symbol_shift "
-    "f_symmetry d_q_bound wh_resolution_identity fourier_taylor_bridge boltzmann_diagonal",
+    "f_symmetry d_q_bound wh_resolution_identity fourier_taylor_bridge boltzmann_diagonal "
+    "angle_grid_vs_scalar",
     "circlecs": "circle_resolution_identity state_normalization action_is_number "
     "circle_covariance_shift d_m_bound overlap_symmetry_spot overlap_kernel_forms harmonic_trend",
     "moments": "s_k_bounded factorial_inequality",
@@ -27,7 +28,7 @@ def test_suite_names_cover_every_module():
     assert checks.suite_names() == list(REPORT_LAYOUT)
     registered = [(s, inv) for s, suite in checks._SUITES.items() for inv, _ in suite.invariants]
     expected = [(name, inv) for name, line in REPORT_LAYOUT.items() for inv in line.split()]
-    assert len(expected) == 32
+    assert len(expected) == 33
     assert registered == expected
 
 

@@ -102,6 +102,21 @@ def test_margin_that_fits_no_dim_rejected(tmp_path, capsys):
     assert [line.split(",")[:2] for line in out.read_text().splitlines()[1:]] == [["64", "16"]]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--dims", ",", "--margins", ","], "dims names no sweep dim"),
+        (["--dims", ","], "dims names no sweep dim"),
+        (["--margins", ","], "margins names no window margin"),
+    ],
+)
+def test_empty_sweep_rejected(capsys, argv, message):
+    assert run_main(["commutator", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: {message}\n"
+
+
 def test_check_single_suite_json(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = run_main(["check", "moments", "--output", str(out)])
@@ -218,6 +233,12 @@ def test_lower_symbol_construction_key_is_a_configuration_error(tmp_path, capsys
 )
 def test_shift_route_runs_no_jacobi(tmp_path, no_eig_solve, argv):
     assert run_main([*argv, "--output", str(tmp_path / "out.csv")]) == 0
+
+
+@pytest.mark.parametrize("command", ["spectrum", "lower-symbol"])
+def test_wh_angle_matrix_makes_no_scalar_calls(tmp_path, no_scalar_angle, command):
+    assert run_main([command, "--construction", "wh", "--t", "0.3", "--dim", "64",
+                     "--output", str(tmp_path / "out.csv")]) == 0
 
 
 def test_halfcircle_spectrum_at_dim_1024_is_closed_form(tmp_path, no_eig_solve):

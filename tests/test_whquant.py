@@ -401,6 +401,27 @@ def test_angle_matrix_diagonal_is_pi():
     assert np.abs(A - A.conj().T).max() == 0.0
 
 
+@pytest.mark.parametrize("t", [0.0, 0.3, 0.75, 0.99])
+@pytest.mark.parametrize("dim", [1, 2, 3, 65, 256])
+def test_angle_grid_matches_scalar_oracle(dim, t):
+    A = angle_matrix(t, dim)
+    assert np.array_equal(A.entries, A.H.entries)
+    assert np.array_equal(np.diag(A.entries), np.full(dim, math.pi + 0j))
+    worst = 0.0
+    for n in range(dim):
+        for npr in range(n + 1, dim):
+            scalar = 1j * f_coefficient(n, npr, t) / (npr - n)
+            worst = max(worst, abs(A.entries[n, npr] - scalar) / abs(scalar))
+    assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("t", [-0.1, 1.0])
+@pytest.mark.parametrize("dim", [1, 2, 48])
+def test_angle_matrix_rejects_t_outside_unit_interval(dim, t):
+    with pytest.raises(DomainError):
+        angle_matrix(t, dim)
+
+
 def test_angle_matrix_entry_value():
     A = angle_matrix(0.0, 8).entries
     assert A[0, 1] == pytest.approx(1j * GAMMA_3_2, abs=1e-12)
