@@ -2,10 +2,10 @@
 
 The eigensolver reduces a Hermitian matrix to real symmetric
 tridiagonal form with Householder reflectors, finds every eigenvalue by
-Sturm-count multisection and every eigenvector by inverse iteration,
-all with elementwise numpy and no BLAS, so identical inputs give
-bit-identical output on a given platform, whatever the BLAS thread
-count.  Its eigenvalues are the Rayleigh quotients of the computed
+Sturm-count multisection and every eigenvector by inverse iteration on
+L D L^T factors, all with elementwise numpy and no BLAS, so identical
+inputs give bit-identical output on a given platform, whatever the BLAS
+thread count.  Its eigenvalues are the Rayleigh quotients of the computed
 eigenvectors against the input.  An operator whose construction gives
 its eigensystem in closed form carries it (`TruncatedOperator.eig`), and
 `hermitian_eig` returns that instead of solving.  Everything downstream
@@ -14,7 +14,8 @@ exponentials) is built on `hermitian_eig`.  `chiral_eigenvalues` is the
 eigenvalues-only route for matrices of the form c I + i K with K real
 antisymmetric (the WH, circle and canonical angle matrices): it
 verifies that structure, reads c from the diagonal, reduces K to
-tridiagonal form and bisects with the same Sturm-count kernel, with no
+tridiagonal form with the same Householder kernel, run in real
+arithmetic, and bisects with the same Sturm-count kernel, with no
 eigenvector solve and no BLAS call.  Rotation covariance under
 U(theta) = diag(e^{i theta n}) lives here too, shared by both integral
 quantizations and the checks: `rotate`, `diagonal_sums` and
@@ -179,16 +180,19 @@ def hermitian_eig(op):
     Every other matrix M is solved as (M + M^H) / (2 max|M_mn|) in four
     stages, all elementwise numpy with no BLAS call:
 
-    1. complex Householder reflectors reduce it to a tridiagonal matrix,
-       and diagonal phases make that real symmetric with off-diagonals
-       e_k >= 0 (`_hermitian_tridiagonal`);
+    1. Householder reflectors reduce it to a tridiagonal matrix with
+       complex subdiagonal t (`_householder_tridiagonal`, the reduction
+       `chiral_eigenvalues` runs too), and the diagonal phases
+       phase_0 = 1, phase_{k+1} = phase_k t_k / |t_k| make that real
+       symmetric with off-diagonals e_k = |t_k|;
     2. T splits into unreduced blocks where e_k == 0, and Sturm-count
        multisection (Barth, Martin & Wilkinson, Numer. Math. 9 (1967)
        386) finds every eigenvalue of each block from its Gershgorin
        interval (`_multisection`);
     3. inverse iteration (Peters & Wilkinson, Handbook for Automatic
-       Computation II (1971)), run at all shifts of a block at once,
-       gives the block's eigenvectors (`_block_vectors`);
+       Computation II (1971)), run at all shifts of a block at once on
+       the L D L^T factors of T - shift, gives the block's eigenvectors
+       (`_block_vectors`);
     4. the phases and reflectors carry them back to eigenvectors of M.
 
     A diagonal M splits into 1 x 1 blocks and gets exact unit vectors.
@@ -197,8 +201,8 @@ def hermitian_eig(op):
     whose image is exact gives an exact eigenvalue.  Output eigenvalues
     ascend; ties keep the order of the blocks and of the diagonal, so
     the result is deterministic.  With one BLAS thread on a 2-core x86
-    machine a dense solve takes about 0.08 s at D = 128, 0.3 s at
-    D = 256 and 2 s at D = 512.
+    machine a dense solve takes about 0.04 s at D = 128, 0.2-0.3 s at
+    D = 256 and 1.7 s at D = 512.
 
     Raises ConvergenceError when an eigenvector misses its tridiagonal
     residual bound after _INVERSE_STEPS steps, and DomainError for
@@ -213,7 +217,11 @@ def hermitian_eig(op):
         raise DomainError("hermitian_eig requires a Hermitian matrix")
     if scale == 0.0:
         return EigenSystem(np.zeros(dim), np.eye(dim, dtype=complex))
-    d, e, phases, reflectors = _hermitian_tridiagonal((mat + mat.conj().T) / (2.0 * scale))
+    d, t, reflectors = _householder_tridiagonal((mat + mat.conj().T) / (2.0 * scale))
+    e = np.abs(t)
+    unit = np.ones_like(t)
+    np.divide(t, e, out=unit, where=e > 0.0)
+    phases = np.concatenate(([1.0 + 0j], np.cumprod(unit)))
     Z = np.zeros((dim, dim))
     cuts = np.concatenate(([0], np.flatnonzero(e == 0.0) + 1, [dim]))
     for lo, hi in zip(cuts[:-1], cuts[1:]):
@@ -227,55 +235,63 @@ def hermitian_eig(op):
     return EigenSystem(w[order], V[:, order])
 
 
-def _hermitian_tridiagonal(A):
-    """Real symmetric tridiagonal (d, e >= 0) unitarily similar to the Hermitian A.
+def _householder_tridiagonal(A):
+    """Tridiagonal (d, t) similar to A, complex Hermitian or real antisymmetric, and its reflectors.
 
-    Reflector k, H = I - beta v v^H on rows and columns k + 1.., sends the
-    column below the diagonal to alpha e_1, |alpha| its norm; on the
-    trailing block B, H B H = B - v q^H - q v^H with p = beta B v and
-    q = p - (beta / 2)(v^H p) v.  A column that is already zero is
-    skipped, so e_k == 0 exactly there.  The subdiagonal t_k of the
-    result is complex; with phase_0 = 1 and phase_{k+1} =
-    phase_k t_k / |t_k|, A = Q P T P^H Q^H for P = diag(phases), Q the
-    product of the reflectors in the order returned.
+    The dtype says which: a complex A is Hermitian and a real A
+    antisymmetric, reduced in real arithmetic.  Reflector k,
+    H = I - beta v v^H on rows and columns k + 1.., sends the column below
+    the diagonal to t_k e_1, |t_k| its norm; on the trailing block B,
+    H B H = B - mirror v q^H - q v^H with p = beta B v,
+    q = p - (beta / 2)(v^H p) v and B^H = mirror B (mirror = -1 for the
+    antisymmetric A, where q's correction cancels).  The column is first
+    scaled by a power of two to max|x| in [1/2, 1), so its squared norm
+    cannot underflow and beta cannot overflow (LAPACK dlarfg rescales for
+    the same reason), and the scaling rounds nothing.  A column that is
+    already zero is skipped, so t_k == 0 exactly there.  Returns the
+    diagonal, the subdiagonal t (complex for a complex A) and the
+    reflectors (k, v, beta) in the order applied: A = Q T Q^H for Q their
+    product.
     """
-    B = np.array(A, dtype=complex)
+    B = np.array(A)
+    mirror = 1.0 if np.iscomplexobj(B) else -1.0
     dim = B.shape[0]
-    t = np.zeros(max(dim - 1, 0), dtype=complex)
+    t = np.zeros(max(dim - 1, 0), dtype=B.dtype)
     reflectors = []
     for k in range(dim - 2):
-        x = B[k + 1:, k]
-        norm = math.sqrt((x.real * x.real + x.imag * x.imag).sum())
-        if norm == 0.0:
+        big = float(np.abs(B[k + 1:, k]).max())
+        if big == 0.0:
             continue  # the tridiagonal splits here
-        lead = abs(x[0])
-        t[k] = -(x[0] / lead if lead else 1.0) * norm
-        v = x.copy()
-        v[0] -= t[k]
+        scale = math.ldexp(1.0, -max(math.frexp(big)[1], -1022))
+        v = B[k + 1:, k] * scale
+        norm = math.sqrt((v.real * v.real + v.imag * v.imag).sum())
+        lead = abs(v[0])
+        alpha = -(v[0] / lead if lead else 1.0) * norm
+        t[k] = alpha / scale
+        v[0] -= alpha
         beta = 1.0 / (norm * (norm + lead))
         sub = B[k + 1:, k + 1:]
         p = beta * np.einsum("ij,j->i", sub, v)
         q = p - (0.5 * beta * np.einsum("i,i->", v.conj(), p).real) * v
-        update = np.multiply.outer(v, q.conj())
-        update += np.multiply.outer(q, v.conj())  # exactly Hermitian, so B stays so
+        update = np.multiply.outer(v, mirror * q.conj())
+        update += np.multiply.outer(q, v.conj())  # exactly (anti-)Hermitian, so B stays so
         sub -= update
         reflectors.append((k, v, beta))
     if dim >= 2:
         t[-1] = B[-1, -2]
-    e = np.abs(t)
-    unit = np.ones_like(t)
-    np.divide(t, e, out=unit, where=e > 0.0)
-    phases = np.concatenate(([1.0 + 0j], np.cumprod(unit)))
-    return B.diagonal().real.copy(), e, phases, reflectors
+    return B.diagonal().real.copy(), t, reflectors
 
 
 def _block_vectors(d, e):
     """Orthonormal eigenvector columns of the unreduced symmetric tridiagonal (d, e).
 
-    The shifts are the block's eigenvalues from `_multisection`, each at
-    least 10 eps ||T||_1 above the one before, so coincident eigenvalues
-    get distinct shifts.  Each of _INVERSE_STEPS steps solves
-    (T - shift) x = b for all shifts at once (`_shifted_lu`), starting
+    The shifts are the block's eigenvalues from `_multisection`, each
+    raised to at least 10 eps |lambda| above the one before (LAPACK
+    dstein), so coincident eigenvalues away from 0 get distinct shifts;
+    the raise is relative, so a long run of eigenvalues within eps ||T||_1
+    of 0 cannot push its shifts past the eigenvalues above it.  Each of
+    _INVERSE_STEPS steps solves (T - shift) x = b for all shifts at once
+    with one L D L^T factorization each (`_shifted_ldl`), starting
     from fixed pseudorandom vectors, orthonormalises with modified
     Gram-Schmidt inside each cluster of eigenvalues at most
     _CLUSTER_GAP ||T||_1 apart (the gap rule of LAPACK dstein) and
@@ -290,13 +306,17 @@ def _block_vectors(d, e):
     norm = float((np.abs(d) + radius).max())
     lo = float((d - radius).min())
     lam = _multisection(d, e, np.arange(dim), lo, float((d + radius).max()) - lo)
-    ramp = 10.0 * eps * norm * np.arange(dim)
-    factors = _shifted_lu(d, e, np.maximum.accumulate(lam - ramp) + ramp, eps * norm)
+    ramp = np.cumsum(10.0 * eps * np.abs(lam))
+    piv, mult = _shifted_ldl(d, e, np.maximum.accumulate(lam - ramp) + ramp, eps * norm)
     cuts = np.flatnonzero(np.diff(lam) > _CLUSTER_GAP * norm) + 1
     clusters = [(a, b) for a, b in zip(np.r_[0, cuts], np.r_[cuts, dim]) if b - a > 1]
     X = np.random.default_rng(0).uniform(-1.0, 1.0, (dim, dim))
     for _ in range(_INVERSE_STEPS):
-        X = _shifted_solve(factors, X)
+        for k in range(1, dim):  # L^{-1}, then diag(piv)^{-1}, then L^{-T}
+            X[k] -= mult[k - 1] * X[k - 1]
+        X /= piv
+        for k in range(dim - 2, -1, -1):
+            X[k] -= mult[k] * X[k + 1]
         for a, b in clusters:
             for j in range(a, b - 1):
                 X[:, j] /= math.sqrt((X[:, j] * X[:, j]).sum())
@@ -314,52 +334,23 @@ def _block_vectors(d, e):
     return X
 
 
-def _shifted_lu(d, e, shifts, tiny):
-    """LU factors of T - s I with partial pivoting, for every shift s at once.
+def _shifted_ldl(d, e, shifts, tiny):
+    """T - s I = L diag(piv) L^T, L unit lower bidiagonal, for every shift s at once.
 
-    Row k + 1 leads at step k when |e_k| exceeds the current pivot; U then
-    has two superdiagonals (LAPACK dlagtf).  Pivots of U below tiny in
-    magnitude become +-tiny (dlagts), so exact shifts stay solvable.
-    Arrays are (row, shift).
+    The pivots run the recurrence of `_sturm_counts` with no pivoting:
+    piv_0 = d_0 - s, mult_k = e_k / piv_k, piv_{k+1} = (d_{k+1} - s) - mult_k e_k.
+    A pivot below tiny in magnitude becomes +-tiny as it is formed
+    (LAPACK dlagts), so an exact shift stays solvable.  Arrays are
+    (row, shift); mult[k] is L's entry below piv[k].
     """
-    dim, m = d.size, shifts.size
-    swap = np.empty((dim - 1, m), dtype=bool)
-    mult = np.empty((dim - 1, m))
-    u0 = np.empty((dim, m))
-    u1 = np.empty((dim - 1, m))
-    u2 = np.zeros((dim - 1, m))
-    piv = d[0] - shifts  # the current row: piv at column k, sup at column k + 1
-    sup = np.full(m, e[0])
-    for k in range(dim - 1):
-        below = d[k + 1] - shifts
-        nxt = e[k + 1] if k + 2 < dim else 0.0
-        sw = swap[k]
-        np.less(np.abs(piv), e[k], out=sw)
-        mult[k] = np.where(sw, piv, e[k]) / np.where(sw, e[k], piv)
-        u0[k] = np.where(sw, e[k], piv)
-        u1[k] = np.where(sw, below, sup)
-        u2[k] = np.where(sw, nxt, 0.0)
-        piv = np.where(sw, sup - mult[k] * below, below - mult[k] * sup)
-        sup = np.where(sw, -mult[k] * nxt, nxt)
-    u0[-1] = piv
-    small = np.abs(u0) < tiny
-    u0[small] = np.where(u0[small] < 0.0, -tiny, tiny)
-    return swap, mult, u0, u1, u2
-
-
-def _shifted_solve(factors, B):
-    """Solve (T - s_j I) x_j = b_j for every column j, from `_shifted_lu` factors."""
-    swap, mult, u0, u1, u2 = factors
-    Y = np.array(B, dtype=float)
-    for k in range(Y.shape[0] - 1):
-        top, bottom = Y[k].copy(), Y[k + 1].copy()
-        Y[k] = np.where(swap[k], bottom, top)
-        Y[k + 1] = np.where(swap[k], top, bottom) - mult[k] * Y[k]
-    Y[-1] /= u0[-1]
-    Y[-2] = (Y[-2] - u1[-1] * Y[-1]) / u0[-2]
-    for k in range(Y.shape[0] - 3, -1, -1):
-        Y[k] = (Y[k] - u1[k] * Y[k + 1] - u2[k] * Y[k + 2]) / u0[k]
-    return Y
+    piv = np.subtract.outer(d, shifts)
+    mult = np.empty((d.size - 1, shifts.size))
+    for k in range(d.size):
+        np.copysign(np.maximum(np.abs(piv[k]), tiny), piv[k], out=piv[k])
+        if k + 1 < d.size:
+            np.divide(e[k], piv[k], out=mult[k])
+            piv[k + 1] -= mult[k] * e[k]
+    return piv, mult
 
 
 def chiral_eigenvalues(op):
@@ -372,7 +363,9 @@ def chiral_eigenvalues(op):
     spectrum x of i K.
 
     K is reduced to antisymmetric tridiagonal form T = Q^T K Q by
-    Householder reflectors (Ward & Gray, ACM TOMS 4 (1978) 278), whose
+    Householder reflectors (Ward & Gray, ACM TOMS 4 (1978) 278), in real
+    arithmetic by the kernel that reduces `hermitian_eig`'s input
+    (`_householder_tridiagonal`); T's
     spectrum under i is that of the zero-diagonal symmetric tridiagonal
     with off-diagonals |T_{k+1,k}|.  Its non-negative half is found by
     vectorised Sturm-count bisection (Barth, Martin & Wilkinson, Numer.
@@ -391,37 +384,7 @@ def chiral_eigenvalues(op):
         raise DomainError("chiral_eigenvalues needs an antisymmetric imaginary part")
     if np.any(diag != diag[0]):
         raise DomainError(f"diagonal spans [{diag.min():.17g}, {diag.max():.17g}], not one center")
-    return diag[0] + _mirrored_spectrum(_antisymmetric_tridiagonal(K))
-
-
-def _antisymmetric_tridiagonal(K):
-    """Subdiagonal e of T = Q^T K Q, antisymmetric tridiagonal, for real antisymmetric K.
-
-    Reflector H = I - beta v v^T sends the column below the diagonal to
-    alpha e_1; on the trailing antisymmetric block B, H B H = B + v p^T - p v^T
-    with p = beta B v, applied with elementwise products only.
-    """
-    S = np.array(K, dtype=float)
-    dim = S.shape[0]
-    e = np.zeros(max(dim - 1, 0))
-    for k in range(dim - 2):
-        x = S[k + 1:, k]
-        norm = math.sqrt((x * x).sum())
-        if norm == 0.0:
-            continue  # the tridiagonal splits here
-        alpha = -math.copysign(norm, x[0])
-        v = x.copy()
-        v[0] -= alpha
-        beta = 1.0 / (norm * (norm + abs(x[0])))
-        e[k] = alpha
-        B = S[k + 1:, k + 1:]
-        p = beta * (B * v).sum(axis=1)
-        update = np.multiply.outer(v, p)
-        update -= np.multiply.outer(p, v)
-        B += update
-    if dim >= 2:
-        e[-1] = S[-1, -2]
-    return e
+    return diag[0] + _mirrored_spectrum(_householder_tridiagonal(K)[1])
 
 
 def _mirrored_spectrum(e):

@@ -42,14 +42,15 @@ def cli_env():
 def no_eig_solve(monkeypatch):
     """Make any general `hermitian_eig` solve fail the test.
 
-    Patches the Householder reduction, which only that solve reaches: the
-    chiral route shares the Sturm-count kernel, not the reduction.
+    Patches the inverse iteration of each unreduced tridiagonal block,
+    which only that solve reaches: the chiral route shares the Householder
+    reduction and the Sturm-count kernel, not the eigenvector stage.
     """
 
-    def refuse(A):
-        raise AssertionError(f"hermitian_eig solve of dim {A.shape[0]}")
+    def refuse(d, e):
+        raise AssertionError(f"hermitian_eig solve of dim {d.size}")
 
-    monkeypatch.setattr(linalg, "_hermitian_tridiagonal", refuse)
+    monkeypatch.setattr(linalg, "_block_vectors", refuse)
 
 
 @pytest.fixture

@@ -138,11 +138,57 @@ def random_unitary(dim, seed):
     return q * (r.diagonal() / np.abs(r.diagonal()))
 
 
+def symmetric_tridiagonal(d, e):
+    return np.diag(np.asarray(d, dtype=float)) + np.diag(e, 1) + np.diag(e, -1)
+
+
+def wilkinson_plus(glue=None, copies=1):
+    """W21+ (diagonal |k| for k = -10..10, off-diagonals 1), copies glued by glue."""
+    W = symmetric_tridiagonal(np.tile(np.abs(np.arange(-10.0, 11.0)), copies),
+                              np.ones(21 * copies - 1))
+    for k in range(21, 21 * copies, 21):
+        W[k, k - 1] = W[k - 1, k] = glue
+    return W
+
+
 def test_eig_wilkinson_pairs():
     # W21+: its largest eigenvalues come in pairs that agree to ~1e-14
-    W = np.diag(np.abs(np.arange(-10.0, 11.0))) + np.diag(np.ones(20), 1) + np.diag(np.ones(20), -1)
-    w = assert_eigensystem(W).eigenvalues
+    w = assert_eigensystem(wilkinson_plus()).eigenvalues
     assert w[-1] - w[-2] < 1e-13
+
+
+STRESS_TRIDIAGONALS = {
+    # ten copies of each W21+ eigenvalue, split by about the glue: tight clusters of ten
+    "W21+ x10 glue 1e-10": wilkinson_plus(1e-10, 10),
+    "W21+ x10 glue 1e-14": wilkinson_plus(1e-14, 10),
+    # zero diagonal, off-diagonals sqrt(k (D - k)): eigenvalues -199, -197, ..., 199
+    "Clement D=200": symmetric_tridiagonal(np.zeros(200), np.sqrt(np.arange(1, 200) * np.arange(199, 0, -1))),
+    # eigenvalues 2 - 2 cos(k pi / 301), crowded at both ends
+    "1-2-1 D=300": symmetric_tridiagonal(np.full(300, 2.0), -np.ones(299)),
+}
+
+
+@pytest.mark.parametrize("name", STRESS_TRIDIAGONALS)
+def test_eig_stress_tridiagonals(name):
+    # the clusters and near-singular pivots that unpivoted inverse iteration must get through
+    assert_eigensystem(STRESS_TRIDIAGONALS[name])
+
+
+@pytest.mark.parametrize("seed", [1, 12])
+def test_eig_graded_input(seed):
+    # eigenvalues from 1 down to ~1e-24: a long run within eps ||T|| of 0, whose shifts
+    # must not be pushed past the eigenvalues above it
+    s = np.logspace(-12.0, 0.0, 40)
+    assert_eigensystem(random_hermitian(40, seed) * np.outer(s, s))
+
+
+@pytest.mark.parametrize("c", [1e-156, 1e-158, 1e-161])
+def test_tiny_couplings_survive_the_reduction(c):
+    # c^2 lies below the normal range: an unscaled column norm loses c, and beta overflows
+    assert_eigensystem(np.array([[0.0, c, 0.0], [c, 1.0, 0.5], [0.0, 0.5, 2.0]]))
+    K = np.array([[0.0, -c, 0.0], [c, 0.0, -0.5], [0.0, 0.5, 0.0]])
+    got = chiral_eigenvalues(from_matrix(1j * K))
+    assert np.abs(got - np.linalg.eigvalsh(1j * K)).max() <= 1e-12
 
 
 def test_eig_hidden_multiplicities():
@@ -156,8 +202,8 @@ def test_eig_block_diagonal_splits():
     mat = np.zeros((12, 12), dtype=complex)
     mat[:5, :5] = random_hermitian(5, seed=5)
     mat[5:, 5:] = random_hermitian(7, seed=7)
-    _, e, _, _ = linalg._hermitian_tridiagonal(mat)
-    assert e[4] == 0.0
+    _, t, _ = linalg._householder_tridiagonal(mat)
+    assert t[4] == 0.0
     assert_eigensystem(mat)
 
 
