@@ -9,7 +9,6 @@ up with the sawtooth.
 import argparse
 import math
 import sys
-import warnings
 
 import numpy as np
 
@@ -28,13 +27,11 @@ def main(argv=None):
     A = whquant.angle_matrix(args.t, args.dim)
     weight = whquant.WeightSpec(t=args.t)
     rows = ["J,gamma,symbol_re,symbol_im,sawtooth"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        grid = np.linspace(0.0, 2.0 * math.pi, args.grid, endpoint=False)
-        for J in (float(x) for x in args.actions.split(",") if x):
-            vals = whquant.lower_symbols(A, weight, J, grid, warn_leak=False)
-            for gamma, val in zip(grid.tolist(), vals.tolist()):
-                rows.append(f"{J!r},{gamma!r},{val.real!r},{val.imag!r},{gamma!r}")
+    grid = np.linspace(0.0, 2.0 * math.pi, args.grid, endpoint=False)
+    for J in (float(x) for x in args.actions.split(",") if x):
+        vals = whquant.lower_symbols(A, weight, J, grid)
+        for gamma, val in zip(grid.tolist(), vals.tolist()):
+            rows.append(f"{J!r},{gamma!r},{val.real!r},{val.imag!r},{gamma!r}")
     text = "\n".join(rows) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:

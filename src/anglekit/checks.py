@@ -85,10 +85,9 @@ def _laguerre_reflection(params):
 def _theta_form_equality(params):
     worst = 0.0
     for sigma in (0.2, 0.5, 1.0, 2.0, 5.0, 10.0):
+        dist = circlecs.gaussian_distribution(sigma)
         for J in np.linspace(-3.0, 3.0, 13):
-            d = specfun.theta3_normalizer(J, sigma, "direct")
-            p = specfun.theta3_normalizer(J, sigma, "poisson")
-            worst = max(worst, abs(d - p))
+            worst = max(worst, abs(dist.normalizer(J) - specfun.theta3_normalizer(J, sigma)))
     return worst, 1e-11
 
 
@@ -298,8 +297,8 @@ def _angle_covariance_symbol_shift(params):
     worst = float(np.abs(conj.entries - expected).max())
     # conjugating by e^{i n theta} drags the symbol backwards in the angle
     gammas = np.array([2.0, 3.5, 5.0])
-    shifted = whquant.lower_symbols(conj, weight, J, gammas, warn_leak=False).real
-    base = whquant.lower_symbols(A, weight, J, (gammas - theta) % (2 * math.pi), warn_leak=False).real
+    shifted = whquant.lower_symbols(conj, weight, J, gammas).real
+    base = whquant.lower_symbols(A, weight, J, (gammas - theta) % (2 * math.pi)).real
     worst = max(worst, float(np.abs(shifted - base).max()))
     return worst, 1e-3
 

@@ -9,30 +9,29 @@ nodes: quantize_cyl fills a constant mode as c_{n-n'} g_{|n-n'|}, g the
 lattice overlap profile of that table, and hands callable modes to
 linalg.quantize_modes, the kernel it shares with whquant.quantize.
 lower_symbols_cyl serves a whole angle grid from one amplitude vector.
-The overlap matrix p_{n,n'} = integral sqrt(p_n p_{n'}), computed by its
-own quadrature, encodes the number-angle commutator completely.
+The overlap profile p_{0,m} = integral sqrt(p(J) p(J-m)) dJ, computed by
+its own quadrature, encodes the number-angle commutator completely.
 """
 
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .errors import DomainError, TruncationWarning
-from .linalg import TruncatedOperator
+from .linalg import BasisSpec, TruncatedOperator
 from .specfun import sawtooth_fourier
 
 __all__ = [
     "DistributionSpec",
     "CylinderPoint",
-    "OverlapMatrix",
     "gaussian_distribution",
     "custom_distribution",
     "overlap",
-    "build_overlap_matrix",
+    "overlap_profile",
     "cs_vector",
     "quantize_cyl",
     "fourier_harmonic_defect",
@@ -151,25 +150,9 @@ def overlap(dist, m):
     return min(max(val, 0.0), 1.0)
 
 
-@dataclass(frozen=True, eq=False)
-class OverlapMatrix:
-    """Band profile p_{0,m}; the full matrix is p_{n,n'} = p_{0,|n-n'|}."""
-
-    half_bandwidth: int
-    values: np.ndarray = field(repr=False)
-
-    def value(self, separation):
-        s = abs(int(separation))
-        return float(self.values[s]) if s <= self.half_bandwidth else 0.0
-
-    def band_matrix(self, basis):
-        band = {q: self.value(q) for q in range(1 - basis.dim, basis.dim)}
-        return linalg.fill_diagonals(band, basis).real
-
-
-def build_overlap_matrix(dist, half_bandwidth):
-    vals = np.array([overlap(dist, m) for m in range(half_bandwidth + 1)])
-    return OverlapMatrix(half_bandwidth=half_bandwidth, values=vals)
+def overlap_profile(dist, half_bandwidth):
+    """Array of `overlap` p_{0,m}, 0 <= m <= half_bandwidth: p_{n,n'} = p_{0,|n-n'|}."""
+    return np.array([overlap(dist, m) for m in range(half_bandwidth + 1)])
 
 
 def cs_vector(dist, point, basis):
@@ -299,7 +282,7 @@ def commutator_number_angle(dist, basis):
     """Number-angle commutator, matrix route against the overlap formula.
 
     Route (a) commutes the separable quantizations of J and the angle;
-    route (b) writes i p_{0,|n-n'|} of `build_overlap_matrix` off the
+    route (b) writes i p_{0,|n-n'|} of `overlap_profile` off the
     diagonal.  Returns (commutator, max deviation between routes on the
     interior window of margin max(1, dim // 8)) and warns past 1e-10.
     """
@@ -307,8 +290,8 @@ def commutator_number_angle(dist, basis):
     A_J = quantize_cyl(dist, basis, {0: lambda J: J})
     A_angle = quantize_cyl(dist, basis, sawtooth_fourier(dim - 1))
     K = linalg.commutator(A_J, A_angle)
-    direct = 1j * build_overlap_matrix(dist, dim - 1).band_matrix(basis)
-    np.fill_diagonal(direct, 0.0)
+    p = overlap_profile(dist, dim - 1)
+    direct = linalg.fill_diagonals({q: 1j * p[abs(q)] for q in range(1 - dim, dim) if q}, basis)
     window = linalg.interior_window(basis, max(1, dim // 8))
     dev = linalg.op_norm_max(linalg.window_restrict(K - TruncatedOperator(direct, basis), *window))
     if dev > 1e-10:
@@ -345,33 +328,31 @@ def d_m_sigma(dist, m, J):
 def overlap_kernel(dist, p1, p2):
     """Gaussian CS overlap <J,phi|J',phi'>, direct and Poisson-resummed.
 
-    Returns the pair (direct, poisson); the two agree to ~1e-12 and the
-    dual form exposes the large-sigma localization in the angle.  The
-    lattice windows scale with the width so neither sum loses mass.
+    Returns the pair (direct, poisson).  The direct form is the inner
+    product of the two `cs_vector`s on a two-sided basis that holds both
+    densities; the dual form exposes the large-sigma localization in the
+    angle.  The two agree within 1e-10 for sigma >= 0.1 (~1e-14 from
+    0.15 up); below that, at half-integer actions, the Poisson sum cancels
+    catastrophically (off by ~1e5 at sigma = 0.05): read the direct form.
     """
     if dist.kind != "gaussian":
         raise DomainError("closed-form overlap kernel needs the gaussian family")
     sig = dist.sigma
     J, Jp = p1.J, p2.J
+    lo = math.floor(min(J, Jp) - dist.radius)
+    basis = BasisSpec("two_sided", math.ceil(max(J, Jp) + dist.radius) - lo + 1, lo)
+    direct = np.vdot(cs_vector(dist, p1, basis), cs_vector(dist, p2, basis))
+
     dphi = p1.phi - p2.phi
-    mid = (J + Jp) / 2.0
     norms = math.sqrt(dist.normalizer(J) * dist.normalizer(Jp))
     gauss_pref = math.exp(-((J - Jp) ** 2) / (8.0 * sig * sig))
-
-    n_terms = int(math.ceil(9.0 * sig)) + 16
-    total = 0.0j
-    center = round(mid)
-    for n in range(center - n_terms, center + n_terms + 1):
-        total += math.exp(-((mid - n) ** 2) / (2.0 * sig * sig)) * np.exp(1j * n * dphi)
-    direct = gauss_pref * total / (math.sqrt(2.0 * math.pi * sig * sig) * norms)
-
     k_terms = int(math.ceil(9.0 / (2.0 * math.pi * sig))) + 8
     total_p = 0.0j
     for k in range(-k_terms, k_terms + 1):
         total_p += math.exp(-sig * sig * (dphi - 2.0 * math.pi * k) ** 2 / 2.0) * np.exp(
             -1j * math.pi * k * (J + Jp)
         )
-    poisson = gauss_pref * np.exp(1j * mid * dphi) * total_p / norms
+    poisson = gauss_pref * np.exp(0.5j * (J + Jp) * dphi) * total_p / norms
     return complex(direct), complex(poisson)
 
 

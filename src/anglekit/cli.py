@@ -147,7 +147,7 @@ def cmd_lower_symbol(cfg):
     op, _ = _spectrum_operator(cfg)
     if cfg.construction == "wh":
         weight = whquant.WeightSpec(kind="cahill_glauber", t=cfg.t)
-        values = whquant.lower_symbols(op, weight, cfg.J, angles, warn_leak=False)
+        values = whquant.lower_symbols(op, weight, cfg.J, angles)
     else:
         dist = circlecs.gaussian_distribution(cfg.sigma)
         values = circlecs.lower_symbols_cyl(op, dist, cfg.J, angles)

@@ -130,42 +130,25 @@ def assoc_laguerre(n, alpha, t):
     return cur
 
 
-def theta3_normalizer(J, sigma, form="direct"):
-    """Periodic Gaussian lattice normalizer N^sigma(J).
+def theta3_normalizer(J, sigma):
+    """Periodic Gaussian lattice normalizer N^sigma(J), Poisson-resummed.
 
-    direct form:  (2 pi sigma^2)^(-1/2) sum_n exp(-(J-n)^2 / (2 sigma^2))
-    poisson form: 1 + 2 sum_{n>=1} cos(2 pi n J) exp(-2 sigma^2 pi^2 n^2)
-
-    The two are equal (Poisson summation); the poisson form is written
-    as a cosine series so its imaginary part is identically zero.
-    Terms are added symmetrically outward until they drop below
-    DEFAULT_TOL.abs_tol = 1e-15; they decrease monotonically past the
-    lattice mode.
+    1 + 2 sum_{n>=1} cos(2 pi n J) exp(-2 sigma^2 pi^2 n^2): by Poisson
+    summation the lattice sum (2 pi sigma^2)^(-1/2) sum_n exp(-(J-n)^2 / (2 sigma^2))
+    that `circlecs.gaussian_distribution(sigma).normalizer` adds directly.
+    Written as a cosine series so its imaginary part is identically zero;
+    terms are added until they drop below DEFAULT_TOL.abs_tol = 1e-15.
     """
     if not sigma > 0:
         raise DomainError(f"sigma must be positive, got {sigma}")
-    if form == "direct":
-        pref = 1.0 / math.sqrt(2.0 * math.pi * sigma * sigma)
-        inv2s2 = 1.0 / (2.0 * sigma * sigma)
-        center = round(J)
-        total = math.exp(-((J - center) ** 2) * inv2s2)
-        for k in range(1, DEFAULT_TOL.max_terms):
-            up = math.exp(-((J - (center + k)) ** 2) * inv2s2)
-            dn = math.exp(-((J - (center - k)) ** 2) * inv2s2)
-            total += up + dn
-            if up + dn < DEFAULT_TOL.abs_tol:
-                return pref * total
-        raise ConvergenceError("theta3_normalizer direct sum exhausted max_terms")
-    if form == "poisson":
-        damp = 2.0 * sigma * sigma * math.pi * math.pi
-        total = 1.0
-        for k in range(1, DEFAULT_TOL.max_terms):
-            amp = math.exp(-damp * k * k)
-            total += 2.0 * math.cos(2.0 * math.pi * k * J) * amp
-            if 2.0 * amp < DEFAULT_TOL.abs_tol:
-                return total
-        raise ConvergenceError("theta3_normalizer poisson sum exhausted max_terms")
-    raise DomainError(f"form must be 'direct' or 'poisson', got {form!r}")
+    damp = 2.0 * sigma * sigma * math.pi * math.pi
+    total = 1.0
+    for k in range(1, DEFAULT_TOL.max_terms):
+        amp = math.exp(-damp * k * k)
+        total += 2.0 * math.cos(2.0 * math.pi * k * J) * amp
+        if 2.0 * amp < DEFAULT_TOL.abs_tol:
+            return total
+    raise ConvergenceError("theta3_normalizer sum exhausted max_terms")
 
 
 def arccos_coefficient(n):

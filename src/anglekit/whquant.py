@@ -438,7 +438,7 @@ def _diagonal_sums(A, weight, J):
     return linalg.diagonal_sums(F @ F.T, A.entries)
 
 
-def lower_symbols(A, weight, J, gammas, warn_leak=True):
+def lower_symbols(A, weight, J, gammas):
     """Covariant symbols tr(D(z) rho D(z)* A) at z = sqrt(J) e^{i gamma}, every gamma.
 
     Rotation covariance gives D(z) rho D(z)* = U(gamma) M U(gamma)* with
@@ -447,11 +447,11 @@ def lower_symbols(A, weight, J, gammas, warn_leak=True):
     (linalg.diagonal_sums, linalg.rotated_traces): one radial fill of
     the columns in rho's support and one O(dim^2) pass serve the whole
     grid.  Real (to eigen accuracy) when A is Hermitian and rho a
-    density; emits one TruncationWarning when the displaced state's Poisson tail past the
-    truncation exceeds 1e-10.
+    density.  Warns once (TruncationWarning) when the displaced state's
+    Poisson tail past the truncation exceeds 1e-10.
     """
     dim = A.dim
-    if warn_leak and _poisson_tail_log(J, dim) > math.log(1e-10):
+    if _poisson_tail_log(J, dim) > math.log(1e-10):
         warnings.warn(
             f"state at J={J} leaks past truncation dim={dim}",
             TruncationWarning,
@@ -578,7 +578,7 @@ def canonical_angle_B(dim, mode="cyclic", q_cutoff=0):
         raise DomainError("canonical angle needs a cyclic or two_sided basis")
     if dim < 4:
         raise DomainError(f"shift family needs dim >= 4, got {dim}")
-    basis = BasisSpec(mode, dim, 0 if mode == "cyclic" else -(dim // 2))
+    basis = BasisSpec(mode, dim, 0 if mode == "cyclic" else -dim // 2)
     return TruncatedOperator(linalg.fill_diagonals(sawtooth_fourier(q_cutoff), basis), basis)
 
 

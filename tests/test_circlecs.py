@@ -10,7 +10,6 @@ from anglekit import circlecs, linalg
 from anglekit.errors import DomainError, TruncationWarning
 from anglekit.circlecs import (
     CylinderPoint,
-    build_overlap_matrix,
     commutator_number_angle,
     cs_vector,
     custom_distribution,
@@ -21,6 +20,7 @@ from anglekit.circlecs import (
     lower_symbols_cyl,
     overlap,
     overlap_kernel,
+    overlap_profile,
     quantize_cyl,
 )
 from anglekit.linalg import BasisSpec, op_norm_max
@@ -101,14 +101,12 @@ def test_overlap_compact_density_closed_form(a):
         assert abs(overlap(dist, m) - raised_cosine_overlap(a, m)) <= 1e-14
 
 
-def test_overlap_matrix_band():
-    band = build_overlap_matrix(gaussian_distribution(1.0), 4)
-    assert band.value(0) == 1.0
-    assert band.value(-3) == band.value(3)
-    assert band.value(9) == 0.0
-    mat = band.band_matrix(two_sided(6))
-    assert mat[0, 5] == band.value(5)
-    assert np.allclose(np.diag(mat), 1.0)
+def test_overlap_profile():
+    dist = gaussian_distribution(1.0)
+    p = overlap_profile(dist, 4)
+    assert p.shape == (5,) and p[0] == 1.0
+    assert np.array_equal(p[1:], [overlap(dist, m) for m in range(1, 5)])
+    assert np.all(np.diff(p) < 0)
 
 
 # --------------------------------------------------------------- states
@@ -179,11 +177,11 @@ def test_compact_density_quantization_closed_forms(a):
 def test_angle_band_matrix_formula():
     dist = gaussian_distribution(1.0)
     basis = two_sided(24)
-    band = build_overlap_matrix(dist, 23)
+    p = overlap_profile(dist, 23)
     A = quantize_cyl(dist, basis, sawtooth_fourier(23))
     assert np.allclose(np.diag(A.entries).real, math.pi)
     for n, npr in ((0, 1), (3, 7), (10, 11)):
-        expected = 1j * band.value(npr - n) / (n - npr)
+        expected = 1j * p[abs(npr - n)] / (n - npr)
         assert A.entries[n, npr] == pytest.approx(expected, abs=1e-12)
 
 
@@ -292,12 +290,12 @@ def test_harmonic_defect_trend_toward_unitarity():
 def test_commutator_routes_agree_and_encode_overlaps():
     dist = gaussian_distribution(1.0)
     basis = two_sided(32)
-    band = build_overlap_matrix(dist, 31)
+    p = overlap_profile(dist, 31)
     K, dev = commutator_number_angle(dist, basis)
     assert dev <= 1e-10
     assert op_norm_max(K + K.H) <= 1e-10
     for n, npr in ((10, 11), (12, 18), (20, 15)):
-        expected = 1j * band.value(npr - n) if n != npr else 0.0
+        expected = 1j * p[abs(npr - n)] if n != npr else 0.0
         assert K.entries[n, npr] == pytest.approx(expected, abs=1e-10)
     assert np.abs(np.diag(K.entries)).max() <= 1e-12
 
@@ -310,9 +308,9 @@ def test_commutator_with_general_angle_function():
     A_J = quantize_cyl(dist, basis, {0: lambda J: J})
     A_f = quantize_cyl(dist, basis, fourier)
     K = linalg.commutator(A_J, A_f)
-    band = build_overlap_matrix(dist, 1)
+    p = overlap_profile(dist, 1)
     for n in range(3, 16):
-        expected = 1.0 * band.value(1) * 0.5  # (n - n') = 1 times c_1
+        expected = 1.0 * p[1] * 0.5  # (n - n') = 1 times c_1
         assert K.entries[n, n - 1] == pytest.approx(expected, abs=1e-10)
 
 
@@ -371,7 +369,7 @@ def test_symbol_fourier_route_matches_trace_route():
     # band-matrix symbol via d_m p_{0,m} c_m against the direct expectation
     dist = gaussian_distribution(1.0)
     basis = two_sided(48)
-    band = build_overlap_matrix(dist, 47)
+    p = overlap_profile(dist, 47)
     A = quantize_cyl(dist, basis, sawtooth_fourier(47))
     J0, phi0 = 0.4, 2.1
     direct = lower_symbols_cyl(A, dist, J0, [phi0])[0].real
@@ -380,7 +378,7 @@ def test_symbol_fourier_route_matches_trace_route():
         series += (
             2.0
             * d_m_sigma(dist, m, J0)
-            * band.value(m)
+            * p[m]
             * (1.0 / m)
             * -math.sin(m * phi0)
         )
@@ -398,6 +396,20 @@ def test_overlap_kernel_normalization_and_duality():
     q = CylinderPoint(0.4, 2.8)
     d2, p2 = overlap_kernel(dist, p, q)
     assert abs(d2 - p2) <= 1e-10
+
+
+@pytest.mark.parametrize("sigma", [0.1, 0.2, 0.8, 50.0])
+def test_overlap_kernel_forms_agree_in_documented_range(sigma):
+    # the direct form's cs_vector basis holds both densities: no leak warning
+    dist = gaussian_distribution(sigma)
+    actions = (-2.0, -0.5, 0.0, 0.45, 1.5, 3.0)
+    worst = 0.0
+    for J in actions:
+        for Jp in actions:
+            for phi in (0.0, 0.7, 2.9, 5.8):
+                d, p = overlap_kernel(dist, CylinderPoint(J, phi), CylinderPoint(Jp, 0.7))
+                worst = max(worst, abs(d - p))
+    assert worst <= 1e-10
 
 
 def test_overlap_kernel_needs_gaussian():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from anglekit import circlecs, cli, specfun, whquant
+from anglekit.errors import TruncationWarning
 from anglekit.linalg import BasisSpec
 
 
@@ -45,8 +46,9 @@ def test_spectrum_deterministic_bytes(tmp_path):
 
 def test_lower_symbol_grid_tracks_sawtooth(tmp_path):
     out = tmp_path / "sym.csv"
-    code = run_main(["lower-symbol", "--construction", "wh", "--t", "0", "--J", "100",
-                     "--dim", "160", "--gamma-grid", "64", "--output", str(out)])
+    with pytest.warns(TruncationWarning):  # Poisson tail ~2e-8 past dim 160
+        code = run_main(["lower-symbol", "--construction", "wh", "--t", "0", "--J", "100",
+                         "--dim", "160", "--gamma-grid", "64", "--output", str(out)])
     assert code == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "J,gamma_or_phi,re,im"
@@ -56,6 +58,18 @@ def test_lower_symbol_grid_tracks_sawtooth(tmp_path):
         if 0.5 <= gamma <= 2.0 * math.pi - 0.5:
             worst = max(worst, abs(re - gamma))
     assert worst <= 0.05
+
+
+def test_lower_symbol_leak_warns_on_stderr_only(tmp_path, cli_env):
+    argv = ["lower-symbol", "--construction", "wh", "--t", "0", "--J", "100", "--dim", "160"]
+    proc = subprocess.run([sys.executable, "-m", "anglekit.cli", *argv],
+                          capture_output=True, text=True, env=cli_env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.count("TruncationWarning") == 1
+    out = tmp_path / "sym.csv"
+    with pytest.warns(TruncationWarning):
+        assert run_main([*argv, "--output", str(out)]) == 0
+    assert proc.stdout == out.read_text()
 
 
 def test_lower_symbol_circle_csv_matches_lower_symbols_cyl(tmp_path):

@@ -4,7 +4,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from anglekit.errors import TruncationWarning
 from anglekit.whquant import WeightSpec, angle_matrix, lower_symbols
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -18,6 +20,7 @@ def test_sawtooth_portrait_rows_match_pointwise_symbol(tmp_path, cli_env):
         env=cli_env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert "TruncationWarning" in proc.stderr  # J = 25 leaks past dim 48
     header, *rows = out.read_text(encoding="utf-8").splitlines()
     assert header == "J,gamma,symbol_re,symbol_im,sawtooth"
     assert len(rows) == 2 * 16
@@ -26,5 +29,9 @@ def test_sawtooth_portrait_rows_match_pointwise_symbol(tmp_path, cli_env):
     for i, row in enumerate(rows):
         J, gamma, re, im, saw = (float(x) for x in row.split(","))
         assert J == (4.0, 25.0)[i // 16] and gamma == grid[i % 16] and saw == gamma
-        val = lower_symbols(A, WeightSpec(t=0.0), J, [gamma], warn_leak=False)[0]
+        if J == 25.0:
+            with pytest.warns(TruncationWarning):
+                val = lower_symbols(A, WeightSpec(t=0.0), J, [gamma])[0]
+        else:
+            val = lower_symbols(A, WeightSpec(t=0.0), J, [gamma])[0]
         assert abs(complex(re, im) - val) <= 1e-12

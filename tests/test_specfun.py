@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from anglekit.circlecs import gaussian_distribution
 from anglekit.errors import ConvergenceError, DomainError
 from anglekit.specfun import (
     SeriesTolerance,
@@ -211,20 +212,23 @@ def test_laguerre_reflection_identity(n, m, t):
 
 
 # -------------------------------------------------------------- theta
+# the direct lattice sum is the Gaussian density's own normalizer
+
 
 def test_theta_large_sigma_flattens_to_one():
     for sigma in (4.0, 7.0, 12.0):
+        dist = gaussian_distribution(sigma)
         for J in (0.0, 0.37, 0.5):
-            assert theta3_normalizer(J, sigma, "direct") == pytest.approx(1.0, abs=1e-10)
+            assert dist.normalizer(J) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_theta_small_sigma_dirac_comb_gap():
-    assert theta3_normalizer(0.5, 0.05, "direct") < 1e-15
+    assert gaussian_distribution(0.05).normalizer(0.5) < 1e-15
 
 
 def test_theta_forms_agree_at_origin():
-    d = theta3_normalizer(0.0, 1.0, "direct")
-    p = theta3_normalizer(0.0, 1.0, "poisson")
+    d = gaussian_distribution(1.0).normalizer(0.0)
+    p = theta3_normalizer(0.0, 1.0)
     assert d == pytest.approx(p, abs=1e-12)
 
 
@@ -233,14 +237,9 @@ def test_theta_forms_agree_at_origin():
     st.floats(min_value=-3.0, max_value=3.0),
 )
 def test_theta_poisson_duality(sigma, J):
-    d = theta3_normalizer(J, sigma, "direct")
-    p = theta3_normalizer(J, sigma, "poisson")
+    d = gaussian_distribution(sigma).normalizer(J)
+    p = theta3_normalizer(J, sigma)
     assert abs(d - p) < 1e-11
-
-
-def test_theta_rejects_bad_form():
-    with pytest.raises(DomainError):
-        theta3_normalizer(0.0, 1.0, "fourier")
 
 
 # ------------------------------------------------- ArcCos coefficients

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import roots_genlaguerre
 
-from anglekit import linalg, whquant
+from anglekit import circlecs, linalg, whquant
 from anglekit.errors import DomainError, QuadratureWarning, TruncationWarning
 from anglekit.linalg import from_matrix, hermitian_eig, op_norm_max
 from anglekit.specfun import ln_gamma, sawtooth_fourier
@@ -449,7 +449,8 @@ def test_symbol_at_gamma_pi_is_exactly_pi():
 
 def test_symbol_tracks_sawtooth_at_large_action():
     A = angle_matrix(0.0, 128)
-    val = lower_symbols(A, WeightSpec(t=0.0), 100.0, [2.0], warn_leak=False)[0]
+    with pytest.warns(TruncationWarning):  # Poisson tail ~4e-3 past dim 128
+        val = lower_symbols(A, WeightSpec(t=0.0), 100.0, [2.0])[0]
     assert abs(val.real - 2.0) <= 0.05
 
 
@@ -521,7 +522,7 @@ def test_sine_coefficients_match_fft_of_symbol_grid():
     weight = WeightSpec(t=t)
     n = 4 * dim
     grid = 2.0 * math.pi * np.arange(n) / n
-    spectrum = np.fft.rfft(lower_symbols(A, weight, J, grid, warn_leak=False).real) / n
+    spectrum = np.fft.rfft(lower_symbols(A, weight, J, grid).real) / n
     fft_route = np.arange(1, q_max + 1) * spectrum[1 : q_max + 1].imag
     exact = symbol_sine_coefficients(A, weight, J, q_max)
     assert np.abs(exact - fft_route).max() <= 1e-12
@@ -603,6 +604,18 @@ def test_canonical_angle_index_build_matches_matmul_powers():
                 ref += (1j / q) * (Upow - Udag_pow)
                 B = canonical_angle_B(dim, mode=mode, q_cutoff=q)
                 assert np.array_equal(B.entries, ref), (mode, dim, q)
+
+
+@pytest.mark.parametrize("dim", [64, 65])
+def test_canonical_angle_shares_the_circle_two_sided_basis(dim):
+    # every two-sided basis in the package starts at -dim // 2, odd dims included
+    basis = linalg.BasisSpec("two_sided", dim, -dim // 2)
+    circle = circlecs.quantize_cyl(
+        circlecs.gaussian_distribution(1.0), basis, sawtooth_fourier(dim - 1)
+    )
+    diff = canonical_angle_B(dim, mode="two_sided", q_cutoff=dim - 1) - circle
+    assert diff.basis == basis
+    assert op_norm_max(diff - diff.H) <= 1e-12
 
 
 def test_sawtooth_fourier_data():
