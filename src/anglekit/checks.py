@@ -192,15 +192,14 @@ def _angle_support(params):
     dim = params.dim or 64
     modes = (params.mode,) if params.mode else ("cyclic", "two_sided", "one_sided")
     for mode in modes:
-        offset = 0 if mode in ("cyclic", "one_sided") else -dim // 2
-        fam = halfcircle.build_shift_family(BasisSpec(mode, dim, offset))
+        fam = halfcircle.build_shift_family(BasisSpec(mode, dim))
         A = halfcircle.full_angle(fam)
         herm = linalg.op_norm_max(A - A.H)
         eig = linalg.hermitian_eig(A)
         low = max(0.0, -float(eig.eigenvalues[0]))
         high = max(0.0, float(eig.eigenvalues[-1]) - 2.0 * math.pi)
         # the full angle is built from the system of C, so both are measured
-        resid = max(_eig_residual(A), _eig_residual(halfcircle.cos_sin_pair(fam).C))
+        resid = max(_eig_residual(A), _eig_residual(fam.C))
         worst = max(worst, herm, low, high, resid)
     return worst, 1e-9
 
@@ -208,11 +207,10 @@ def _angle_support(params):
 def _series_vs_spectral(params):
     dim = 32
     fam = halfcircle.build_shift_family(BasisSpec("cyclic", dim, 0))
-    pair = halfcircle.cos_sin_pair(fam)
     tol = specfun.SeriesTolerance(abs_tol=1e-6, max_terms=500_000)
-    eig = pair.C.eig
-    a_series = halfcircle.angle_upper(pair.C, method="series", tol=tol)
-    a_spectral = halfcircle.angle_upper(pair.C, method="spectral")
+    eig = fam.C.eig
+    a_series = halfcircle.angle_upper(fam.C, method="series", tol=tol)
+    a_spectral = halfcircle.angle_upper(fam.C, method="spectral")
     keep = np.abs(np.abs(eig.eigenvalues) - 1.0) > 1e-8
     proj = eig.eigenvectors[:, keep] @ eig.eigenvectors[:, keep].conj().T
     diff = proj @ (a_series.entries - a_spectral.entries) @ proj
@@ -221,10 +219,9 @@ def _series_vs_spectral(params):
 
 def _contraction_norms(params):
     dim = params.dim or 96
-    fam = halfcircle.build_shift_family(BasisSpec("two_sided", dim, -dim // 2))
-    pair = halfcircle.cos_sin_pair(fam)
+    fam = halfcircle.build_shift_family(BasisSpec("two_sided", dim))
     worst = 0.0
-    for op in (pair.C, pair.S):
+    for op in (fam.C, fam.S):
         eig = linalg.hermitian_eig(op)
         worst = max(worst, float(np.abs(eig.eigenvalues).max()) - 1.0, _eig_residual(op))
     return worst, 1e-12
@@ -232,31 +229,29 @@ def _contraction_norms(params):
 
 def _power_commutator_identity(params):
     dim = 128
-    fam = halfcircle.build_shift_family(BasisSpec("two_sided", dim, -dim // 2))
-    pair = halfcircle.cos_sin_pair(fam)
+    fam = halfcircle.build_shift_family(BasisSpec("two_sided", dim))
     lo, hi = linalg.interior_window(fam.basis, 32)
     worst = 0.0
     prev_power = np.eye(dim, dtype=complex)  # C^{n-1}
     Cn = TruncatedOperator(np.eye(dim, dtype=complex), fam.basis)
     for n in range(1, 9):
-        Cn = Cn @ pair.C
+        Cn = Cn @ fam.C
         lhs = linalg.commutator(fam.N, Cn)
-        rhs = 1j * n * TruncatedOperator(prev_power @ pair.S.entries, fam.basis)
+        rhs = 1j * n * TruncatedOperator(prev_power @ fam.S.entries, fam.basis)
         worst = max(
             worst,
             linalg.op_norm_max(linalg.window_restrict(lhs - rhs, lo, hi)),
         )
-        prev_power = prev_power @ pair.C.entries
+        prev_power = prev_power @ fam.C.entries
     return worst, 1e-9
 
 
 def _cyclic_exact_relations(params):
     dim = params.dim or 48
     fam = halfcircle.build_shift_family(BasisSpec("cyclic", dim, 0))
-    pair = halfcircle.cos_sin_pair(fam)
     eye = np.eye(dim)
-    comm = linalg.op_norm_max(linalg.commutator(pair.C, pair.S))
-    pyth = float(np.abs((pair.C @ pair.C + pair.S @ pair.S).entries - eye).max())
+    comm = linalg.op_norm_max(linalg.commutator(fam.C, fam.S))
+    pyth = float(np.abs((fam.C @ fam.C + fam.S @ fam.S).entries - eye).max())
     return max(comm, pyth), 1e-12
 
 
@@ -390,7 +385,7 @@ def _angle_grid_vs_scalar(params):
 
 def _circle_resolution_identity(params):
     dim = 64
-    basis = BasisSpec("two_sided", dim, -dim // 2)
+    basis = BasisSpec("two_sided", dim)
     dist = circlecs.gaussian_distribution(1.0)
     span = dim / 3.0
     one = circlecs.quantize_cyl(dist, basis, {0: 1}, j_span=(-span, span))
@@ -403,7 +398,7 @@ def _circle_resolution_identity(params):
 def _state_normalization(params):
     dist = circlecs.gaussian_distribution(params.sigma or 1.0)
     dim = params.dim or 64
-    basis = BasisSpec("two_sided", dim, -dim // 2)
+    basis = BasisSpec("two_sided", dim)
     worst = 0.0
     for J in (-7.3, 0.0, 2.5, 11.0):
         for phi in (0.0, 1.1):
@@ -415,7 +410,7 @@ def _state_normalization(params):
 def _action_is_number(params):
     dist = circlecs.gaussian_distribution(params.sigma or 1.0)
     dim = params.dim or 48
-    basis = BasisSpec("two_sided", dim, -dim // 2)
+    basis = BasisSpec("two_sided", dim)
     A = circlecs.quantize_cyl(dist, basis, {0: lambda J: J})
     return (
         float(np.abs(A.entries - np.diag(basis.labels().astype(complex))).max()),
@@ -426,7 +421,7 @@ def _action_is_number(params):
 def _circle_covariance_shift(params):
     sigma, dim, theta = 10.0, 200, 1.0
     dist = circlecs.gaussian_distribution(sigma)
-    basis = BasisSpec("two_sided", dim, -dim // 2)
+    basis = BasisSpec("two_sided", dim)
     A = circlecs.quantize_cyl(dist, basis, specfun.sawtooth_fourier(dim - 1))
     labels = basis.labels()
     conj = linalg.rotate(A, theta)
@@ -488,7 +483,7 @@ def _overlap_kernel_forms(params):
 
 def _harmonic_trend(params):
     values = []
-    basis = BasisSpec("two_sided", 48, -24)
+    basis = BasisSpec("two_sided", 48)
     worst = 0.0
     for sigma in (1.0, 2.0, 5.0, 10.0):
         dist = circlecs.gaussian_distribution(sigma)

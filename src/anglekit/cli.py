@@ -111,14 +111,13 @@ def _write_text(path, text):
 
 def _spectrum_operator(cfg):
     if cfg.construction == "halfcircle":
-        offset = -cfg.dim // 2 if cfg.mode == "two_sided" else 0
-        fam = halfcircle.build_shift_family(BasisSpec(cfg.mode, cfg.dim, offset))
+        fam = halfcircle.build_shift_family(BasisSpec(cfg.mode, cfg.dim))
         return halfcircle.full_angle(fam), cfg.mode
     if cfg.construction == "wh":
         return whquant.angle_matrix(cfg.t, cfg.dim), _fmt_float(cfg.t)
     if cfg.construction == "circle":
         dist = circlecs.gaussian_distribution(cfg.sigma)
-        basis = BasisSpec("two_sided", cfg.dim, -cfg.dim // 2)
+        basis = BasisSpec("two_sided", cfg.dim)
         op = circlecs.quantize_cyl(dist, basis, specfun.sawtooth_fourier(cfg.dim - 1))
         return op, _fmt_float(cfg.sigma)
     harmonics = cfg.harmonics if cfg.harmonics is not None else cfg.dim // 2 - 1
@@ -163,16 +162,12 @@ def cmd_lower_symbol(cfg):
 def cmd_commutator(cfg):
     lines = ["D,margin,window_lo,window_hi,defect"]
     for dim in cfg.dims:
-        basis = BasisSpec("two_sided", dim, -dim // 2)
-        fam = halfcircle.build_shift_family(basis)
-        pair = halfcircle.cos_sin_pair(fam)
-        angle = halfcircle.angle_upper(pair.C, method="spectral")
-        sigma = halfcircle.sigma_isometry(pair.S)
-        for margin in cfg.margins:
-            if 2 * margin >= dim:
-                continue
-            lo, hi = linalg.interior_window(basis, margin)
-            defect = halfcircle.commutator_defect(fam, angle, sigma, margin)
+        margins = [margin for margin in cfg.margins if 2 * margin < dim]
+        if not margins:
+            continue
+        fam = halfcircle.build_shift_family(BasisSpec("two_sided", dim))
+        for margin, defect in zip(margins, halfcircle.commutator_defect(fam, margins)):
+            lo, hi = linalg.interior_window(fam.basis, margin)
             lines.append(f"{dim},{margin},{lo},{hi},{_fmt_float(defect)}")
     _write_text(cfg.output, "\n".join(lines) + "\n")
     return EXIT_OK

@@ -1,10 +1,13 @@
 """Angle operators built from the cosine of a shift operator.
 
-A shift family (U, N) on a one-sided, two-sided or cyclic basis yields
-cosine/sine contractions C and S, the upper and lower half-circle angle
-operators ArcCos(C) and ArcCos(C) + pi, the sign isometry of S, and the
-doubled-space full angle operator.  Covariance and commutator defects
-are measured on interior label windows, away from truncation edges.
+`build_shift_family` gives the one shift family on a one-sided,
+two-sided or cyclic basis: the shift U, the label operator N and the
+cosine/sine contractions C and S.  From C come the upper and lower
+half-circle angle operators ArcCos(C) and ArcCos(C) + pi and the
+doubled-space full angle operator; the sign inversion Sigma of S is
+`linalg.sign_part(fam.S)`.  `commutator_defect` and `covariance_flow`
+measure their defects on interior label windows, away from truncation
+edges.
 
 C and S carry their exact eigensystems (`TruncatedOperator.eig`), so
 this route runs no eigensolver.  On the one- and two-sided bases C is
@@ -17,10 +20,11 @@ so does the rotated cosine cos(theta) C - sin(theta) S of
 `covariance_flow`.  An operator made from these by arithmetic carries
 none and goes to the general solve of `linalg.hermitian_eig`, like
 every other matrix.  With one BLAS thread on a 2-core x86 machine,
-`commutator --dims 512 --margins 32` and `spectrum --construction
-halfcircle --dim 1024` each take about a second.
+`commutator --dims 512 --margins 32` takes 0.7 s and `spectrum
+--construction halfcircle --dim 1024` 1.2 s, import included (medians
+of 3 fresh processes).
 
-Sign conventions (fixed numerically, see the commutator helpers): with
+Sign conventions (fixed numerically, see `commutator_defect`): with
 U e_n = e_{n+1}, N e_n = n e_n, C = (U + U*)/2, S = (U - U*)/(2i) and
 Sigma = sign(S), the finite-window identity is [ArcCos(C), N] = i Sigma,
 equivalently d/dtheta of the conjugated angle at 0 equals +Sigma for
@@ -39,14 +43,11 @@ from .specfun import SeriesTolerance, arccos_coefficient
 
 __all__ = [
     "ShiftFamily",
-    "CosSinPair",
     "build_shift_family",
     "ladder_from_shift",
-    "cos_sin_pair",
     "angle_upper",
     "angle_lower",
     "full_angle",
-    "sigma_isometry",
     "commutator_defect",
     "covariance_flow",
 ]
@@ -122,28 +123,32 @@ def _shift_eigensystems(basis):
 
 @dataclass(frozen=True, eq=False)
 class ShiftFamily:
-    """Shift operator U and diagonal label operator N on a common basis."""
+    """Shift U, diagonal label operator N, and C = (U + U*)/2, S = (U - U*)/(2i).
+
+    C and S are commuting contractions that carry their closed-form
+    eigensystems, written so that the -1 atom of C and the kernel of S
+    come out exact.
+    """
 
     U: TruncatedOperator
     N: TruncatedOperator
+    C: TruncatedOperator
+    S: TruncatedOperator
     basis: BasisSpec
 
 
-@dataclass(frozen=True, eq=False)
-class CosSinPair:
-    C: TruncatedOperator
-    S: TruncatedOperator
-
-
 def build_shift_family(basis):
-    """Shift U, ones on diagonal n - n' = 1 (wrapped on a cyclic basis), and diagonal N."""
+    """Shift U, ones on diagonal n - n' = 1 (wrapped on a cyclic basis), N, C and S."""
     if basis.dim < 4:
         raise DomainError(f"shift family needs dim >= 4, got {basis.dim}")
     U = linalg.fill_diagonals({1: 1.0}, basis)
     N = np.diag(basis.labels().astype(float)).astype(complex)
+    eig_C, eig_S = _shift_eigensystems(basis)
     return ShiftFamily(
         U=TruncatedOperator(U, basis),
         N=TruncatedOperator(N, basis),
+        C=TruncatedOperator((U + U.conj().T) / 2.0, basis, eig_C),
+        S=TruncatedOperator((U - U.conj().T) / 2.0j, basis, eig_S),
         basis=basis,
     )
 
@@ -159,23 +164,6 @@ def ladder_from_shift(fam):
     a_plus = fam.U.entries * np.sqrt(np.arange(fam.basis.dim) + 1.0)
     a_plus_op = TruncatedOperator(a_plus, fam.basis)
     return a_plus_op, a_plus_op.H
-
-
-def cos_sin_pair(fam):
-    """C = (U + U*)/2 and S = (U - U*)/(2i); commuting contractions.
-
-    fam is a `build_shift_family` result.  Both operators carry their
-    closed-form eigensystems, written so that the -1 atom of C and the
-    kernel of S come out exact.
-    """
-    U = fam.U.entries
-    C = (U + U.conj().T) / 2.0
-    S = (U - U.conj().T) / 2.0j
-    eig_C, eig_S = _shift_eigensystems(fam.basis)
-    return CosSinPair(
-        C=TruncatedOperator(C, fam.basis, eig_C),
-        S=TruncatedOperator(S, fam.basis, eig_S),
-    )
 
 
 def _check_contraction_spectrum(eig):
@@ -242,7 +230,7 @@ def full_angle(fam):
     eigenvectors V of C, with both blocks and the eigenvalues built from
     the same per-eigenvalue angles, sorted stably.
     """
-    eig = cos_sin_pair(fam).C.eig
+    eig = fam.C.eig
     lam, V = eig.eigenvalues, eig.eigenvectors
     upper = np.array([_arccos(x) for x in lam])
     lower = upper + math.pi - math.pi * (np.abs(lam + 1.0) <= MINUS_ONE_ATOM_TOL)
@@ -257,27 +245,25 @@ def full_angle(fam):
     return TruncatedOperator(out, BasisSpec("one_sided", 2 * dim, 0), system)
 
 
-def sigma_isometry(S):
-    """Sign part Sigma of the polar decomposition S = Sigma |S| (`linalg.sign_part`)."""
-    return linalg.sign_part(S)
+def commutator_defect(fam, window_margins):
+    """Max-norm defects of [ArcCos(C), N] - i Sigma, Sigma = sign(S), one per window margin.
 
-
-def commutator_defect(fam, angle, sigma, window_margin):
-    """Max-norm defect of [angle, N] - i sigma on an interior window.
-
-    This orientation of the commutator (angle first) is the one the
-    truncated model satisfies; the defect decays as the truncation
-    grows at a fixed window.
+    Each margin gives the interior window of `linalg.interior_window`;
+    every margin is validated before anything is built, and the
+    commutator is formed once for all of them.  This orientation (angle
+    first) is the one the truncated model satisfies; the defect decays
+    as the truncation grows at a fixed window.
     """
     if fam.basis.mode == "one_sided":
         raise DomainError("commutator defect needs a two_sided or cyclic basis")
-    lo, hi = linalg.interior_window(fam.basis, window_margin)
-    dev = linalg.commutator(angle, fam.N) - 1j * sigma
-    return linalg.op_norm_max(linalg.window_restrict(dev, lo, hi))
+    windows = [linalg.interior_window(fam.basis, margin) for margin in window_margins]
+    angle = angle_upper(fam.C, method="spectral")
+    dev = linalg.commutator(angle, fam.N) - 1j * linalg.sign_part(fam.S)
+    return [linalg.op_norm_max(linalg.window_restrict(dev, lo, hi)) for lo, hi in windows]
 
 
 def _rotated_cosine_system(C, theta):
-    """Exact eigensystem of cos(theta) C - sin(theta) S, C from `cos_sin_pair`.
+    """Exact eigensystem of cos(theta) C - sin(theta) S, C of a shift family.
 
     Two-sided, the matrix is U(theta) C U(theta)* with U(theta) =
     diag(e^{i theta n}), so its eigenvectors are U(theta) V for those V
@@ -305,13 +291,12 @@ def covariance_flow(fam, theta):
     """
     if fam.basis.mode == "one_sided":
         raise DomainError("covariance flow needs a two_sided or cyclic basis")
-    pair = cos_sin_pair(fam)
     ct, st = math.cos(theta), math.sin(theta)
-    C_closed = TruncatedOperator((ct * pair.C - st * pair.S).entries, fam.basis,
-                                 _rotated_cosine_system(pair.C, theta))
-    S_closed = ct * pair.S + st * pair.C
+    C_closed = TruncatedOperator((ct * fam.C - st * fam.S).entries, fam.basis,
+                                 _rotated_cosine_system(fam.C, theta))
+    S_closed = ct * fam.S + st * fam.C
     lo, hi = linalg.interior_window(fam.basis, max(1, fam.basis.dim // 4))
-    for closed, op in ((C_closed, pair.C), (S_closed, pair.S)):
+    for closed, op in ((C_closed, fam.C), (S_closed, fam.S)):
         dev = linalg.op_norm_max(linalg.window_restrict(closed - linalg.rotate(op, theta), lo, hi))
         if dev > 1e-10:
             raise ConvergenceError(

@@ -66,18 +66,20 @@ class BasisSpec:
     """Indexing convention mapping abstract basis labels to matrix rows.
 
     one_sided labels 0..dim-1, two_sided labels offset..offset+dim-1
-    (offset typically -dim//2), cyclic labels 0..dim-1 understood mod dim.
+    (offset -dim//2 unless given), cyclic labels 0..dim-1 understood mod dim.
     """
 
     mode: str
     dim: int
-    offset: int = 0
+    offset: int = None
 
     def __post_init__(self):
         if self.mode not in _MODES:
             raise DomainError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.dim < 1:
             raise DomainError(f"dim must be positive, got {self.dim}")
+        if self.offset is None:
+            object.__setattr__(self, "offset", -self.dim // 2 if self.mode == "two_sided" else 0)
         if self.mode in ("one_sided", "cyclic") and self.offset != 0:
             raise DomainError(f"{self.mode} basis requires offset 0, got {self.offset}")
 
@@ -154,7 +156,7 @@ def _require_same_basis(a, b):
         raise BasisMismatchError(f"basis mismatch: {a.basis} vs {b.basis}")
 
 
-def from_matrix(entries, basis=None, mode="one_sided", offset=0):
+def from_matrix(entries, basis=None, mode="one_sided", offset=None):
     """Wrap a bare matrix, synthesizing a BasisSpec when none is given."""
     entries = np.asarray(entries, dtype=complex)
     if basis is None:
@@ -514,12 +516,9 @@ def window_restrict(op, lo, hi):
     keep = np.where((labels >= lo) & (labels <= hi))[0]
     if keep.size == 0:
         raise DomainError(f"window [{lo}, {hi}] selects no labels")
-    sub = op.entries[np.ix_(keep, keep)]
-    mode = "two_sided" if op.basis.mode == "two_sided" else "one_sided"
-    if mode == "one_sided" and int(labels[keep[0]]) != 0:
-        mode = "two_sided"
-    basis = BasisSpec(mode, keep.size, int(labels[keep[0]]) if mode == "two_sided" else 0)
-    return TruncatedOperator(sub, basis)
+    first = int(labels[keep[0]])
+    mode = "one_sided" if op.basis.mode != "two_sided" and first == 0 else "two_sided"
+    return TruncatedOperator(op.entries[np.ix_(keep, keep)], BasisSpec(mode, keep.size, first))
 
 
 def interior_window(basis, margin):

@@ -578,7 +578,7 @@ def canonical_angle_B(dim, mode="cyclic", q_cutoff=0):
         raise DomainError("canonical angle needs a cyclic or two_sided basis")
     if dim < 4:
         raise DomainError(f"shift family needs dim >= 4, got {dim}")
-    basis = BasisSpec(mode, dim, 0 if mode == "cyclic" else -dim // 2)
+    basis = BasisSpec(mode, dim)
     return TruncatedOperator(linalg.fill_diagonals(sawtooth_fourier(q_cutoff), basis), basis)
 
 

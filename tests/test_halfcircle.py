@@ -10,20 +10,24 @@ from anglekit.halfcircle import (
     angle_upper,
     build_shift_family,
     commutator_defect,
-    cos_sin_pair,
     covariance_flow,
     full_angle,
     ladder_from_shift,
-    sigma_isometry,
 )
-from anglekit.linalg import BasisSpec, from_matrix, hermitian_eig, op_norm_max, window_restrict
+from anglekit.linalg import (
+    BasisSpec,
+    from_matrix,
+    hermitian_eig,
+    op_norm_max,
+    sign_part,
+    window_restrict,
+)
 
 HALF_PI = math.pi / 2.0
 
 
 def family(mode, dim):
-    offset = -dim // 2 if mode == "two_sided" else 0
-    return build_shift_family(BasisSpec(mode, dim, offset))
+    return build_shift_family(BasisSpec(mode, dim))
 
 
 # ------------------------------------------------------------- shifts
@@ -54,7 +58,7 @@ def test_shift_two_sided_labels():
 
 def test_shift_rejects_tiny_dim():
     with pytest.raises(DomainError):
-        build_shift_family(BasisSpec("cyclic", 3, 0))
+        build_shift_family(BasisSpec("cyclic", 3))
 
 
 # ------------------------------------------------------------- ladder
@@ -95,9 +99,7 @@ def test_angle_upper_spectral_endpoints():
 
 
 def test_angle_upper_cyclic_spectrum():
-    fam = family("cyclic", 4)
-    pair = cos_sin_pair(fam)
-    A = angle_upper(pair.C, method="spectral")
+    A = angle_upper(family("cyclic", 4).C, method="spectral")
     # circulant oracle: ArcCos of {1, 0, -1, 0}
     oracle = sorted(math.acos(v) for v in (1.0, 0.0, -1.0, 0.0))
     assert np.allclose(hermitian_eig(A).eigenvalues, oracle, atol=1e-11)
@@ -107,8 +109,7 @@ def test_angle_upper_cyclic_spectrum_at_the_edges():
     # circulant oracle arccos(cos(2 pi k / D)); the eigenvalues +-1 of C must
     # map to exactly 0 and pi, not to the ~1e-8 that arccos makes of one ulp
     for dim in range(4, 17):
-        pair = cos_sin_pair(family("cyclic", dim))
-        got = hermitian_eig(angle_upper(pair.C, method="spectral")).eigenvalues
+        got = hermitian_eig(angle_upper(family("cyclic", dim).C, method="spectral")).eigenvalues
         oracle = np.sort(np.arccos(np.cos(2.0 * math.pi * np.arange(dim) / dim)))
         assert np.abs(got - oracle).max() <= 1e-11, dim
 
@@ -137,8 +138,7 @@ CLOSED_FORM_DIMS = list(range(4, 18)) + [31, 64, 128]
 
 def shift_operators(mode, dim):
     fam = family(mode, dim)
-    pair = cos_sin_pair(fam)
-    return {"C": pair.C, "S": pair.S, "full_angle": full_angle(fam)}
+    return {"C": fam.C, "S": fam.S, "full_angle": full_angle(fam)}
 
 
 @pytest.mark.parametrize("dim", CLOSED_FORM_DIMS)
@@ -159,22 +159,21 @@ def test_closed_form_systems_match_independent_solvers(mode, dim):
 def test_closed_form_atoms_are_exact():
     for dim in CLOSED_FORM_DIMS:
         for mode in ("one_sided", "two_sided"):
-            s_vals = cos_sin_pair(family(mode, dim)).S.eig.eigenvalues
+            s_vals = family(mode, dim).S.eig.eigenvalues
             assert (0.0 in s_vals) == (dim % 2 == 1), (mode, dim)
-        c_vals = cos_sin_pair(family("cyclic", dim)).C.eig.eigenvalues
+        c_vals = family("cyclic", dim).C.eig.eigenvalues
         assert (-1.0 in c_vals) == (dim % 2 == 0), dim
 
 
 def test_derived_operators_carry_no_system():
-    fam = family("two_sided", 16)
-    pair = cos_sin_pair(fam)
-    assert hermitian_eig(pair.C) is pair.C.eig
+    C = family("two_sided", 16).C
+    assert hermitian_eig(C) is C.eig
     derived = [
-        pair.C * 1.0,
-        pair.C @ pair.C,
-        pair.C.H,
-        linalg.rotate(pair.C, 0.3),
-        window_restrict(pair.C, -4, 4),
+        C * 1.0,
+        C @ C,
+        C.H,
+        linalg.rotate(C, 0.3),
+        window_restrict(C, -4, 4),
     ]
     assert all(op.eig is None for op in derived)
 
@@ -197,9 +196,8 @@ def test_full_angle_without_minus_one_atom():
     # two-sided truncation: tridiagonal cosine has spectrum cos(k pi/(D+1)),
     # never exactly -1, so the correction projector vanishes
     fam = family("two_sided", 6)
-    pair = cos_sin_pair(fam)
-    upper = hermitian_eig(angle_upper(pair.C, method="spectral")).eigenvalues
-    lower = hermitian_eig(angle_lower(pair.C)).eigenvalues
+    upper = hermitian_eig(angle_upper(fam.C, method="spectral")).eigenvalues
+    lower = hermitian_eig(angle_lower(fam.C)).eigenvalues
     got = hermitian_eig(full_angle(fam)).eigenvalues
     assert np.allclose(got, np.sort(np.concatenate([upper, lower])), atol=1e-10)
 
@@ -215,17 +213,16 @@ def test_full_angle_spectral_support():
 # ------------------------------------------------------- sigma isometry
 
 def test_sigma_cube_and_polar_reconstruction():
-    fam = family("cyclic", 8)
-    pair = cos_sin_pair(fam)
-    sig = sigma_isometry(pair.S)
+    S = family("cyclic", 8).S
+    sig = sign_part(S)
     assert op_norm_max(sig @ sig @ sig - sig) <= 1e-10
-    magnitude = linalg.spectral_function(pair.S, abs)
-    assert op_norm_max(sig @ magnitude - pair.S) <= 1e-10
+    magnitude = linalg.spectral_function(S, abs)
+    assert op_norm_max(sig @ magnitude - S) <= 1e-10
 
 
 def test_sigma_trivial_cases():
-    assert op_norm_max(sigma_isometry(from_matrix(np.zeros((4, 4))))) == 0.0
-    sig = sigma_isometry(from_matrix(np.diag([2.0, -1.0, 0.5])))
+    assert op_norm_max(sign_part(from_matrix(np.zeros((4, 4))))) == 0.0
+    sig = sign_part(from_matrix(np.diag([2.0, -1.0, 0.5])))
     assert np.abs((sig @ sig).entries - np.eye(3)).max() <= 1e-12
 
 
@@ -233,63 +230,44 @@ def test_sigma_trivial_cases():
 
 def test_number_angle_commutator_is_anti_hermitian():
     fam = family("two_sided", 64)
-    pair = cos_sin_pair(fam)
-    A = angle_upper(pair.C, method="spectral")
+    A = angle_upper(fam.C, method="spectral")
     K = linalg.commutator(fam.N, A)
     assert op_norm_max(K + K.H) <= 1e-10
 
 
 def test_defect_shrinks_with_window():
-    fam = family("two_sided", 128)
-    pair = cos_sin_pair(fam)
-    A = angle_upper(pair.C, method="spectral")
-    sig = sigma_isometry(pair.S)
-    wide = commutator_defect(fam, A, sig, window_margin=32)
-    narrow = commutator_defect(fam, A, sig, window_margin=48)
+    wide, narrow = commutator_defect(family("two_sided", 128), [32, 48])
     assert narrow <= 1.5 * wide
 
 
 def test_defect_decreases_with_dimension():
-    values = []
-    for dim in (64, 128):
-        fam = family("two_sided", dim)
-        pair = cos_sin_pair(fam)
-        A = angle_upper(pair.C, method="spectral")
-        sig = sigma_isometry(pair.S)
-        values.append(commutator_defect(fam, A, sig, window_margin=dim // 2 - 16))
+    values = [commutator_defect(family("two_sided", dim), [dim // 2 - 16])[0] for dim in (64, 128)]
     assert values[1] < values[0]
 
 
 def test_defect_rejects_one_sided_and_empty_window():
-    fam = family("one_sided", 8)
-    pair = cos_sin_pair(fam)
-    A = angle_upper(pair.C, method="spectral")
-    sig = sigma_isometry(pair.S)
     with pytest.raises(DomainError):
-        commutator_defect(fam, A, sig, window_margin=2)
-    fam2 = family("two_sided", 8)
+        commutator_defect(family("one_sided", 8), [2])
     with pytest.raises(DomainError):
-        commutator_defect(fam2, A, sig, window_margin=4)
+        commutator_defect(family("two_sided", 8), [2, 4])
 
 
 # ------------------------------------------------------- covariance flow
 
 def test_covariance_flow_at_zero():
     fam = family("two_sided", 16)
-    pair = cos_sin_pair(fam)
     C0, S0, A0 = covariance_flow(fam, 0.0)
-    assert op_norm_max(C0 - pair.C) == 0.0
-    assert op_norm_max(S0 - pair.S) == 0.0
-    assert op_norm_max(A0 - angle_upper(pair.C, method="spectral")) <= 1e-11
+    assert op_norm_max(C0 - fam.C) == 0.0
+    assert op_norm_max(S0 - fam.S) == 0.0
+    assert op_norm_max(A0 - angle_upper(fam.C, method="spectral")) <= 1e-11
 
 
 def test_covariance_flow_quarter_turn():
     fam = family("two_sided", 32)
-    pair = cos_sin_pair(fam)
     Cq, Sq, _ = covariance_flow(fam, math.pi / 2.0)
     lo, hi = linalg.interior_window(fam.basis, 8)
-    assert op_norm_max(window_restrict(Cq + pair.S, lo, hi)) <= 1e-12
-    assert op_norm_max(window_restrict(Sq - pair.C, lo, hi)) <= 1e-12
+    assert op_norm_max(window_restrict(Cq + fam.S, lo, hi)) <= 1e-12
+    assert op_norm_max(window_restrict(Sq - fam.C, lo, hi)) <= 1e-12
 
 
 @pytest.mark.parametrize("dim", CLOSED_FORM_DIMS)
@@ -309,13 +287,11 @@ def test_covariance_derivative_matches_sigma():
     # d/dtheta of the conjugated angle at 0 equals +sign(S) on the interior
     dim, margin, h = 64, 16, 1e-4
     fam = family("two_sided", dim)
-    pair = cos_sin_pair(fam)
     _, _, A_plus = covariance_flow(fam, h)
     _, _, A_minus = covariance_flow(fam, -h)
     derivative = (1.0 / (2.0 * h)) * (A_plus - A_minus)
-    sig = sigma_isometry(pair.S)
-    A = angle_upper(pair.C, method="spectral")
-    defect = commutator_defect(fam, A, sig, window_margin=margin)
+    sig = sign_part(fam.S)
+    (defect,) = commutator_defect(fam, [margin])
     lo, hi = linalg.interior_window(fam.basis, margin)
     dev = op_norm_max(window_restrict(derivative - sig, lo, hi))
     assert dev <= 1e-5 + defect

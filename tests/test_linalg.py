@@ -49,6 +49,17 @@ def test_basis_spec_validation():
     assert list(spec.labels()) == [-3, -2, -1, 0, 1, 2]
 
 
+def test_basis_spec_centres_two_sided_by_default():
+    # offset -dim // 2 rounds down: an odd dim has one more negative label than nonnegative
+    assert list(BasisSpec("two_sided", 6).labels()) == [-3, -2, -1, 0, 1, 2]
+    assert list(BasisSpec("two_sided", 5).labels()) == [-3, -2, -1, 0, 1]
+    assert BasisSpec("two_sided", 5) == BasisSpec("two_sided", 5, -3)
+    # an explicit offset is kept, 0 included; the other modes stay at 0
+    assert BasisSpec("two_sided", 5, 0).offset == 0
+    assert BasisSpec("two_sided", 5, -1).labels()[0] == -1
+    assert BasisSpec("one_sided", 5).offset == 0 and BasisSpec("cyclic", 5).offset == 0
+
+
 def test_operator_requires_square_finite():
     with pytest.raises(DomainError):
         from_matrix(np.ones((2, 3)))
@@ -180,6 +191,63 @@ def test_eig_graded_input(seed):
     # must not be pushed past the eigenvalues above it
     s = np.logspace(-12.0, 0.0, 40)
     assert_eigensystem(random_hermitian(40, seed) * np.outer(s, s))
+
+
+def stress_matrix(family, i, chiral=False):
+    """Matrix i of seeded stress family 0..5, D in 19..57: Hermitian, or real antisymmetric K.
+
+    0 dense; 1 two blocks joined by one coupling 10^U(-170, -150); 2 graded
+    raw * outer(s, s), s = 10^U(-12, 0); 3 hidden clusters, four values
+    repeated (as +-i w pairs for K) plus 1e-12 noise; 4 tridiagonal with
+    off-diagonals 10^U(-200, 0); 5 dense with one row and column scaled by
+    10^U(-170, -150).  Both kinds fold the same raw draws.
+    """
+    rng = np.random.default_rng([family, i])
+    dim = int(rng.integers(19, 58))
+    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    if chiral:
+        raw = raw.real
+        fold = lambda R: np.tril(R, -1) - np.tril(R, -1).T
+    else:
+        fold = lambda R: (R + R.conj().T) / 2.0
+    if family == 1:
+        k = int(rng.integers(1, dim))
+        raw[:k, k:] = raw[k:, :k] = 0.0
+        raw[k, k - 1] = 10.0 ** rng.uniform(-170, -150)
+    elif family == 2:
+        s = 10.0 ** rng.uniform(-12, 0, dim)
+        raw = raw * np.outer(s, s)
+    elif family == 3:
+        q = np.linalg.qr(raw)[0]
+        w = np.resize(rng.standard_normal(4), dim)
+        if chiral:
+            pairs = np.diag(np.where(np.arange(dim - 1) % 2, 0.0, w[1:]), -1)
+            core = pairs - pairs.T
+        else:
+            core = np.diag(w)
+        raw = q @ core @ q.conj().T + 1e-12 * raw
+    elif family == 4:
+        e = 10.0 ** rng.uniform(-200, 0, dim - 1)
+        raw = np.diag(raw.diagonal().real) + np.diag(e, -1) + np.diag(e, 1)
+    elif family == 5:
+        j = int(rng.integers(dim))
+        scale = 10.0 ** rng.uniform(-170, -150)
+        raw[j, :] *= scale
+        raw[:, j] *= scale
+    return fold(raw)
+
+
+@pytest.mark.parametrize("family", range(6))
+def test_eig_stress_sweep(family):
+    # 30 seeded matrices per family, through the general solve and, antisymmetric, the chiral route
+    for i in range(30):
+        assert_eigensystem(stress_matrix(family, i))
+        K = stress_matrix(family, i, chiral=True)
+        got = chiral_eigenvalues(from_matrix(1j * K))
+        # LAPACK at center 0, as pi I + i K would cost it ~eps pi; the bound is assert_eigensystem's
+        # (not eps max|K|: on family 4, i = 9, LAPACK misses the top eigenvalue by 2.1e-12)
+        lapack = np.linalg.eigvalsh(1j * K)
+        assert np.abs(got - lapack).max() <= 1e-11 * max(1.0, np.abs(lapack).max()), i
 
 
 @pytest.mark.parametrize("c", [1e-156, 1e-158, 1e-161])
