@@ -13,6 +13,7 @@ The overlap profile p_{0,m} = integral sqrt(p(J) p(J-m)) dJ, computed by
 its own quadrature, encodes the number-angle commutator completely.
 """
 
+import functools
 import math
 import numbers
 import warnings
@@ -41,9 +42,6 @@ __all__ = [
     "overlap_kernel",
     "limit_study",
 ]
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
-
 
 @dataclass(frozen=True)
 class CylinderPoint:
@@ -95,12 +93,25 @@ class DistributionSpec:
         return math.fsum(self.pdf(J - n) for n in range(lo, hi + 1))
 
 
+@functools.lru_cache(maxsize=1)
+def _legendre_rule():
+    """24-point Gauss-Legendre nodes and weights on [-1, 1], built on first use.
+
+    linalg.gauss_rule on the Legendre Jacobi matrix: d_k = 0,
+    e_k = (k + 1) / sqrt(4 (k + 1)^2 - 1), mass 2.
+    """
+    k = np.arange(1.0, 24.0)
+    nodes, log_w = linalg.gauss_rule(np.zeros(24), k / np.sqrt(4.0 * k * k - 1.0), math.log(2.0))
+    return nodes, np.exp(log_w)
+
+
 def _gl_rule(edges):
     """24-point Gauss-Legendre nodes and weights on the panels between consecutive edges."""
+    nodes, weights = _legendre_rule()
     edges = np.asarray(edges, dtype=float)
     mid = (edges[1:] + edges[:-1]) / 2.0
     rad = (edges[1:] - edges[:-1]) / 2.0
-    return (mid[:, None] + rad[:, None] * _GL_NODES).ravel(), (rad[:, None] * _GL_WEIGHTS).ravel()
+    return (mid[:, None] + rad[:, None] * nodes).ravel(), (rad[:, None] * weights).ravel()
 
 
 def _panel_integral(f, edges, scale):
@@ -113,8 +124,13 @@ def _panel_integral(f, edges, scale):
     return total
 
 
+@functools.lru_cache(maxsize=32, typed=True)
 def gaussian_distribution(sigma):
-    """Gaussian density of width sigma, radius 9 sigma + 1/2."""
+    """Gaussian density of width sigma, radius 9 sigma + 1/2.
+
+    Memoized: the spec is frozen, so each sigma is built, and its mass
+    checked, once per process.
+    """
     if sigma <= 0:
         raise DomainError(f"sigma must be positive, got {sigma}")
     pref = 1.0 / math.sqrt(2.0 * math.pi * sigma * sigma)

@@ -16,7 +16,10 @@ antisymmetric (the WH, circle and canonical angle matrices): it
 verifies that structure, reads c from the diagonal, reduces K to
 tridiagonal form with the same Householder kernel, run in real
 arithmetic, and bisects with the same Sturm-count kernel, with no
-eigenvector solve and no BLAS call.  Rotation covariance under
+eigenvector solve and no BLAS call.  `gauss_rule` turns the Jacobi
+matrix of a weight into its Gauss quadrature rule with the same
+Sturm-count kernel, so no quadrature on the product path calls LAPACK.
+Rotation covariance under
 U(theta) = diag(e^{i theta n}) lives here too, shared by both integral
 quantizations and the checks: `rotate`, `diagonal_sums` and
 `rotated_traces`, and `quantize_modes`, the one per-diagonal
@@ -39,6 +42,7 @@ __all__ = [
     "EigenSystem",
     "hermitian_eig",
     "chiral_eigenvalues",
+    "gauss_rule",
     "spectral_function",
     "from_spectrum",
     "sign_part",
@@ -59,6 +63,8 @@ _SECTIONS = 8  # multisection: 7 Sturm counts per interval and round
 _ROUNDS = 18  # 8^18 = 2^54: the final width lies below the rounding of the bound
 _INVERSE_STEPS = 3  # inverse-iteration steps, then the residual is checked
 _CLUSTER_GAP = 1e-3  # eigenvalues within this times ||T||_1 are reorthogonalised together
+_GAUSS_ROUNDS = 6  # gauss_rule: width / 8^6, below the Laguerre rules' smallest node gap through n = 160
+_NEWTON_STEPS = 4  # then Newton steps from the bracket midpoints reach the rounding floor
 
 
 @dataclass(frozen=True)
@@ -404,20 +410,22 @@ def _mirrored_spectrum(e):
     return np.concatenate([-upper[::-1], np.zeros(dim % 2), upper])
 
 
-def _multisection(d, e, index, lo, width):
+def _multisection(d, e, index, lo, width, rounds=_ROUNDS):
     """Eigenvalues number `index` (from 0, ascending) of the symmetric tridiagonal (d, e).
 
-    All of them lie in [lo, lo + width] and are found at once: each
+    Each lies in [lo, lo + width], lo a number or one per index, and all
+    are found at once: each
     round splits every interval into _SECTIONS equal parts and keeps the
-    one whose Sturm counts bracket the eigenvalue, so _ROUNDS rounds
-    narrow it to width / 2^54.
+    one whose Sturm counts bracket the eigenvalue, so the default _ROUNDS
+    rounds narrow it to width / 2^54.  The midpoint of each final
+    interval is returned.
     """
     b2 = np.concatenate(([0.0], e * e))  # b2[i] = e_{i-1}^2, with e_{-1} = 0
     pivmin = np.finfo(float).tiny * max(1.0, float(b2.max()))
     index = index[:, None]
     fractions = np.arange(1, _SECTIONS) / _SECTIONS
     lo = np.full(index.size, lo)
-    for _ in range(_ROUNDS):
+    for _ in range(rounds):
         points = lo[:, None] + width * fractions
         counts = _sturm_counts(d, b2, points.ravel(), pivmin).reshape(points.shape)
         width /= _SECTIONS
@@ -448,6 +456,73 @@ def _sturm_counts(d, b2, x, pivmin):
         count += small  # after the replacement, exactly these pivots are <= 0
         prev, piv = piv, prev
     return count
+
+
+def gauss_rule(d, e, log_mu0):
+    """Nodes and log weights of the n-point Gauss rule of a weight with Jacobi matrix (d, e).
+
+    Golub & Welsch, Math. Comp. 23 (1969) 221: the orthonormal
+    polynomials of a weight of mass mu_0 = exp(log_mu0) satisfy
+    e_k p_{k+1} = (x - d_k) p_k - e_{k-1} p_{k-1}, and the rule's nodes
+    are the eigenvalues of the symmetric tridiagonal (d, e), n = d.size.
+    Sturm counts on a grid of _SECTIONS^3 cells of the Gershgorin
+    interval place every node in its cell at once, where three rounds of
+    `_multisection` would count the same points for every node; its
+    remaining _GAUSS_ROUNDS - 3 rounds bracket each node, and
+    _NEWTON_STEPS Newton steps on p_n, run by the recurrence and held
+    inside the bracket, polish it.  The weight of node x is the
+    Christoffel number mu_0 / sum_{k<n} p_k(x)^2, p_0 = 1, returned as
+    its log, so a weight below the smallest double keeps its digits.  All
+    of it is elementwise numpy with no LAPACK call.  Nodes ascend.
+    """
+    index = np.arange(d.size)
+    radius = np.concatenate(([0.0], e)) + np.concatenate((e, [0.0]))
+    lo = float((d - radius).min())
+    width = float((d + radius).max()) - lo
+    shared = 3  # rounds whose section points are the same for every node
+    b2 = np.concatenate(([0.0], e * e))
+    cells = _SECTIONS**shared
+    grid = lo + width * np.arange(1, cells) / cells
+    counts = _sturm_counts(d, b2, grid, np.finfo(float).tiny * max(1.0, float(b2.max())))
+    width /= cells
+    start = lo + width * (counts <= index[:, None]).sum(axis=1)
+    x = _multisection(d, e, index, start, width, _GAUSS_ROUNDS - shared)
+    half = 0.5 * width / _SECTIONS ** (_GAUSS_ROUNDS - shared)
+    low, high = x - half, x + half
+    for _ in range(_NEWTON_STEPS):
+        p, dp, _ = _orthonormal_sweep(d, e, x)
+        x = np.clip(x - p / dp, low, high)
+    return x, log_mu0 - _orthonormal_sweep(d, e, x)[2]
+
+
+def _orthonormal_sweep(d, e, x):
+    """p_n(x) up to a constant factor, its derivative, and log sum_{k<n} p_k(x)^2, for every x at once.
+
+    The recurrence of `gauss_rule` runs along k with p_0 = 1; its last
+    step, which has no e_{n-1}, gives e_{n-1} p_n.  Whenever |p_k| passes
+    1e100 at a node, that node's values and partial sum are divided by
+    it and its log is kept, like `whquant._radial_fill`'s rescaling, so
+    nothing overflows: a Laguerre sum grows like e^x.
+    """
+    inv = 1.0 / np.concatenate((e, [1.0]))  # 1 / e_k
+    ratio = np.concatenate(([0.0], e)) * inv  # e_{k-1} / e_k, with e_{-1} = 0
+    shift = (x - d[:, None]) * inv[:, None]  # (x - d_k) / e_k
+    p_prev, p = np.zeros(x.size), np.ones(x.size)
+    dp_prev, dp = np.zeros(x.size), np.zeros(x.size)
+    total, scale_ln = np.zeros(x.size), np.zeros(x.size)
+    for k in range(d.size):
+        total += p * p
+        p_next = shift[k] * p - ratio[k] * p_prev
+        dp_next = shift[k] * dp + inv[k] * p - ratio[k] * dp_prev
+        p_prev, p, dp_prev, dp = p, p_next, dp, dp_next
+        mag = np.abs(p)
+        if mag.max() > 1e100:
+            div = np.where(mag > 1e100, mag, 1.0)
+            for v in (p_prev, p, dp_prev, dp):
+                v /= div
+            total /= div * div
+            scale_ln += np.log(div)
+    return p, dp, np.log(total) + 2.0 * scale_ln
 
 
 def spectral_function(op, f):

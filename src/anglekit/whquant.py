@@ -12,7 +12,9 @@ linalg.quantize_modes, the kernel it shares with circlecs.quantize_cyl.
 The action J = |z|^2 takes generalized Gauss-Laguerre rules: diagonal q
 carries a factor J^{|q|/2}, so each mode goes to the alpha = 0 or 1/2
 rule by the parity of |q| plus the declared half-power of its
-coefficient, keeping the map polynomial-exact at t = 0.
+coefficient, keeping the map polynomial-exact at t = 0.  The rules are
+built in-house by linalg.gauss_rule from the Laguerre Jacobi matrix and
+carry log weights, which quantize reads without leaving log space.
 
 Angle quantization enters twice: as the explicit quadrature and as the
 closed-form matrix with entries i F_{nn'}(t) / (n' - n) built from
@@ -28,7 +30,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_genlaguerre, xlogy
 
 from .errors import DomainError, QuadratureWarning, TruncationWarning
 from .linalg import BasisSpec, TruncatedOperator
@@ -138,14 +139,25 @@ class PhaseSpacePoint:
 
 @functools.lru_cache(maxsize=32)
 def _radial_rule(n_points, alpha):
-    """Nodes/weights for integral_0^inf e^{-J} J^alpha g(J) dJ."""
-    nodes, weights = roots_genlaguerre(n_points, alpha)
-    return nodes, weights
+    """Nodes and log weights for integral_0^inf e^{-J} J^alpha g(J) dJ.
+
+    The Laguerre Jacobi matrix has d_k = 2k + 1 + alpha and
+    e_k = sqrt((k + 1)(k + 1 + alpha)), and the weight's mass is
+    Gamma(alpha + 1).
+    """
+    k = np.arange(n_points, dtype=float)
+    return linalg.gauss_rule(
+        2.0 * k + 1.0 + alpha, np.sqrt(k[1:] * (k[1:] + alpha)), ln_gamma(alpha + 1.0)
+    )
 
 
 @dataclass(frozen=True)
 class QuadratureScheme:
-    """n_J-point generalized Gauss-Laguerre rule in J; angles need no rule."""
+    """n_J-point generalized Gauss-Laguerre rule in J; angles need no rule.
+
+    radial_rule(alpha) returns the nodes and log weights of the rule for
+    the weight e^{-J} J^alpha, built by linalg.gauss_rule and cached.
+    """
 
     n_J: int = 96
 
@@ -189,7 +201,10 @@ def _radial_fill(radii, dim, cols=None):
     J = (r * r)[:, None]
     a = np.arange(dim, dtype=float)
     sign = 1.0 - 2.0 * (np.arange(dim) % 2)
-    pref_ln = -J / 2.0 + xlogy(a, r[:, None])  # D(0) = I: r^0 = 1
+    log_r = np.log(r, out=np.full(r.size, -np.inf), where=r > 0.0)
+    pref_ln = -J / 2.0 + np.multiply(  # a log r with 0 log 0 = 0: D(0) = I
+        a, log_r[:, None], out=np.zeros((r.size, dim)), where=a > 0.0
+    )
     lg = np.array([ln_gamma(k + 1.0) for k in range(dim)])
     s_prev = np.zeros((r.size, dim))
     s_cur = np.repeat(np.exp(-0.5 * lg)[None, :], r.size, axis=0)
@@ -340,8 +355,8 @@ def _quantize_once(modes, weight, quad, dim):
 
 def _plane_frames(quad, alpha, rho):
     """Blocks (J, w e^J J^-alpha, _frames) of the alpha Gauss-Laguerre rule, FILL_BATCH nodes each."""
-    J, w = quad.radial_rule(alpha)  # every node and weight is positive for n_J <= 160
-    w = np.exp(np.log(w) + J - alpha * np.log(J))
+    J, log_w = quad.radial_rule(alpha)  # every node is positive
+    w = np.exp(log_w + J - alpha * np.log(J))
     for k in range(0, J.size, FILL_BATCH):
         block = slice(k, k + FILL_BATCH)
         yield J[block], w[block], _frames(np.sqrt(J[block]), rho)

@@ -388,6 +388,30 @@ def test_console_entry_point(tmp_path, cli_env):
     assert out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "whquant", "--t", "0.3"],
+        ["lower-symbol", "--construction", "circle", "--sigma", "1", "--J", "0", "--dim", "48"],
+    ],
+)
+def test_product_path_imports_no_scipy(tmp_path, cli_env, argv):
+    # the quadrature rules are built in-house; scipy is a test oracle only
+    child = (
+        "import sys\n"
+        "from anglekit import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child, *argv, "--output", str(tmp_path / "out")],
+        capture_output=True, text=True, cwd=str(tmp_path), env=cli_env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         cli.main(["spectrum", "--construction", "bogus"])
