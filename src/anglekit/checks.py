@@ -448,16 +448,12 @@ def _d_m_bound(params):
 
 def _overlap_symmetry_spot(params):
     dist = circlecs.gaussian_distribution(1.0)
-    rng = np.random.default_rng(31)
     worst = 0.0
-    for _ in range(5):
-        n, npr = int(rng.integers(-8, 9)), int(rng.integers(-8, 9))
+    for n, npr in np.random.default_rng(31).integers(-8, 9, size=(5, 2)).tolist():
         sep = abs(n - npr)
 
         def integrand(J):
-            return math.sqrt(
-                max(dist.pdf(J - n), 0.0) * max(dist.pdf(J - npr), 0.0)
-            )
+            return np.sqrt(np.maximum(dist.pdf(J - n), 0.0) * np.maximum(dist.pdf(J - npr), 0.0))
 
         direct = circlecs._panel_integral(
             integrand, (min(n, npr) - dist.radius, max(n, npr) + dist.radius), dist.sigma
@@ -511,13 +507,8 @@ def _s_k_bounded(params):
 
 def _factorial_inequality(params):
     seq = moments.integer_sequence()
-    rng = np.random.default_rng(41)
-    fails = 0
-    for _ in range(10_000):
-        n1 = int(rng.integers(0, 301))
-        n2 = int(rng.integers(0, 301))
-        if not moments.half_factorial_bound_check(seq, n1, n2):
-            fails += 1
+    pairs = np.random.default_rng(41).integers(0, 301, size=(10_000, 2)).tolist()
+    fails = sum(not moments.half_factorial_bound_check(seq, n1, n2) for n1, n2 in pairs)
     return float(fails), 0.0
 
 

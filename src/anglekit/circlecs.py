@@ -59,6 +59,8 @@ class CylinderPoint:
 class DistributionSpec:
     """Even, normalized density with a declared effective support radius.
 
+    pdf maps an ndarray of actions to a finite float ndarray of the same
+    shape; every lattice sum and quadrature calls it once per array.
     radius R satisfies pdf(x) < ~1e-16 for |x| > R; all quadrature
     windows and the lattice sum of `normalizer` are derived from it.
     kind is 'gaussian' or 'custom'; only `overlap_kernel` reads it.
@@ -74,13 +76,17 @@ class DistributionSpec:
             raise DomainError(f"sigma must be positive, got {self.sigma}")
         if self.radius <= 0:
             raise DomainError(f"radius must be positive, got {self.radius}")
-        grid = np.linspace(0.1 * self.radius, 0.9 * self.radius, 17)
-        vals_pos = np.array([self.pdf(x) for x in grid])
-        vals_neg = np.array([self.pdf(-x) for x in grid])
-        top = max(float(vals_pos.max()), 1e-300)
-        if np.any(vals_pos < 0) or np.any(vals_neg < 0):
+        grid = np.linspace(0.1 * self.radius, 0.9 * self.radius, 17) * [[1.0], [-1.0]]
+        try:
+            vals = self.pdf(grid)
+        except Exception as exc:
+            raise DomainError(f"pdf must map an ndarray to a float ndarray: {exc}") from exc
+        if not (isinstance(vals, np.ndarray) and vals.shape == grid.shape
+                and vals.dtype.kind == "f" and np.isfinite(vals).all()):
+            raise DomainError("pdf must map an ndarray to a finite float ndarray of its shape")
+        if np.any(vals < 0):
             raise DomainError("pdf must be nonnegative")
-        if float(np.abs(vals_pos - vals_neg).max()) > 1e-10 * top:
+        if float(np.abs(vals[0] - vals[1]).max()) > 1e-10 * max(float(vals[0].max()), 1e-300):
             raise DomainError("pdf must be even")
         mass = _panel_integral(self.pdf, (-self.radius, self.radius), self.sigma)
         if abs(mass - 1.0) > 1e-8:
@@ -90,7 +96,7 @@ class DistributionSpec:
         """Lattice sum N(J) = sum_n pdf(J - n) over |J - n| <= radius, by math.fsum."""
         lo = int(math.floor(J - self.radius))
         hi = int(math.ceil(J + self.radius))
-        return math.fsum(self.pdf(J - n) for n in range(lo, hi + 1))
+        return math.fsum(self.pdf(J - np.arange(lo, hi + 1)).tolist())
 
 
 @functools.lru_cache(maxsize=1)
@@ -115,12 +121,15 @@ def _gl_rule(edges):
 
 
 def _panel_integral(f, edges, scale):
-    """Composite Gauss-Legendre between consecutive edges, panels sized to the density width."""
+    """Composite Gauss-Legendre between consecutive edges, panels sized to the density width.
+
+    f maps the node array of one edge pair to its values; each pair is summed by math.fsum.
+    """
     width = min(max(scale / 2.0, 1e-3), 2.0)
     total = 0.0
     for lo, hi in zip(edges, edges[1:]):
         x, w = _gl_rule(np.linspace(lo, hi, max(4, math.ceil((hi - lo) / width)) + 1))
-        total += math.fsum(wi * f(xi) for xi, wi in zip(x.tolist(), w.tolist()))
+        total += math.fsum((w * f(x)).tolist())
     return total
 
 
@@ -136,14 +145,14 @@ def gaussian_distribution(sigma):
     pref = 1.0 / math.sqrt(2.0 * math.pi * sigma * sigma)
 
     def pdf(x):
-        return pref * math.exp(-x * x / (2.0 * sigma * sigma))
+        return pref * np.exp(-x * x / (2.0 * sigma * sigma))
 
     radius = 9.0 * sigma + 0.5
     return DistributionSpec(kind="gaussian", sigma=sigma, pdf=pdf, radius=radius)
 
 
 def custom_distribution(pdf, sigma, radius):
-    """Wrap a user density; the constructor checks evenness and mass."""
+    """Wrap a user array density; the constructor checks the array contract, evenness and mass."""
     return DistributionSpec(kind="custom", sigma=sigma, pdf=pdf, radius=radius)
 
 
@@ -160,7 +169,7 @@ def overlap(dist, m):
     cuts = sorted(c for c in (m - dist.radius, dist.radius) if lo < c < hi)
 
     def integrand(J):
-        return math.sqrt(max(dist.pdf(J), 0.0) * max(dist.pdf(J - m), 0.0))
+        return np.sqrt(np.maximum(dist.pdf(J), 0.0) * np.maximum(dist.pdf(J - m), 0.0))
 
     val = _panel_integral(integrand, [lo, *cuts, hi], dist.sigma)
     return min(max(val, 0.0), 1.0)
@@ -191,7 +200,7 @@ def cs_vector(dist, point, basis):
             TruncationWarning,
             stacklevel=2,
         )
-    amps = np.array([math.sqrt(max(dist.pdf(point.J - n), 0.0) / norm) for n in labels])
+    amps = np.sqrt(np.maximum(dist.pdf(point.J - labels), 0.0) / norm)
     return amps * np.exp(-1j * point.phi * labels)
 
 
@@ -209,8 +218,8 @@ def quantize_cyl(dist, basis, fourier, j_span=None):
     exp(-q^2 / (8 sigma^2))): exactly Toeplitz.  Callable modes, and
     every mode under an explicit j_span, go to linalg.quantize_modes with
     the amplitude columns sqrt(p(J-n)) of the same T as frames, one pass
-    per mode: the sawtooth to q = 127 at D = 128 takes 0.19 s with a
-    j_span, 0.01 s on the default window.
+    per mode: the sawtooth to q = 127 at D = 128 takes 0.17 s with a
+    j_span, 0.006 s on the default window (2 cores, one BLAS thread).
     """
     if basis.mode != "two_sided":
         raise DomainError("cylinder quantization needs a two_sided basis")
@@ -238,8 +247,7 @@ def _cell_table(dist, s0, s1):
     m = math.ceil(1.0 / min(max(dist.sigma, 1e-3), 1.0))
     cuts = np.unique(np.append(np.arange(m + 1) / m, 2.0 * dist.radius % 1.0))
     x, w = _gl_rule(cuts)
-    vals = (dist.pdf(x_i + (s - dist.radius)) for s in range(s0, s1) for x_i in x.tolist())
-    table = np.fromiter(vals, float, x.size * max(s1 - s0, 0)).reshape(-1, x.size)
+    table = dist.pdf(x + (np.arange(s0, s1) - dist.radius)[:, None])
     return cuts, x, w, np.sqrt(np.maximum(table, 0.0))
 
 
@@ -268,8 +276,8 @@ def _action_table(dist, labels, j_span=None):
     def frames():
         for k in ends:
             J, wk = _gl_rule(np.unique(np.clip(anchor + k + cuts, lo, hi)))
-            vals = [[dist.pdf(a - n) for a in J.tolist()] for n in labels.tolist()]
-            yield J, wk, np.sqrt(np.maximum(vals, 0.0)).reshape(dim, J.size, 1)
+            vals = np.sqrt(np.maximum(dist.pdf(J - labels[:, None]), 0.0))
+            yield J, wk, vals.reshape(dim, J.size, 1)
         step = max(1, 256 // x.size)  # cells per block: at most 256 nodes x dim labels
         for k in range(first, last, step):
             cells = np.arange(k, min(k + step, last))
@@ -334,11 +342,9 @@ def d_m_sigma(dist, m, J):
     norm = dist.normalizer(J)
     lo = int(math.floor(J - dist.radius - abs(m) - 1))
     hi = int(math.ceil(J + dist.radius + 1))
-    total = math.fsum(
-        math.sqrt(max(dist.pdf(J - r), 0.0) * max(dist.pdf(J - m - r), 0.0))
-        for r in range(lo, hi + 1)
-    )
-    return total / norm
+    r = np.arange(lo, hi + 1)
+    terms = np.sqrt(np.maximum(dist.pdf(J - r), 0.0) * np.maximum(dist.pdf(J - m - r), 0.0))
+    return math.fsum(terms.tolist()) / norm
 
 
 def overlap_kernel(dist, p1, p2):

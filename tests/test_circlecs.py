@@ -57,23 +57,68 @@ def test_gaussian_distribution_roundtrip():
 
 
 def test_distribution_rejects_odd_pdf():
-    skew = lambda x: max(0.0, math.exp(-((x - 0.3) ** 2)))
-    with pytest.raises(DomainError):
+    skew = lambda x: np.maximum(0.0, np.exp(-((x - 0.3) ** 2)))
+    with pytest.raises(DomainError, match="even"):
         custom_distribution(skew, sigma=1.0, radius=8.0)
 
 
 def test_distribution_rejects_bad_mass():
-    half = lambda x: 0.5 / math.sqrt(2 * math.pi) * math.exp(-x * x / 2.0)
-    with pytest.raises(DomainError):
+    half = lambda x: 0.5 / math.sqrt(2 * math.pi) * np.exp(-x * x / 2.0)
+    with pytest.raises(DomainError, match="integrate to 1"):
         custom_distribution(half, sigma=1.0, radius=9.5)
 
 
 def test_custom_distribution_accepts_sech_profile():
     # p(J) = 1/(4a) sech^2(J/(2a)) integrates to 1 and is even
     a = 0.7
-    pdf = lambda x: 1.0 / (4.0 * a * math.cosh(x / (2.0 * a)) ** 2)
+    pdf = lambda x: 1.0 / (4.0 * a * np.cosh(x / (2.0 * a)) ** 2)
     dist = custom_distribution(pdf, sigma=a, radius=60.0 * a)
     assert 0.0 < overlap(dist, 2) < 1.0
+
+
+@pytest.mark.parametrize("pdf", [
+    lambda x: math.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi),
+    lambda x: 0.1,
+    lambda x: np.full(x.shape, np.nan),
+], ids=["scalar_only", "not_an_array", "not_finite"])
+def test_distribution_rejects_pdf_off_the_array_contract(pdf):
+    with pytest.raises(DomainError, match="pdf must map an ndarray"):
+        custom_distribution(pdf, sigma=1.0, radius=9.5)
+
+
+def scalar_gaussian(sigma):
+    pref = 1.0 / math.sqrt(2.0 * math.pi * sigma * sigma)
+    return lambda x: pref * math.exp(-x * x / (2.0 * sigma * sigma))
+
+
+def scalar_normalizer(pdf, radius, J):
+    return math.fsum(pdf(J - n) for n in range(math.floor(J - radius), math.ceil(J + radius) + 1))
+
+
+@pytest.mark.parametrize("sigma", [0.3, 1.0, 10.0])
+def test_vectorized_density_matches_scalar_oracle(sigma):
+    # one math.exp call per node, summed in the same order, pins every array
+    # evaluation of the density to the ulp-level difference of np.exp
+    dist, p = gaussian_distribution(sigma), scalar_gaussian(sigma)
+    close = lambda got, ref: np.all(np.abs(np.subtract(got, ref)) <= 1e-14 * np.abs(ref))
+    basis = two_sided(2 * math.ceil(dist.radius) + 8)
+    for J in (-0.75, 0.0, 0.45, 2.5):
+        norm = scalar_normalizer(p, dist.radius, J)
+        assert close(dist.normalizer(J), norm)
+        amps = [math.sqrt(p(J - n) / norm) for n in basis.labels().tolist()]
+        assert close(cs_vector(dist, CylinderPoint(J, 0.0), basis).real, amps)
+        for m in (1, 2, 5):
+            r = range(math.floor(J - dist.radius - m - 1), math.ceil(J + dist.radius + 1) + 1)
+            ref = math.fsum(math.sqrt(p(J - k) * p(J - m - k)) for k in r) / norm
+            assert close(d_m_sigma(dist, m, J), ref)
+    for m in range(1, 7):
+        lo, hi = m / 2.0 - dist.radius - 1.0, m / 2.0 + dist.radius + 1.0
+        edges = [lo, *sorted(c for c in (m - dist.radius, dist.radius) if lo < c < hi), hi]
+        width, ref = min(max(sigma / 2.0, 1e-3), 2.0), 0.0
+        for a, b in zip(edges, edges[1:]):
+            x, w = circlecs._gl_rule(np.linspace(a, b, max(4, math.ceil((b - a) / width)) + 1))
+            ref += math.fsum(wi * math.sqrt(p(xi) * p(xi - m)) for xi, wi in zip(x.tolist(), w.tolist()))
+        assert close(overlap(dist, m), ref)
 
 
 # -------------------------------------------------------------- overlaps
@@ -98,7 +143,7 @@ def test_overlap_decays_at_large_separation():
 
 def raised_cosine(a):
     """p(x) = (1 + cos(pi x / a)) / (2a) on |x| <= a, zero beyond."""
-    pdf = lambda x: (1.0 + math.cos(math.pi * x / a)) / (2.0 * a) if abs(x) <= a else 0.0
+    pdf = lambda x: np.where(np.abs(x) <= a, (1.0 + np.cos(np.pi * x / a)) / (2.0 * a), 0.0)
     return custom_distribution(pdf, sigma=a * math.sqrt(1.0 / 3.0 - 2.0 / math.pi ** 2), radius=a)
 
 
@@ -431,7 +476,7 @@ def test_overlap_kernel_forms_agree_in_documented_range(sigma):
 
 def test_overlap_kernel_needs_gaussian():
     a = 0.7
-    pdf = lambda x: 1.0 / (4.0 * a * math.cosh(x / (2.0 * a)) ** 2)
+    pdf = lambda x: 1.0 / (4.0 * a * np.cosh(x / (2.0 * a)) ** 2)
     dist = custom_distribution(pdf, sigma=a, radius=60.0 * a)
     with pytest.raises(DomainError):
         overlap_kernel(dist, CylinderPoint(0, 0), CylinderPoint(0, 0))
