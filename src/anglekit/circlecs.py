@@ -204,32 +204,27 @@ def cs_vector(dist, point, basis):
     return amps * np.exp(-1j * point.phi * labels)
 
 
-def quantize_cyl(dist, basis, fourier, j_span=None):
+def quantize_cyl(dist, basis, fourier):
     """Quantization of f(J, phi) = sum_q c_q(J) e^{i q phi} on the cylinder.
 
     fourier maps q to c_q, a number or a callable of J: the contract of
     whquant.quantize without its (g, half_power) pair, which has no
     meaning at J < 0.  By rotation covariance mode q fills diagonal
     n - n' = q alone with integral c_q(J) sqrt(p(J-n) p(J-n')) dJ over
-    the `_action_table` nodes (j_span as there); modes |q| >= dim drop.
-    The default window is lattice covariant, so a number mode fills its
-    diagonal with c_q g_|q|, g_q = sum_s sum_i w_i T[s, i] T[s + q, i]
-    over the whole sqrt(p) table T of the window (for the Gaussian,
-    exp(-q^2 / (8 sigma^2))): exactly Toeplitz.  Callable modes, and
-    every mode under an explicit j_span, go to linalg.quantize_modes with
-    the amplitude columns sqrt(p(J-n)) of the same T as frames, one pass
-    per mode: the sawtooth to q = 127 at D = 128 takes 0.17 s with a
-    j_span, 0.006 s on the default window (2 cores, one BLAS thread).
+    the `_action_table` nodes; modes |q| >= dim drop.  The table is
+    lattice covariant, so a number mode fills its diagonal with
+    c_q g_|q|, g_q = sum_s sum_i w_i T[s, i] T[s + q, i] over the whole
+    sqrt(p) table T (for the Gaussian, exp(-q^2 / (8 sigma^2))): exactly
+    Toeplitz.  Callable modes go to linalg.quantize_modes with the
+    amplitude columns sqrt(p(J-n)) of the same T as frames.
     """
     if basis.mode != "two_sided":
         raise DomainError("cylinder quantization needs a two_sided basis")
-    if j_span is not None and j_span[0] >= j_span[1]:
-        raise DomainError(f"empty action window [{j_span[0]}, {j_span[1]}]")
     dim = basis.dim
     consts = {int(q): c for q, c in fourier.items()
-              if j_span is None and isinstance(c, numbers.Number) and abs(q) < dim}
+              if isinstance(c, numbers.Number) and abs(q) < dim}
     funcs = {q: c for q, c in fourier.items() if int(q) not in consts}
-    w, T, frames = _action_table(dist, basis.labels(), j_span)
+    w, T, frames = _action_table(dist, basis.labels())
     out = linalg.quantize_modes(funcs, frames, basis)
     if consts:
         T, rows = T.T.copy(), T.shape[0]  # pairwise sums along the offsets, then the nodes
@@ -238,54 +233,35 @@ def quantize_cyl(dist, basis, fourier, j_span=None):
     return TruncatedOperator(out, basis)
 
 
-def _cell_table(dist, s0, s1):
-    """Cell cuts, nodes x, weights w and T[s - s0, i] = sqrt(p(s - radius + x_i)), s0 <= s < s1.
+def _action_table(dist, labels):
+    """Weights w, sqrt(p) table T and frames of the action window of labels.
 
-    The unit cell is cut into ceil(1 / min(sigma, 1)) equal panels and at
-    frac(2 radius): a cell anchored at n - radius has n +- radius on panel edges.
-    """
-    m = math.ceil(1.0 / min(max(dist.sigma, 1e-3), 1.0))
-    cuts = np.unique(np.append(np.arange(m + 1) / m, 2.0 * dist.radius % 1.0))
-    x, w = _gl_rule(cuts)
-    table = dist.pdf(x + (np.arange(s0, s1) - dist.radius)[:, None])
-    return cuts, x, w, np.sqrt(np.maximum(table, 0.0))
-
-
-def _action_table(dist, labels, j_span=None):
-    """Weights w and sqrt(p) table T of `_cell_table` for the window, and its frames.
-
-    The frames are a generator of (J, w, F), F[n, i, 0] = sqrt(p(J_i - labels[n])).
-    Unit cells are anchored at labels[0] - radius, so J - n lands on the
-    same cell-local nodes for every label: T[s - s0, i] holds offset
-    s = k - j of cell k and label j, s0 = 1 - dim on the default window,
-    the whole cells covering [labels[0] - radius, labels[-1] + radius].
-    The two end cells of an explicit j_span = (lo, hi) are clipped to it
-    and evaluated directly.
+    The window is the whole unit cells covering
+    [labels[0] - radius, labels[-1] + radius], anchored at its left end.
+    Each cell is cut into ceil(1 / min(sigma, 1)) equal panels and at
+    frac(2 radius), so every density edge n +- radius is a panel edge,
+    and carries the same 24-point Gauss-Legendre nodes x and weights w.
+    J - n then lands on the same cell-local nodes for every label:
+    T[s + dim - 1, i] = sqrt(p(s - radius + x_i)) holds offset s = k - j
+    of cell k and label j.  The frames are a generator of (J, w, F),
+    F[n, i, 0] = sqrt(p(J_i - labels[n])).
     """
     dim = len(labels)
     anchor = float(labels[0]) - dist.radius
-    if j_span is None:
-        first, last, ends = 0, math.ceil(dim - 1 + 2.0 * dist.radius), ()
-    else:
-        lo, hi = j_span
-        first, last = math.floor(lo - anchor), math.ceil(hi - anchor)
-        ends, first, last = sorted({first, last - 1}), first + 1, last - 1
-    s0 = first - dim + 1
-    cuts, x, w, table = _cell_table(dist, s0, last)
+    last = math.ceil(dim - 1 + 2.0 * dist.radius)
+    m = math.ceil(1.0 / min(max(dist.sigma, 1e-3), 1.0))
+    x, w = _gl_rule(sorted({*(np.arange(m + 1) / m).tolist(), 2.0 * dist.radius % 1.0}))
+    T = np.sqrt(np.maximum(dist.pdf(x + (np.arange(1 - dim, last) - dist.radius)[:, None]), 0.0))
 
     def frames():
-        for k in ends:
-            J, wk = _gl_rule(np.unique(np.clip(anchor + k + cuts, lo, hi)))
-            vals = np.sqrt(np.maximum(dist.pdf(J - labels[:, None]), 0.0))
-            yield J, wk, vals.reshape(dim, J.size, 1)
         step = max(1, 256 // x.size)  # cells per block: at most 256 nodes x dim labels
-        for k in range(first, last, step):
+        for k in range(0, last, step):
             cells = np.arange(k, min(k + step, last))
             J = ((anchor + cells)[:, None] + x).ravel()
-            block = table[cells - np.arange(dim)[:, None] - s0]  # (label, cell, node)
+            block = T[cells - np.arange(dim)[:, None] + dim - 1]  # (label, cell, node)
             yield J, np.tile(w, cells.size), block.reshape(dim, J.size, 1)
 
-    return w, table, frames()
+    return w, T, frames()
 
 
 def fourier_harmonic_defect(dist, basis):

@@ -236,6 +236,19 @@ def test_compact_density_quantization_closed_forms(a):
         assert np.abs(diag - raised_cosine_overlap(a, q)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("dim", [64, 65])
+def test_compact_density_angle_spectrum_closed_form(dim):
+    # at a = 1 the overlap is 1/pi at m = 1 and 0 beyond, so the sawtooth is the
+    # tridiagonal Toeplitz pi I +- i/pi; frac(2 radius) = 0 falls on a cell cut
+    A = quantize_cyl(raised_cosine(1.0), two_sided(dim), sawtooth_fourier(dim - 1))
+    band = np.abs(np.subtract.outer(np.arange(dim), np.arange(dim))) <= 1
+    assert np.all(A.entries[~band] == 0.0)
+    assert abs(abs(A.entries[1, 0]) - 1.0 / math.pi) <= 1e-15
+    k = np.arange(dim, 0, -1)
+    expected = math.pi + (2.0 / math.pi) * np.cos(k * math.pi / (dim + 1))
+    assert np.abs(linalg.chiral_eigenvalues(A) - expected).max() <= 1e-14
+
+
 def test_angle_band_matrix_formula():
     dist = gaussian_distribution(1.0)
     basis = two_sided(24)
@@ -267,11 +280,11 @@ def test_angle_matrix_is_toeplitz_and_persymmetric(sigma):
 def test_mixed_map_tabulates_sqrt_p_once(monkeypatch):
     # the number modes' profile and the callable modes' frames read one sqrt(p) table
     calls = []
-    cell_table = circlecs._cell_table
-    monkeypatch.setattr(circlecs, "_cell_table",
-                        lambda dist, s0, s1: calls.append((s0, s1)) or cell_table(dist, s0, s1))
+    action_table = circlecs._action_table
+    monkeypatch.setattr(circlecs, "_action_table",
+                        lambda dist, labels: calls.append(labels) or action_table(dist, labels))
     quantize_cyl(gaussian_distribution(1.0), two_sided(128), {0: lambda J: J, 1: 1.0, -1: 1.0})
-    assert calls == [(-127, 146)]
+    assert len(calls) == 1
 
 
 def test_fundamental_harmonic_is_weighted_shift():
@@ -314,12 +327,8 @@ def test_product_mode_past_truncation_is_zero():
 def test_grid_resolution_of_identity():
     dist = gaussian_distribution(1.0)
     basis = two_sided(48)
-    span = 16.0
-    one = quantize_cyl(dist, basis, {0: 1}, j_span=(-span, span))
-    labels = basis.labels()
-    interior = np.where(np.abs(labels) <= span - 7.0)[0]
-    block = one.entries[np.ix_(interior, interior)]
-    assert np.abs(block - np.eye(interior.size)).max() <= 1e-6
+    one = quantize_cyl(dist, basis, {0: lambda J: 1.0})
+    assert np.abs(one.entries - np.eye(48)).max() <= 1e-6
 
 
 def test_quantize_cyl_rejects_coefficient_of_unknown_form():

@@ -393,15 +393,19 @@ def test_console_entry_point(tmp_path, cli_env):
     [
         ["check", "whquant", "--t", "0.3"],
         ["lower-symbol", "--construction", "circle", "--sigma", "1", "--J", "0", "--dim", "48"],
+        ["spectrum", "--construction", "circle", "--dim", "128"],
+        ["check", "circlecs"],
     ],
 )
 def test_product_path_imports_no_scipy(tmp_path, cli_env, argv):
-    # the quadrature rules are built in-house; scipy is a test oracle only
+    # the quadrature rules are built in-house; scipy is a test oracle only.
+    # numpy.ma, which the first np.unique call of a process imports, stays out too
     child = (
         "import sys\n"
         "from anglekit import cli\n"
         "code = cli.main(sys.argv[1:])\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']))\n"
         "sys.exit(code)\n"
     )
     proc = subprocess.run(

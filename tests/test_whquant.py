@@ -571,9 +571,15 @@ def test_d_q_series_reduces_to_closed_form_at_zero_temperature():
 
 
 def test_d_q_series_at_positive_temperature():
-    # the displayed general-t sum exceeds its stated bound of 1 ...
-    assert d_q_series(1, 8.0, 0.3) > 1.0
-    # ... and still tends to the t = 0 closed form as t -> 0
+    # the corrected series is the trace route's sine coefficient; at (q, J, t) =
+    # (1, 2, 0.5) a stop on one small term of the last partial sum misses by 1.7e-2
+    for t in (0.1, 0.3, 0.5):
+        ref = symbol_sine_coefficients(angle_matrix(t, 160), WeightSpec(t=t), 2.0, 8)
+        for q in (1, 4, 8):
+            assert d_q_series(q, 2.0, t) == pytest.approx(ref[q - 1], rel=1e-12)
+    ref = symbol_sine_coefficients(angle_matrix(0.3, 160), WeightSpec(t=0.3), 8.0, 1)
+    assert d_q_series(1, 8.0, 0.3) == pytest.approx(ref[0], rel=1e-12)
+    # ... and it tends to the t = 0 closed form as t -> 0
     assert d_q_series(3, 5.0, 1e-9) == pytest.approx(d_q_cs(3, 5.0), rel=1e-8)
 
 
