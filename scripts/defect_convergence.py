@@ -4,9 +4,7 @@
 Produces the table behind the convergence claim: at a fixed interior
 window the defect of [angle, N] - i Sigma shrinks as the two-sided
 truncation grows.  C and S carry closed-form eigensystems, so no size
-runs an eigensolver: each costs a few dense matrix products.  On a
-2-core x86 machine with one BLAS thread the default sizes take 0.3 s in
-all, D=512 alone 0.4 s and D=1024 1.1 s (whole process, medians of 3).
+runs an eigensolver: each costs a few dense matrix products.
 """
 
 import argparse

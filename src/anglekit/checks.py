@@ -207,14 +207,13 @@ def _angle_support(params):
 def _series_vs_spectral(params):
     dim = 32
     fam = halfcircle.build_shift_family(BasisSpec("cyclic", dim, 0))
-    tol = specfun.SeriesTolerance(abs_tol=1e-6, max_terms=500_000)
     eig = fam.C.eig
-    a_series = halfcircle.angle_upper(fam.C, method="series", tol=tol)
-    a_spectral = halfcircle.angle_upper(fam.C, method="spectral")
+    a_series = halfcircle.angle_upper_series(fam.C)
+    a_spectral = halfcircle.angle_upper(fam.C)
     keep = np.abs(np.abs(eig.eigenvalues) - 1.0) > 1e-8
     proj = eig.eigenvectors[:, keep] @ eig.eigenvectors[:, keep].conj().T
     diff = proj @ (a_series.entries - a_spectral.entries) @ proj
-    return float(np.abs(diff).max()), 50 * 1e-6
+    return float(np.abs(diff).max()), 50 * halfcircle.SERIES_TERM_TOL
 
 
 def _contraction_norms(params):
@@ -264,7 +263,7 @@ def _ccr_from_quantization(params):
     worst = 0.0
     t_values = (params.t,) if params.t is not None else (0.0, 0.3, 0.6)
     for t in t_values:
-        weight = whquant.WeightSpec(kind="cahill_glauber", t=t)
+        weight = whquant.WeightSpec(t=t)
         Az = whquant.quantize({1: ((lambda J: 1.0), 1)}, weight, quad, dim)
         Azb = whquant.quantize({-1: ((lambda J: 1.0), 1)}, weight, quad, dim)
         K = linalg.commutator(Az, Azb)
@@ -283,7 +282,7 @@ def _angle_matrix_structure(params):
 def _angle_covariance_symbol_shift(params):
     dim, J, theta = 128, 50.0, 1.0
     A = whquant.angle_matrix(0.0, dim)
-    weight = whquant.WeightSpec(kind="cahill_glauber", t=0.0)
+    weight = whquant.WeightSpec(t=0.0)
     conj = linalg.rotate(A, theta)
     # phase pattern on the off-diagonals is exact
     expected = A.entries * np.exp(
@@ -340,7 +339,7 @@ def _d_q_bound(params):
 
 def _wh_resolution_identity(params):
     quad = whquant.QuadratureScheme(n_J=80)
-    weight = whquant.WeightSpec(kind="cahill_glauber", t=0.3)
+    weight = whquant.WeightSpec(t=0.3)
     A = whquant.quantize({0: ((lambda J: 1.0), 0)}, weight, quad, 64)
     dev = np.abs(A.entries - np.eye(64))[:16, :16].max()
     return float(dev), 1e-6

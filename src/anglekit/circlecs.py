@@ -207,9 +207,9 @@ def cs_vector(dist, point, basis):
 def quantize_cyl(dist, basis, fourier):
     """Quantization of f(J, phi) = sum_q c_q(J) e^{i q phi} on the cylinder.
 
-    fourier maps q to c_q, a number or a callable of J: the contract of
-    whquant.quantize without its (g, half_power) pair, which has no
-    meaning at J < 0.  By rotation covariance mode q fills diagonal
+    fourier maps an integer q to c_q, a number or a callable of J: the
+    contract of whquant.quantize without its (g, half_power) pair, which
+    has no meaning at J < 0.  By rotation covariance mode q fills diagonal
     n - n' = q alone with integral c_q(J) sqrt(p(J-n) p(J-n')) dJ over
     the `_action_table` nodes; modes |q| >= dim drop.  The table is
     lattice covariant, so a number mode fills its diagonal with
@@ -221,9 +221,9 @@ def quantize_cyl(dist, basis, fourier):
     if basis.mode != "two_sided":
         raise DomainError("cylinder quantization needs a two_sided basis")
     dim = basis.dim
-    consts = {int(q): c for q, c in fourier.items()
-              if isinstance(c, numbers.Number) and abs(q) < dim}
-    funcs = {q: c for q, c in fourier.items() if int(q) not in consts}
+    modes = linalg.integer_modes(fourier)
+    consts = {q: c for q, c in modes.items() if isinstance(c, numbers.Number) and abs(q) < dim}
+    funcs = {q: c for q, c in modes.items() if q not in consts}
     w, T, frames = _action_table(dist, basis.labels())
     out = linalg.quantize_modes(funcs, frames, basis)
     if consts:

@@ -10,7 +10,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -145,7 +145,7 @@ def cmd_lower_symbol(cfg):
     angles = np.linspace(0.0, 2.0 * math.pi, cfg.gamma_grid, endpoint=False)
     op, _ = _spectrum_operator(cfg)
     if cfg.construction == "wh":
-        weight = whquant.WeightSpec(kind="cahill_glauber", t=cfg.t)
+        weight = whquant.WeightSpec(t=cfg.t)
         values = whquant.lower_symbols(op, weight, cfg.J, angles)
     else:
         dist = circlecs.gaussian_distribution(cfg.sigma)
@@ -200,16 +200,7 @@ def cmd_check(suite, cfg, provided):
             f"(measured={res.measured:.6e}, tolerance={res.tolerance:.6e})"
         )
     if cfg.output:
-        payload = [
-            {
-                "suite": r.suite,
-                "invariant": r.invariant,
-                "status": r.status,
-                "measured": r.measured,
-                "tolerance": r.tolerance,
-            }
-            for r in results
-        ]
+        payload = [asdict(r) for r in results]
         _write_text(cfg.output, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
 

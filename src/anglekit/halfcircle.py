@@ -3,8 +3,10 @@
 `build_shift_family` gives the one shift family on a one-sided,
 two-sided or cyclic basis: the shift U, the label operator N and the
 cosine/sine contractions C and S.  From C come the upper and lower
-half-circle angle operators ArcCos(C) and ArcCos(C) + pi and the
-doubled-space full angle operator; the sign inversion Sigma of S is
+half-circle angle operators ArcCos(C) and ArcCos(C) + pi, both from the
+spectrum of C, and the doubled-space full angle operator;
+`angle_upper_series` is the MacLaurin reference for ArcCos(C), used
+only to check the spectral route.  The sign inversion Sigma of S is
 `linalg.sign_part(fam.S)`.  `commutator_defect` and `covariance_flow`
 measure their defects on interior label windows, away from truncation
 edges.
@@ -19,10 +21,7 @@ the DFT columns diagonalize them, with eigenvalues cos(2 pi k/D) and
 so does the rotated cosine cos(theta) C - sin(theta) S of
 `covariance_flow`.  An operator made from these by arithmetic carries
 none and goes to the general solve of `linalg.hermitian_eig`, like
-every other matrix.  With one BLAS thread on a 2-core x86 machine,
-`commutator --dims 512 --margins 32` takes 0.7 s and `spectrum
---construction halfcircle --dim 1024` 1.2 s, import included (medians
-of 3 fresh processes).
+every other matrix.
 
 Sign conventions (fixed numerically, see `commutator_defect`): with
 U e_n = e_{n+1}, N e_n = n e_n, C = (U + U*)/2, S = (U - U*)/(2i) and
@@ -31,6 +30,7 @@ equivalently d/dtheta of the conjugated angle at 0 equals +Sigma for
 the flow exp(i theta N) (.) exp(-i theta N).
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -39,13 +39,14 @@ import numpy as np
 from . import linalg
 from .errors import DomainError, ConvergenceError
 from .linalg import BasisSpec, EigenSystem, TruncatedOperator
-from .specfun import SeriesTolerance, arccos_coefficient
+from .specfun import arccos_coefficient
 
 __all__ = [
     "ShiftFamily",
     "build_shift_family",
     "ladder_from_shift",
     "angle_upper",
+    "angle_upper_series",
     "angle_lower",
     "full_angle",
     "commutator_defect",
@@ -54,6 +55,7 @@ __all__ = [
 
 MINUS_ONE_ATOM_TOL = 1e-8  # eigenvalue within this of -1 counts as the spectral atom
 EDGE_TOL = 1e-12  # eigenvalue within this of +-1 is the spectral edge: arccos 0 or pi
+SERIES_TERM_TOL = 1e-6  # angle_upper_series stops on a term of max-norm below this
 
 
 def _arccos(lam):
@@ -172,39 +174,41 @@ def _check_contraction_spectrum(eig):
         raise DomainError(f"spectrum [{lo}, {hi}] leaves [-1, 1] beyond tolerance 1e-10")
 
 
-def angle_upper(C, method="spectral", tol=None):
+def angle_upper(C):
     """Upper half-circle angle operator ArcCos(C), spectrum in [0, pi].
 
-    spectral: arccos of the eigenvalues of C, the edges mapped to 0 or pi.
-    series:   (pi/2) I - sum_n c_n C^{2n+1} with the MacLaurin
-              coefficients c_n, summed until the term max-norm drops
-              below tol.abs_tol.  Near eigenvalues +-1 the terms decay
-              only like n^(-3/2), so series mode is slow there; the
-              spectral route is the reference.
-    Both methods check that the spectrum of C, from `hermitian_eig(C)`,
-    lies in [-1, 1]; a C that carries its eigensystem is not solved.
+    The arccos of the eigenvalues of C, the edges mapped to 0 or pi.
+    DomainError unless the spectrum of C, from `hermitian_eig(C)`, lies
+    in [-1, 1]; a C that carries its eigensystem is not solved.
     """
-    if tol is None:
-        tol = SeriesTolerance(abs_tol=1e-10, max_terms=200_000)
     eig = linalg.hermitian_eig(C)
     _check_contraction_spectrum(eig)
-    if method == "spectral":
-        angles = np.array([_arccos(lam) for lam in eig.eigenvalues])
-        return linalg.from_spectrum(angles, eig.eigenvectors, C.basis)
-    if method != "series":
-        raise DomainError(f"method must be 'spectral' or 'series', got {method!r}")
+    angles = np.array([_arccos(lam) for lam in eig.eigenvalues])
+    return linalg.from_spectrum(angles, eig.eigenvectors, C.basis)
+
+
+def angle_upper_series(C):
+    """MacLaurin reference (pi/2) I - sum_n c_n C^{2n+1} for ArcCos(C).
+
+    c_n are the coefficients of `arccos_coefficient`; terms are added
+    until one has max-norm below SERIES_TERM_TOL = 1e-6.  The spectrum
+    of C is checked as in `angle_upper`, so max|C^k| <= ||C||^k stays
+    within 1 + 1e-10 and the loop ends by n ~ 4300, where c_n itself
+    drops below the tolerance.  Near eigenvalues +-1 the terms decay
+    only like n^(-3/2), so the result is accurate to the tolerance away
+    from them; the spectral `angle_upper` is the reference.
+    """
+    _check_contraction_spectrum(linalg.hermitian_eig(C))
     dim = C.dim
     acc = np.zeros((dim, dim), dtype=complex)
     power = np.array(C.entries)  # C^{2n+1}, starting at n = 0
     C2 = C.entries @ C.entries
-    for n in range(tol.max_terms):
+    for n in itertools.count():
         coeff = arccos_coefficient(n)
         acc += coeff * power
-        if coeff * float(np.abs(power).max()) < tol.abs_tol:
+        if coeff * float(np.abs(power).max()) < SERIES_TERM_TOL:
             break
         power = power @ C2
-    else:
-        raise ConvergenceError("angle series exhausted max_terms before reaching abs_tol")
     out = (math.pi / 2.0) * np.eye(dim) - acc
     out = (out + out.conj().T) / 2.0
     return TruncatedOperator(out, C.basis)
@@ -257,7 +261,7 @@ def commutator_defect(fam, window_margins):
     if fam.basis.mode == "one_sided":
         raise DomainError("commutator defect needs a two_sided or cyclic basis")
     windows = [linalg.interior_window(fam.basis, margin) for margin in window_margins]
-    angle = angle_upper(fam.C, method="spectral")
+    angle = angle_upper(fam.C)
     dev = linalg.commutator(angle, fam.N) - 1j * linalg.sign_part(fam.S)
     return [linalg.op_norm_max(linalg.window_restrict(dev, lo, hi)) for lo, hi in windows]
 
@@ -302,5 +306,5 @@ def covariance_flow(fam, theta):
             raise ConvergenceError(
                 f"covariance routes disagree by {dev:.3e} on interior window"
             )
-    A_theta = angle_upper(C_closed, method="spectral")
+    A_theta = angle_upper(C_closed)
     return C_closed, S_closed, A_theta

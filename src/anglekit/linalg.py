@@ -53,6 +53,7 @@ __all__ = [
     "interior_window",
     "rotate",
     "diagonal_sums",
+    "integer_modes",
     "quantize_modes",
     "fill_diagonals",
     "rotated_traces",
@@ -208,9 +209,7 @@ def hermitian_eig(op):
     the computed eigenvectors against the input M, so an eigenvector
     whose image is exact gives an exact eigenvalue.  Output eigenvalues
     ascend; ties keep the order of the blocks and of the diagonal, so
-    the result is deterministic.  With one BLAS thread on a 2-core x86
-    machine a dense solve takes about 0.04 s at D = 128, 0.2-0.3 s at
-    D = 256 and 1.7 s at D = 512.
+    the result is deterministic.
 
     Raises ConvergenceError when an eigenvector misses its tridiagonal
     residual bound after _INVERSE_STEPS steps, and DomainError for
@@ -625,10 +624,21 @@ def diagonal_sums(M, A):
     return np.bincount(index, MA.real) + 1j * np.bincount(index, MA.imag)
 
 
+def integer_modes(fourier):
+    """The Fourier map {q: c_q} keyed by int(q); DomainError for a mode q that is not integral."""
+    out = {}
+    for q, c in fourier.items():
+        if not (isinstance(q, numbers.Real) and float(q).is_integer()):
+            raise DomainError(f"Fourier mode {q!r} is not an integer")
+        out[int(q)] = c
+    return out
+
+
 def quantize_modes(fourier, frames, basis):
     """Quantize f = sum_q c_q(J) e^{i q a} from real frames: mode q fills diagonal q alone.
 
-    fourier maps q to c_q, a number or a callable of J (else DomainError).
+    fourier maps q to c_q, a number or a callable of J (else DomainError);
+    q must be integral (`integer_modes`).
     frames yields blocks (J, w, F): action nodes, weights and real frames
     at angle 0, F[:, i, :] of shape (dim, cols) at node J[i].  States at
     angle a are U(a) F, so the angle integral is exact: entry (n, n - q)
@@ -643,7 +653,7 @@ def quantize_modes(fourier, frames, basis):
         if not (isinstance(c, numbers.Number) or callable(c)):
             raise DomainError(f"c_{q} must be a number or a callable of J, got {c!r}")
     dim = basis.dim
-    modes = {int(q): c for q, c in fourier.items() if abs(int(q)) < dim}
+    modes = {q: c for q, c in integer_modes(fourier).items() if abs(q) < dim}
     sums = dict.fromkeys(modes, 0.0)
     for J, w, F in frames if modes else ():
         for q, c in modes.items():

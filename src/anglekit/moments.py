@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
-from .specfun import DEFAULT_TOL, ln_gamma
+from .specfun import SERIES_MAX_TERMS, SERIES_TOL, ln_gamma
 
 __all__ = [
     "FactorialSequence",
@@ -60,10 +60,10 @@ def generalized_exp(seq, t):
     if t >= seq.radius:
         raise DomainError(f"t={t} at or beyond the convergence radius {seq.radius}")
     total = 1.0
-    for n in range(1, DEFAULT_TOL.max_terms):
+    for n in range(1, SERIES_MAX_TERMS):
         term = math.exp(n * math.log(t) - seq.log_factorial(float(n))) if t > 0 else 0.0
         total += term
-        if term < DEFAULT_TOL.abs_tol * total:
+        if term < SERIES_TOL * total:
             return total
     raise ConvergenceError("generalized exponential did not converge")
 
@@ -80,7 +80,7 @@ def s_k(seq, k, t):
         return 0.0 if k > 0 else 1.0
     log_t = math.log(t)
     total = 0.0
-    for n in range(DEFAULT_TOL.max_terms):
+    for n in range(SERIES_MAX_TERMS):
         term = math.exp(
             seq.log_factorial(k / 2.0 + n)
             - seq.log_factorial(float(n))
@@ -88,7 +88,7 @@ def s_k(seq, k, t):
             + (n + k / 2.0) * log_t
         )
         total += term
-        if n > 2 and term < DEFAULT_TOL.abs_tol * total:
+        if n > 2 and term < SERIES_TOL * total:
             return total
     raise ConvergenceError(f"S_k series did not converge for k={k}, t={t}")
 

@@ -7,15 +7,14 @@ confluent series, associated Laguerre recurrences, lattice Gaussian
 inverse-cosine branch and the Fourier coefficients of the angle
 (sawtooth) function.  All factorial/Gamma ratios are assembled in log
 space before exponentiation so that nothing overflows below index ~500.
+The infinite sums stop at fixed module tolerances and term budgets.
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "SeriesTolerance",
     "ln_gamma",
     "gauss_2f1_terminating",
     "kummer_1f1",
@@ -26,21 +25,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SeriesTolerance:
-    """Truncation control for the infinite sums in this module."""
-
-    abs_tol: float = 1e-15
-    max_terms: int = 100_000
-
-    def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise DomainError(f"abs_tol must be positive, got {self.abs_tol}")
-        if self.max_terms < 1:
-            raise DomainError(f"max_terms must be >= 1, got {self.max_terms}")
-
-
-DEFAULT_TOL = SeriesTolerance()
+# theta3_normalizer and the moments series stop on a term below SERIES_TOL
+SERIES_TOL = 1e-15
+SERIES_MAX_TERMS = 100_000
+# kummer_1f1 stops on a term below KUMMER_REL_TOL of its running total
+KUMMER_REL_TOL = 1e-16
+KUMMER_MAX_TERMS = 200_000
 
 def ln_gamma(x):
     """Natural log of the Gamma function for x > 0 (libm lgamma)."""
@@ -84,11 +74,13 @@ def gauss_2f1_terminating(neg_int_a, b, c, x):
     return math.fsum(terms)
 
 
-def kummer_1f1(a, b, x, tol=DEFAULT_TOL):
+def kummer_1f1(a, b, x):
     """Confluent hypergeometric 1F1(a; b; x) by direct series.
 
     Intended for the a, b > 0, x >= 0 regime where every term is
-    positive and the ratio recurrence is stable.
+    positive and the ratio recurrence is stable.  Terms are added until
+    one falls below KUMMER_REL_TOL = 1e-16 of the total, at most
+    KUMMER_MAX_TERMS = 200 000 of them, else ConvergenceError.
     """
     if x < 0:
         raise DomainError(f"kummer_1f1 requires x >= 0, got {x}")
@@ -96,13 +88,13 @@ def kummer_1f1(a, b, x, tol=DEFAULT_TOL):
         raise DomainError(f"kummer_1f1 pole: b is a nonpositive integer ({b})")
     term = 1.0
     total = 1.0
-    for k in range(tol.max_terms):
+    for k in range(KUMMER_MAX_TERMS):
         term = term * (a + k) / (b + k) * x / (k + 1.0)
         total += term
-        if abs(term) < tol.abs_tol * abs(total):
+        if abs(term) < KUMMER_REL_TOL * abs(total):
             return total
     raise ConvergenceError(
-        f"1F1({a};{b};{x}) did not converge within {tol.max_terms} terms"
+        f"1F1({a};{b};{x}) did not converge within {KUMMER_MAX_TERMS} terms"
     )
 
 
@@ -137,16 +129,16 @@ def theta3_normalizer(J, sigma):
     summation the lattice sum (2 pi sigma^2)^(-1/2) sum_n exp(-(J-n)^2 / (2 sigma^2))
     that `circlecs.gaussian_distribution(sigma).normalizer` adds directly.
     Written as a cosine series so its imaginary part is identically zero;
-    terms are added until they drop below DEFAULT_TOL.abs_tol = 1e-15.
+    terms are added until they drop below SERIES_TOL = 1e-15.
     """
     if not sigma > 0:
         raise DomainError(f"sigma must be positive, got {sigma}")
     damp = 2.0 * sigma * sigma * math.pi * math.pi
     total = 1.0
-    for k in range(1, DEFAULT_TOL.max_terms):
+    for k in range(1, SERIES_MAX_TERMS):
         amp = math.exp(-damp * k * k)
         total += 2.0 * math.cos(2.0 * math.pi * k * J) * amp
-        if 2.0 * amp < DEFAULT_TOL.abs_tol:
+        if 2.0 * amp < SERIES_TOL:
             return total
     raise ConvergenceError("theta3_normalizer sum exhausted max_terms")
 

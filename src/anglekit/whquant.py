@@ -16,6 +16,9 @@ coefficient, keeping the map polynomial-exact at t = 0.  The rules are
 built in-house by linalg.gauss_rule from the Laguerre Jacobi matrix and
 carry log weights, which quantize reads without leaving log space.
 
+The weight is WeightSpec(t, diag): the Cahill-Glauber diagonal
+(1-t) t^n without diag, the given density diagonal with it.
+
 Angle quantization enters twice: as the explicit quadrature and as the
 closed-form matrix with entries i F_{nn'}(t) / (n' - n) built from
 terminating hypergeometric sums.  Both normalizations follow the same
@@ -35,7 +38,6 @@ from .errors import DomainError, QuadratureWarning, TruncationWarning
 from .linalg import BasisSpec, TruncatedOperator
 from . import linalg
 from .specfun import (
-    SeriesTolerance,
     assoc_laguerre,
     gauss_2f1_terminating,
     kummer_1f1,
@@ -80,23 +82,21 @@ def t_from_s(s):
 class WeightSpec:
     """Weight choice for the quantization map.
 
-    kind 'cahill_glauber' uses the geometric diagonal (1-t) t^n derived
-    from the Gaussian weight; kind 'density_diagonal' takes an explicit
-    nonnegative diagonal summing to 1.
+    Without diag, the Cahill-Glauber weight: the geometric diagonal
+    (1-t) t^n derived from the Gaussian weight.  With diag, an explicit
+    nonnegative density diagonal summing to 1, which does not read t:
+    a diag given with a nonzero t is rejected.
     """
 
-    kind: str = "cahill_glauber"
     t: float = 0.0
     diag: tuple = None
 
     def __post_init__(self):
-        if self.kind not in ("cahill_glauber", "density_diagonal"):
-            raise DomainError(f"unknown weight kind {self.kind!r}")
         if not 0.0 <= self.t < 1.0:
             raise DomainError(f"t must lie in [0, 1), got {self.t}")
-        if self.kind == "density_diagonal":
-            if self.diag is None:
-                raise DomainError("density_diagonal weight needs an explicit diag")
+        if self.diag is not None:
+            if self.t != 0.0:
+                raise DomainError(f"a density diagonal does not read t, got t={self.t}")
             d = np.asarray(self.diag, dtype=float)
             if np.any(d < 0):
                 raise DomainError("density diagonal must be nonnegative")
@@ -104,7 +104,7 @@ class WeightSpec:
                 raise DomainError(f"density diagonal must sum to 1, got {d.sum()}")
 
     def diagonal(self, dim):
-        if self.kind == "density_diagonal":
+        if self.diag is not None:
             d = np.zeros(dim)
             src = np.asarray(self.diag, dtype=float)
             d[: min(dim, src.size)] = src[:dim]
@@ -278,7 +278,7 @@ def coherent_state(z, dim):
 
 def m_s_diagonal(t, dim):
     """Geometric density rho_t = (1-t) sum t^n |e_n><e_n|, trace 1 - t^dim."""
-    weight = WeightSpec(kind="cahill_glauber", t=t)
+    weight = WeightSpec(t=t)
     return TruncatedOperator(
         np.diag(weight.diagonal(dim)).astype(complex), BasisSpec("one_sided", dim, 0)
     )
@@ -292,13 +292,13 @@ def _plane_modes(fourier):
     integrates it on the same path as its constant callable, bit for bit.
     """
     out = {}
-    for q, spec in fourier.items():
+    for q, spec in linalg.integer_modes(fourier).items():
         g, s = spec if isinstance(spec, tuple) else (spec, 0)
         if s not in (0, 1):
             raise DomainError(f"half_power must be 0 or 1, got {s}")
         if s and (callable(g) or isinstance(g, numbers.Number)):
             g = (lambda J, g=g: (g(J) if callable(g) else g) * math.sqrt(J))
-        out[int(q)] = (g, 0.5 * ((abs(int(q)) + s) % 2))
+        out[q] = (g, 0.5 * ((abs(q) + s) % 2))
     return out
 
 
@@ -318,8 +318,9 @@ def quantize(fourier, weight, quad, dim, check_resolution=False):
     Parameters
     ----------
     fourier : dict
-        Map q -> c_q, each a number (a constant), a callable of J, or a
-        pair (g, half_power) meaning c_q(J) = g(J) * J**(half_power/2).
+        Map q -> c_q, q an integer (else DomainError), each c_q a number
+        (a constant), a callable of J, or a pair (g, half_power)
+        meaning c_q(J) = g(J) * J**(half_power/2).
         Declaring the half power keeps the radial rule polynomial-exact.
     weight : WeightSpec
     quad : QuadratureScheme
@@ -488,8 +489,7 @@ def d_q_cs(q, J):
     if J == 0.0:
         return 0.0
     log_pref = -J + (q / 2.0) * math.log(J) + ln_gamma(q / 2.0 + 1.0) - ln_gamma(q + 1.0)
-    hyp = kummer_1f1(q / 2.0 + 1.0, q + 1.0, J,
-                     tol=SeriesTolerance(abs_tol=1e-16, max_terms=200_000))
+    hyp = kummer_1f1(q / 2.0 + 1.0, q + 1.0, J)
     return math.exp(log_pref + math.log(hyp))
 
 
@@ -589,7 +589,7 @@ def action_angle_commutator(t, dim):
 def commutator_symbol(point, t, dim):
     """Lower symbol of [A_angle, A_J]; approaches -i at large J away from the comb."""
     K = action_angle_commutator(t, dim)
-    weight = WeightSpec(kind="cahill_glauber", t=t)
+    weight = WeightSpec(t=t)
     return complex(lower_symbols(K, weight, point.J, [point.gamma])[0])
 
 

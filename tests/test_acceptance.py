@@ -4,12 +4,9 @@ Each test prints a single PASS/FAIL line (run with -s to see them all)
 and then asserts.  Tolerances are the contracted ones; nothing is
 calibrated at runtime.  Where a criterion measures an invariant that
 `anglekit check` also reports, it calls `checks.measure` for it rather
-than repeating the computation.  On a 2-core x86 machine the module took
-6.7 s: the two `check all` subprocesses of criterion 12 took 2.9-3.1 s,
-the canonical recovery of criterion 9 1.6-2.0 s, and everything else
-under a second each.  Criterion 3's sweep up to dimension 512 takes
-0.1-0.5 s, because the shift family carries closed-form eigensystems
-and runs no eigensolver.
+than repeating the computation.  Criterion 3's sweep up to dimension
+512 runs no eigensolver, because the shift family carries closed-form
+eigensystems.
 """
 
 import json
@@ -43,7 +40,7 @@ def interior_defect(fam, window):
 
 def test_criterion_01_half_circle_spectral_support():
     fam = halfcircle.build_shift_family(BasisSpec("cyclic", 64))
-    upper_vals = hermitian_eig(halfcircle.angle_upper(fam.C, method="spectral")).eigenvalues
+    upper_vals = hermitian_eig(halfcircle.angle_upper(fam.C)).eigenvalues
     full_vals = hermitian_eig(halfcircle.full_angle(fam)).eigenvalues
     overhang = max(
         -float(upper_vals[0]),

@@ -511,3 +511,36 @@ def test_limit_study_tables():
         assert rows and all(r["within_threshold"] for r in rows)
     with pytest.raises(DomainError):
         limit_study((1.0,), "medium")
+
+
+def test_quantize_cyl_rejects_non_integer_mode():
+    with pytest.raises(DomainError, match="not an integer"):
+        quantize_cyl(gaussian_distribution(1.0), BasisSpec("two_sided", 8), {0.5: 1.0})
+    # integral keys, numpy integers included, keep their meaning
+    dist, basis = gaussian_distribution(1.0), BasisSpec("two_sided", 8)
+    assert np.array_equal(quantize_cyl(dist, basis, {np.int64(1): 1.0, 2.0: 0.5}).entries,
+                          quantize_cyl(dist, basis, {1: 1.0, 2: 0.5}).entries)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: CylinderPoint(J=0.0, phi=2.0 * math.pi),
+                 "phi must lie", id="phi-2pi"),
+    pytest.param(lambda: circlecs.DistributionSpec("custom", 0.0, np.ones_like, 1.0),
+                 "sigma must be positive", id="zero-sigma"),
+    pytest.param(lambda: circlecs.DistributionSpec("custom", 1.0, np.ones_like, 0.0),
+                 "radius must be positive", id="zero-radius"),
+    pytest.param(lambda: gaussian_distribution(-1.0),
+                 "sigma must be positive", id="gaussian-negative-sigma"),
+    pytest.param(lambda: custom_distribution(lambda x: -np.ones_like(x), 0.5, 0.5),
+                 "pdf must be nonnegative", id="negative-pdf"),
+    pytest.param(lambda: overlap(gaussian_distribution(1.0), -1),
+                 "m must be nonnegative", id="overlap-negative-m"),
+    pytest.param(lambda: cs_vector(gaussian_distribution(1.0), CylinderPoint(0.0, 0.0),
+                                    BasisSpec("one_sided", 8, 0)),
+                 "two_sided basis", id="cs-vector-one-sided"),
+    pytest.param(lambda: quantize_cyl(gaussian_distribution(1.0), BasisSpec("cyclic", 8), {0: 1.0}),
+                 "two_sided basis", id="quantize-cyl-cyclic"),
+])
+def test_rejects_inputs_outside_the_domain(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()

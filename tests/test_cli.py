@@ -420,3 +420,27 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         cli.main(["spectrum", "--construction", "bogus"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "--dim", "3"], "dim must lie in [4, 1024], got 3"),
+    (["spectrum", "--construction", "halfcircle", "--mode", "diagonal"],
+     "unknown mode 'diagonal'"),
+    (["spectrum", "--construction", "circle", "--sigma", "0"], "sigma must be positive, got 0.0"),
+    (["lower-symbol", "--J", "-1"], "J must be nonnegative, got -1.0"),
+    (["lower-symbol", "--gamma-grid", "4"], "gamma-grid must be at least 8, got 4"),
+    (["commutator", "--dims", "4,128"], "sweep dim 4 outside [8, 1024]"),
+    (["commutator", "--margins", "0"], "margin 0 must be positive"),
+])
+def test_out_of_range_values_rejected(capsys, argv, message):
+    assert run_main(argv) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+def test_config_line_without_equals_rejected(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dim 8\n")
+    assert run_main(["spectrum", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: {cfg}:1: expected key=value, got 'dim 8'\n"
+    )

@@ -8,6 +8,7 @@ from anglekit.errors import DomainError
 from anglekit.halfcircle import (
     angle_lower,
     angle_upper,
+    angle_upper_series,
     build_shift_family,
     commutator_defect,
     covariance_flow,
@@ -88,18 +89,18 @@ def test_ladder_needs_one_sided_basis():
 
 def test_angle_upper_of_zero_cosine():
     C = from_matrix(np.zeros((6, 6)))
-    for method in ("spectral", "series"):
-        A = angle_upper(C, method=method)
+    for route in (angle_upper, angle_upper_series):
+        A = route(C)
         assert np.abs(A.entries - HALF_PI * np.eye(6)).max() <= 1e-12
 
 
 def test_angle_upper_spectral_endpoints():
-    A = angle_upper(from_matrix(np.diag([1.0, -1.0])), method="spectral")
+    A = angle_upper(from_matrix(np.diag([1.0, -1.0])))
     assert np.allclose(sorted(np.diag(A.entries).real), [0.0, math.pi], atol=1e-12)
 
 
 def test_angle_upper_cyclic_spectrum():
-    A = angle_upper(family("cyclic", 4).C, method="spectral")
+    A = angle_upper(family("cyclic", 4).C)
     # circulant oracle: ArcCos of {1, 0, -1, 0}
     oracle = sorted(math.acos(v) for v in (1.0, 0.0, -1.0, 0.0))
     assert np.allclose(hermitian_eig(A).eigenvalues, oracle, atol=1e-11)
@@ -109,7 +110,7 @@ def test_angle_upper_cyclic_spectrum_at_the_edges():
     # circulant oracle arccos(cos(2 pi k / D)); the eigenvalues +-1 of C must
     # map to exactly 0 and pi, not to the ~1e-8 that arccos makes of one ulp
     for dim in range(4, 17):
-        got = hermitian_eig(angle_upper(family("cyclic", dim).C, method="spectral")).eigenvalues
+        got = hermitian_eig(angle_upper(family("cyclic", dim).C)).eigenvalues
         oracle = np.sort(np.arccos(np.cos(2.0 * math.pi * np.arange(dim) / dim)))
         assert np.abs(got - oracle).max() <= 1e-11, dim
 
@@ -196,7 +197,7 @@ def test_full_angle_without_minus_one_atom():
     # two-sided truncation: tridiagonal cosine has spectrum cos(k pi/(D+1)),
     # never exactly -1, so the correction projector vanishes
     fam = family("two_sided", 6)
-    upper = hermitian_eig(angle_upper(fam.C, method="spectral")).eigenvalues
+    upper = hermitian_eig(angle_upper(fam.C)).eigenvalues
     lower = hermitian_eig(angle_lower(fam.C)).eigenvalues
     got = hermitian_eig(full_angle(fam)).eigenvalues
     assert np.allclose(got, np.sort(np.concatenate([upper, lower])), atol=1e-10)
@@ -230,7 +231,7 @@ def test_sigma_trivial_cases():
 
 def test_number_angle_commutator_is_anti_hermitian():
     fam = family("two_sided", 64)
-    A = angle_upper(fam.C, method="spectral")
+    A = angle_upper(fam.C)
     K = linalg.commutator(fam.N, A)
     assert op_norm_max(K + K.H) <= 1e-10
 
@@ -259,7 +260,7 @@ def test_covariance_flow_at_zero():
     C0, S0, A0 = covariance_flow(fam, 0.0)
     assert op_norm_max(C0 - fam.C) == 0.0
     assert op_norm_max(S0 - fam.S) == 0.0
-    assert op_norm_max(A0 - angle_upper(fam.C, method="spectral")) <= 1e-11
+    assert op_norm_max(A0 - angle_upper(fam.C)) <= 1e-11
 
 
 def test_covariance_flow_quarter_turn():
@@ -295,3 +296,8 @@ def test_covariance_derivative_matches_sigma():
     lo, hi = linalg.interior_window(fam.basis, margin)
     dev = op_norm_max(window_restrict(derivative - sig, lo, hi))
     assert dev <= 1e-5 + defect
+
+
+def test_covariance_flow_rejects_one_sided_basis():
+    with pytest.raises(DomainError, match="two_sided or cyclic"):
+        covariance_flow(family("one_sided", 8), 0.3)

@@ -609,3 +609,9 @@ def test_quantize_modes_constant_and_callable_paths_agree():
 def test_quantize_modes_rejects_coefficient_of_unknown_form():
     with pytest.raises(DomainError):
         linalg.quantize_modes({1: "one"}, [], BasisSpec("one_sided", 4))
+
+
+def test_operator_rejects_eigensystem_of_the_wrong_shape():
+    basis = BasisSpec("one_sided", 4, 0)
+    with pytest.raises(DomainError, match="eigenvectors of shape"):
+        TruncatedOperator(np.eye(4), basis, linalg.EigenSystem(np.ones(3), np.eye(3)))

@@ -79,3 +79,19 @@ def test_half_factorial_bound_dense_integer_grid():
 @given(st.integers(min_value=0, max_value=300), st.integers(min_value=0, max_value=300))
 def test_half_factorial_bound_random_pairs(n1, n2):
     assert half_factorial_bound_check(integer_sequence(), n1, n2)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: FactorialSequence(x=lambda n: float(n), log_factorial=lambda nu: 1.0,
+                                           radius=math.inf),
+                 r"log_factorial\(0\)", id="log-factorial-at-0"),
+    pytest.param(lambda: generalized_exp(integer_sequence(), -0.5),
+                 "t must be nonnegative", id="exp-negative-t"),
+    pytest.param(lambda: s_k(integer_sequence(), -1, 0.5),
+                 "k must be nonnegative", id="s_k-negative-k"),
+    pytest.param(lambda: s_k(integer_sequence(), 1, -0.5),
+                 "t must be nonnegative", id="s_k-negative-t"),
+])
+def test_rejects_inputs_outside_the_domain(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()

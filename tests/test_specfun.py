@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from anglekit import specfun
 from anglekit.circlecs import gaussian_distribution
 from anglekit.errors import ConvergenceError, DomainError
 from anglekit.specfun import (
-    SeriesTolerance,
     arccos_coefficient,
     assoc_laguerre,
     gauss_2f1_terminating,
@@ -173,9 +173,10 @@ def test_1f1_rejects_nonpositive_integer_b():
         kummer_1f1(1.0, -2.0, 0.5)
 
 
-def test_1f1_budget_exhaustion():
+def test_1f1_budget_exhaustion(monkeypatch):
+    monkeypatch.setattr(specfun, "KUMMER_MAX_TERMS", 10)
     with pytest.raises(ConvergenceError):
-        kummer_1f1(5.0, 2.0, 250.0, tol=SeriesTolerance(abs_tol=1e-15, max_terms=10))
+        kummer_1f1(5.0, 2.0, 250.0)
 
 
 # ----------------------------------------------------------- Laguerre
@@ -262,3 +263,24 @@ def test_arccos_partial_sums_climb_to_half_pi():
     assert all(p < math.pi / 2.0 for p in partials)
     # tail of the series at z = 1 scales like 1/sqrt(N)
     assert math.pi / 2.0 - partials[-1] < 2.0 / math.sqrt(20000)
+
+
+# ----------------------------------------------------- input rejection
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: gauss_2f1_terminating(-0.5, 1.0, 1.0, 0.5),
+                 "nonpositive integer", id="2f1-half-integer-a"),
+    pytest.param(lambda: gauss_2f1_terminating(2, 1.0, 1.0, 0.5),
+                 "nonpositive integer", id="2f1-positive-a"),
+    pytest.param(lambda: kummer_1f1(1.0, 1.0, -0.5),
+                 "x >= 0", id="1f1-negative-x"),
+    pytest.param(lambda: assoc_laguerre(-1, 0.0, 0.5),
+                 "n >= 0", id="laguerre-negative-n"),
+    pytest.param(lambda: theta3_normalizer(0.3, 0.0),
+                 "sigma must be positive", id="theta3-zero-sigma"),
+    pytest.param(lambda: arccos_coefficient(-1),
+                 "n >= 0", id="arccos-negative-n"),
+])
+def test_rejects_inputs_outside_the_domain(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()

@@ -42,17 +42,17 @@ def test_weight_validation():
     with pytest.raises(DomainError):
         WeightSpec(t=1.0)
     with pytest.raises(DomainError):
-        WeightSpec(kind="density_diagonal")
-    with pytest.raises(DomainError):
-        WeightSpec(kind="density_diagonal", diag=(0.4, 0.4))
-    w = WeightSpec(kind="density_diagonal", diag=(0.25, 0.75))
+        WeightSpec(diag=(0.4, 0.4))
+    with pytest.raises(DomainError, match="does not read t"):
+        WeightSpec(t=0.3, diag=(1.0,))
+    w = WeightSpec(diag=(0.25, 0.75))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert np.allclose(w.diagonal(4), [0.25, 0.75, 0.0, 0.0])
 
 
 def test_density_diagonal_truncation_warns():
-    w = WeightSpec(kind="density_diagonal", diag=(0.25,) * 4)
+    w = WeightSpec(diag=(0.25,) * 4)
     with pytest.warns(TruncationWarning, match=r"5\.000e-01 past dim=2"):
         d = w.diagonal(2)
     assert np.array_equal(d, [0.25, 0.25])
@@ -701,3 +701,47 @@ def test_covariance_defects_within_contract():
     assert rep["rotation"] <= 1e-7
     assert rep["parity"] <= 1e-12
     assert rep["translation"] <= 1e-7
+
+
+def test_quantize_rejects_non_integer_mode():
+    with pytest.raises(DomainError, match="not an integer"):
+        quantize({1.7: 1.0}, WeightSpec(), QuadratureScheme(), 6)
+    # integral keys, numpy integers included, keep their meaning
+    quad = QuadratureScheme()
+    assert np.array_equal(quantize({np.int64(1): 1.0, -2.0: 0.5}, WeightSpec(), quad, 6).entries,
+                          quantize({1: 1.0, -2: 0.5}, WeightSpec(), quad, 6).entries)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: WeightSpec(diag=(1.5, -0.5)),
+                 "must be nonnegative", id="negative-diag"),
+    pytest.param(lambda: QuadratureScheme(n_J=7),
+                 "n_J >= 8", id="n_J-7"),
+    pytest.param(lambda: QuadratureScheme(n_J=161),
+                 "beyond 160", id="n_J-161"),
+    pytest.param(lambda: displacement_laguerre(0.5, 1),
+                 "dim >= 2", id="displacement-dim-1"),
+    pytest.param(lambda: coherent_state(0.5, 1),
+                 "dim >= 2", id="coherent-dim-1"),
+    pytest.param(lambda: quantize({1: ((lambda J: 1.0), 2)}, WeightSpec(), QuadratureScheme(), 8),
+                 "half_power must be 0 or 1", id="half-power-2"),
+    pytest.param(lambda: f_coefficient(0, 1, 1.0),
+                 r"t must lie in \[0, 1\)", id="f-t-1"),
+    pytest.param(lambda: f_coefficient(-1, 2, 0.0),
+                 "indices must be nonnegative", id="f-negative-index"),
+    pytest.param(lambda: lower_symbols(angle_matrix(0.0, 8), WeightSpec(), -1.0, [0.0]),
+                 "J must be nonnegative", id="lower-symbols-negative-J"),
+    pytest.param(lambda: d_q_cs(0, 1.0),
+                 "positive integer", id="d_q_cs-q-0"),
+    pytest.param(lambda: d_q_cs(1, -1.0),
+                 "J must be nonnegative", id="d_q_cs-negative-J"),
+    pytest.param(lambda: canonical_angle_B(8, mode="one_sided"),
+                 "cyclic or two_sided", id="canonical-one-sided"),
+    pytest.param(lambda: canonical_angle_B(3),
+                 "dim >= 4", id="canonical-dim-3"),
+    pytest.param(lambda: covariance_checks(0.1, 0.2, 0.3, 7),
+                 "dim >= 8", id="covariance-dim-7"),
+])
+def test_rejects_inputs_outside_the_domain(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
