@@ -359,8 +359,7 @@ def _fourier_taylor_bridge(params):
 
 def _boltzmann_diagonal(params):
     t, dim = 0.5, 32
-    rho = whquant.m_s_diagonal(t, dim)
-    diag = np.real(np.diag(rho.entries))
+    diag = whquant.WeightSpec(t=t).diagonal(dim)
     nonneg = max(0.0, -float(diag.min()))
     decreasing = max(0.0, float(np.max(np.diff(diag))))
     trace_dev = abs(float(diag.sum()) - (1.0 - t ** dim))
@@ -459,7 +458,6 @@ def _overlap_symmetry_spot(params):
 
 
 def _overlap_kernel_forms(params):
-    dist = circlecs.gaussian_distribution(0.8)
     worst = 0.0
     for (J, phi, Jp, phip) in (
         (0.0, 0.0, 0.0, 1.0),
@@ -467,7 +465,7 @@ def _overlap_kernel_forms(params):
         (4.0, 5.9, 4.5, 0.3),
     ):
         d, p = circlecs.overlap_kernel(
-            dist, circlecs.CylinderPoint(J, phi), circlecs.CylinderPoint(Jp, phip)
+            0.8, circlecs.CylinderPoint(J, phi), circlecs.CylinderPoint(Jp, phip)
         )
         worst = max(worst, abs(d - p))
     return worst, 1e-10

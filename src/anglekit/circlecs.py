@@ -1,6 +1,7 @@
 """Coherent states on the cylinder from lattice-shifted probability densities.
 
-A width-sigma density p(J) on the line generates states
+A width-sigma density p(J) on the line, a `DistributionSpec` (built for
+the Gaussian by `gaussian_distribution`), generates the states
 |J, phi> = N(J)^{-1/2} sum_n sqrt(p(J-n)) e^{-i n phi} |e_n> over the
 two-sided basis.  By rotation covariance the quantization of
 f(J, phi) = sum_q c_q(J) e^{i q phi} has entries
@@ -11,6 +12,7 @@ linalg.quantize_modes, the kernel it shares with whquant.quantize.
 lower_symbols_cyl serves a whole angle grid from one amplitude vector.
 The overlap profile p_{0,m} = integral sqrt(p(J) p(J-m)) dJ, computed by
 its own quadrature, encodes the number-angle commutator completely.
+`overlap_kernel(sigma, ...)` adds the Gaussian's Poisson-resummed form.
 """
 
 import functools
@@ -30,7 +32,6 @@ __all__ = [
     "DistributionSpec",
     "CylinderPoint",
     "gaussian_distribution",
-    "custom_distribution",
     "overlap",
     "overlap_profile",
     "cs_vector",
@@ -51,6 +52,8 @@ class CylinderPoint:
     phi: float
 
     def __post_init__(self):
+        if not math.isfinite(self.J):
+            raise DomainError(f"J must be finite, got {self.J}")
         if not 0.0 <= self.phi < 2.0 * math.pi:
             raise DomainError(f"phi must lie in [0, 2 pi), got {self.phi}")
 
@@ -63,19 +66,17 @@ class DistributionSpec:
     shape; every lattice sum and quadrature calls it once per array.
     radius R satisfies pdf(x) < ~1e-16 for |x| > R; all quadrature
     windows and the lattice sum of `normalizer` are derived from it.
-    kind is 'gaussian' or 'custom'; only `overlap_kernel` reads it.
     """
 
-    kind: str
     sigma: float
     pdf: object
     radius: float
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise DomainError(f"sigma must be positive, got {self.sigma}")
-        if self.radius <= 0:
-            raise DomainError(f"radius must be positive, got {self.radius}")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise DomainError(f"sigma must be positive and finite, got {self.sigma}")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise DomainError(f"radius must be positive and finite, got {self.radius}")
         grid = np.linspace(0.1 * self.radius, 0.9 * self.radius, 17) * [[1.0], [-1.0]]
         try:
             vals = self.pdf(grid)
@@ -148,12 +149,7 @@ def gaussian_distribution(sigma):
         return pref * np.exp(-x * x / (2.0 * sigma * sigma))
 
     radius = 9.0 * sigma + 0.5
-    return DistributionSpec(kind="gaussian", sigma=sigma, pdf=pdf, radius=radius)
-
-
-def custom_distribution(pdf, sigma, radius):
-    """Wrap a user array density; the constructor checks the array contract, evenness and mass."""
-    return DistributionSpec(kind="custom", sigma=sigma, pdf=pdf, radius=radius)
+    return DistributionSpec(sigma=sigma, pdf=pdf, radius=radius)
 
 
 def overlap(dist, m):
@@ -323,8 +319,8 @@ def d_m_sigma(dist, m, J):
     return math.fsum(terms.tolist()) / norm
 
 
-def overlap_kernel(dist, p1, p2):
-    """Gaussian CS overlap <J,phi|J',phi'>, direct and Poisson-resummed.
+def overlap_kernel(sigma, p1, p2):
+    """Overlap <J,phi|J',phi'> of width-sigma Gaussian CS, direct and Poisson-resummed.
 
     Returns the pair (direct, poisson).  The direct form is the inner
     product of the two `cs_vector`s on a two-sided basis that holds both
@@ -333,9 +329,7 @@ def overlap_kernel(dist, p1, p2):
     0.15 up); below that, at half-integer actions, the Poisson sum cancels
     catastrophically (off by ~1e5 at sigma = 0.05): read the direct form.
     """
-    if dist.kind != "gaussian":
-        raise DomainError("closed-form overlap kernel needs the gaussian family")
-    sig = dist.sigma
+    dist = gaussian_distribution(sigma)
     J, Jp = p1.J, p2.J
     lo = math.floor(min(J, Jp) - dist.radius)
     basis = BasisSpec("two_sided", math.ceil(max(J, Jp) + dist.radius) - lo + 1, lo)
@@ -343,11 +337,11 @@ def overlap_kernel(dist, p1, p2):
 
     dphi = p1.phi - p2.phi
     norms = math.sqrt(dist.normalizer(J) * dist.normalizer(Jp))
-    gauss_pref = math.exp(-((J - Jp) ** 2) / (8.0 * sig * sig))
-    k_terms = int(math.ceil(9.0 / (2.0 * math.pi * sig))) + 8
+    gauss_pref = math.exp(-((J - Jp) ** 2) / (8.0 * sigma * sigma))
+    k_terms = int(math.ceil(9.0 / (2.0 * math.pi * sigma))) + 8
     total_p = 0.0j
     for k in range(-k_terms, k_terms + 1):
-        total_p += math.exp(-sig * sig * (dphi - 2.0 * math.pi * k) ** 2 / 2.0) * np.exp(
+        total_p += math.exp(-sigma * sigma * (dphi - 2.0 * math.pi * k) ** 2 / 2.0) * np.exp(
             -1j * math.pi * k * (J + Jp)
         )
     poisson = gauss_pref * np.exp(0.5j * (J + Jp) * dphi) * total_p / norms
@@ -378,9 +372,8 @@ def limit_study(sigma_list, case, threshold=0.05):
         ]
     rows = []
     for sigma in sigma_list:
-        dist = gaussian_distribution(sigma)
         for J, phi, Jp, phip, predicted in probes:
-            direct, _ = overlap_kernel(dist, CylinderPoint(J, phi), CylinderPoint(Jp, phip))
+            direct, _ = overlap_kernel(sigma, CylinderPoint(J, phi), CylinderPoint(Jp, phip))
             measured = abs(direct)
             ok = abs(measured - predicted) <= threshold
             rows.append(

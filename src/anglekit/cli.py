@@ -46,6 +46,9 @@ class ExperimentConfig:
     output: str = None
 
     def validate(self):
+        for name in ("sigma", "J"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if not 4 <= self.dim <= 1024:
             raise DomainError(f"dim must lie in [4, 1024], got {self.dim}")
         if self.mode not in ("one_sided", "two_sided", "cyclic"):

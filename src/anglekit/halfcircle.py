@@ -2,9 +2,9 @@
 
 `build_shift_family` gives the one shift family on a one-sided,
 two-sided or cyclic basis: the shift U, the label operator N and the
-cosine/sine contractions C and S.  From C come the upper and lower
-half-circle angle operators ArcCos(C) and ArcCos(C) + pi, both from the
-spectrum of C, and the doubled-space full angle operator;
+cosine/sine contractions C and S.  From the spectrum of C come the
+upper half-circle angle operator ArcCos(C) and the doubled-space full
+angle operator, whose lower block is ArcCos(C) + pi;
 `angle_upper_series` is the MacLaurin reference for ArcCos(C), used
 only to check the spectral route.  The sign inversion Sigma of S is
 `linalg.sign_part(fam.S)`.  `commutator_defect` and `covariance_flow`
@@ -44,10 +44,8 @@ from .specfun import arccos_coefficient
 __all__ = [
     "ShiftFamily",
     "build_shift_family",
-    "ladder_from_shift",
     "angle_upper",
     "angle_upper_series",
-    "angle_lower",
     "full_angle",
     "commutator_defect",
     "covariance_flow",
@@ -155,19 +153,6 @@ def build_shift_family(basis):
     )
 
 
-def ladder_from_shift(fam):
-    """Raising/lowering pair a+ = U sqrt(N + 1) on the one-sided basis.
-
-    a+ e_n = sqrt(n+1) e_{n+1} with the last column truncated, and
-    a- = (a+)^H exactly.
-    """
-    if fam.basis.mode != "one_sided":
-        raise DomainError("ladder operators need a one_sided basis")
-    a_plus = fam.U.entries * np.sqrt(np.arange(fam.basis.dim) + 1.0)
-    a_plus_op = TruncatedOperator(a_plus, fam.basis)
-    return a_plus_op, a_plus_op.H
-
-
 def _check_contraction_spectrum(eig):
     lo, hi = eig.eigenvalues[0], eig.eigenvalues[-1]
     if lo < -1.0 - 1e-10 or hi > 1.0 + 1e-10:
@@ -212,14 +197,6 @@ def angle_upper_series(C):
     out = (math.pi / 2.0) * np.eye(dim) - acc
     out = (out + out.conj().T) / 2.0
     return TruncatedOperator(out, C.basis)
-
-
-def angle_lower(C):
-    """Lower half-circle angle operator ArcCos(C) + pi, spectrum in [pi, 2 pi]."""
-    eig = linalg.hermitian_eig(C)
-    _check_contraction_spectrum(eig)
-    angles = np.array([_arccos(lam) + math.pi for lam in eig.eigenvalues])
-    return linalg.from_spectrum(angles, eig.eigenvectors, C.basis)
 
 
 def full_angle(fam):

@@ -40,6 +40,7 @@ __all__ = [
     "BasisSpec",
     "TruncatedOperator",
     "EigenSystem",
+    "from_matrix",
     "hermitian_eig",
     "chiral_eigenvalues",
     "gauss_rule",

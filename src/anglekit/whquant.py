@@ -51,8 +51,6 @@ __all__ = [
     "QuadratureScheme",
     "displacement_laguerre",
     "coherent_state",
-    "m_s_diagonal",
-    "t_from_s",
     "quantize",
     "f_coefficient",
     "angle_matrix",
@@ -67,23 +65,13 @@ __all__ = [
 ]
 
 
-def t_from_s(s):
-    """Map the Gaussian weight parameter s <= -1 to t = (s+1)/(s-1) in [0, 1).
-
-    The mapping is fixed by matching the diagonal of the weight-defined
-    operator to the geometric (Boltzmann-type) density (1-t) t^n.
-    """
-    if s > -1.0:
-        raise DomainError(f"density regime needs s <= -1, got {s}")
-    return (s + 1.0) / (s - 1.0)
-
-
 @dataclass(frozen=True)
 class WeightSpec:
     """Weight choice for the quantization map.
 
     Without diag, the Cahill-Glauber weight: the geometric diagonal
-    (1-t) t^n derived from the Gaussian weight.  With diag, an explicit
+    (1-t) t^n derived from the Gaussian weight, whose parameter s <= -1
+    maps to t = (s+1)/(s-1) in [0, 1).  With diag, an explicit
     nonnegative density diagonal summing to 1, which does not read t:
     a diag given with a nonzero t is rejected.
     """
@@ -127,8 +115,8 @@ class PhaseSpacePoint:
     gamma: float
 
     def __post_init__(self):
-        if self.J < 0:
-            raise DomainError(f"J must be nonnegative, got {self.J}")
+        if not (math.isfinite(self.J) and self.J >= 0):
+            raise DomainError(f"J must be nonnegative and finite, got {self.J}")
         if not 0.0 <= self.gamma < 2.0 * math.pi:
             raise DomainError(f"gamma must lie in [0, 2 pi), got {self.gamma}")
 
@@ -274,14 +262,6 @@ def coherent_state(z, dim):
     lg = np.array([ln_gamma(k + 1.0) for k in range(dim)])
     log_mag = -abs(z) ** 2 / 2.0 + n * math.log(abs(z)) - 0.5 * lg
     return np.exp(log_mag) * np.exp(1j * np.angle(z) * n)
-
-
-def m_s_diagonal(t, dim):
-    """Geometric density rho_t = (1-t) sum t^n |e_n><e_n|, trace 1 - t^dim."""
-    weight = WeightSpec(t=t)
-    return TruncatedOperator(
-        np.diag(weight.diagonal(dim)).astype(complex), BasisSpec("one_sided", dim, 0)
-    )
 
 
 def _plane_modes(fourier):
@@ -448,8 +428,8 @@ def angle_matrix(t, dim):
 
 def _diagonal_sums(A, weight, J):
     """linalg.diagonal_sums of M = D(sqrt J) rho D(sqrt J)^T against A."""
-    if J < 0:
-        raise DomainError(f"J must be nonnegative, got {J}")
+    if not (math.isfinite(J) and J >= 0):
+        raise DomainError(f"J must be nonnegative and finite, got {J}")
     F = _frames([math.sqrt(J)], weight.diagonal(A.dim))[:, 0]
     return linalg.diagonal_sums(F @ F.T, A.entries)
 
@@ -466,14 +446,14 @@ def lower_symbols(A, weight, J, gammas):
     density.  Warns once (TruncationWarning) when the displaced state's
     Poisson tail past the truncation exceeds 1e-10.
     """
-    dim = A.dim
-    if _poisson_tail_log(J, dim) > math.log(1e-10):
+    s_d = _diagonal_sums(A, weight, J)
+    if _poisson_tail_log(J, A.dim) > math.log(1e-10):
         warnings.warn(
-            f"state at J={J} leaks past truncation dim={dim}",
+            f"state at J={J} leaks past truncation dim={A.dim}",
             TruncationWarning,
             stacklevel=2,
         )
-    return linalg.rotated_traces(_diagonal_sums(A, weight, J), gammas)
+    return linalg.rotated_traces(s_d, gammas)
 
 
 def d_q_cs(q, J):
@@ -484,8 +464,8 @@ def d_q_cs(q, J):
     """
     if q < 1:
         raise DomainError(f"q must be a positive integer, got {q}")
-    if J < 0:
-        raise DomainError(f"J must be nonnegative, got {J}")
+    if not (math.isfinite(J) and J >= 0):
+        raise DomainError(f"J must be nonnegative and finite, got {J}")
     if J == 0.0:
         return 0.0
     log_pref = -J + (q / 2.0) * math.log(J) + ln_gamma(q / 2.0 + 1.0) - ln_gamma(q + 1.0)
@@ -605,6 +585,8 @@ def canonical_angle_B(dim, mode="cyclic", q_cutoff=0):
         raise DomainError("canonical angle needs a cyclic or two_sided basis")
     if dim < 4:
         raise DomainError(f"shift family needs dim >= 4, got {dim}")
+    if q_cutoff < 0:
+        raise DomainError(f"q_cutoff must be nonnegative, got {q_cutoff}")
     basis = BasisSpec(mode, dim)
     return TruncatedOperator(linalg.fill_diagonals(sawtooth_fourier(q_cutoff), basis), basis)
 

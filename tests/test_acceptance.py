@@ -17,7 +17,7 @@ import sys
 import numpy as np
 import pytest
 
-from anglekit import checks, circlecs, halfcircle, linalg, moments, specfun, whquant
+from anglekit import checks, circlecs, halfcircle, linalg, specfun, whquant
 from anglekit.errors import TruncationWarning
 from anglekit.linalg import BasisSpec, from_matrix, hermitian_eig, op_norm_max, window_restrict
 
@@ -205,15 +205,8 @@ def test_criterion_10_circle_cs_suite():
 
 def test_criterion_11_factorial_inequalities():
     bound = checks.measure("moments", "s_k_bounded")
-    seq = moments.integer_sequence()
-    rng = np.random.default_rng(2718)
-    failures = sum(
-        not moments.half_factorial_bound_check(
-            seq, int(rng.integers(0, 301)), int(rng.integers(0, 301))
-        )
-        for _ in range(10_000)
-    )
-    ok = bound.passed and failures == 0
+    pairs = checks.measure("moments", "factorial_inequality")
+    ok = bound.passed and pairs.passed
     report(11, "moment-series and half-index bounds", bound.measured, bound.tolerance, ok)
 
 

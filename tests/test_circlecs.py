@@ -10,9 +10,9 @@ from anglekit import circlecs, linalg
 from anglekit.errors import DomainError, TruncationWarning
 from anglekit.circlecs import (
     CylinderPoint,
+    DistributionSpec,
     commutator_number_angle,
     cs_vector,
-    custom_distribution,
     d_m_sigma,
     fourier_harmonic_defect,
     gaussian_distribution,
@@ -59,20 +59,20 @@ def test_gaussian_distribution_roundtrip():
 def test_distribution_rejects_odd_pdf():
     skew = lambda x: np.maximum(0.0, np.exp(-((x - 0.3) ** 2)))
     with pytest.raises(DomainError, match="even"):
-        custom_distribution(skew, sigma=1.0, radius=8.0)
+        DistributionSpec(sigma=1.0, pdf=skew, radius=8.0)
 
 
 def test_distribution_rejects_bad_mass():
     half = lambda x: 0.5 / math.sqrt(2 * math.pi) * np.exp(-x * x / 2.0)
     with pytest.raises(DomainError, match="integrate to 1"):
-        custom_distribution(half, sigma=1.0, radius=9.5)
+        DistributionSpec(sigma=1.0, pdf=half, radius=9.5)
 
 
 def test_custom_distribution_accepts_sech_profile():
     # p(J) = 1/(4a) sech^2(J/(2a)) integrates to 1 and is even
     a = 0.7
     pdf = lambda x: 1.0 / (4.0 * a * np.cosh(x / (2.0 * a)) ** 2)
-    dist = custom_distribution(pdf, sigma=a, radius=60.0 * a)
+    dist = DistributionSpec(sigma=a, pdf=pdf, radius=60.0 * a)
     assert 0.0 < overlap(dist, 2) < 1.0
 
 
@@ -83,7 +83,7 @@ def test_custom_distribution_accepts_sech_profile():
 ], ids=["scalar_only", "not_an_array", "not_finite"])
 def test_distribution_rejects_pdf_off_the_array_contract(pdf):
     with pytest.raises(DomainError, match="pdf must map an ndarray"):
-        custom_distribution(pdf, sigma=1.0, radius=9.5)
+        DistributionSpec(sigma=1.0, pdf=pdf, radius=9.5)
 
 
 def scalar_gaussian(sigma):
@@ -144,7 +144,7 @@ def test_overlap_decays_at_large_separation():
 def raised_cosine(a):
     """p(x) = (1 + cos(pi x / a)) / (2a) on |x| <= a, zero beyond."""
     pdf = lambda x: np.where(np.abs(x) <= a, (1.0 + np.cos(np.pi * x / a)) / (2.0 * a), 0.0)
-    return custom_distribution(pdf, sigma=a * math.sqrt(1.0 / 3.0 - 2.0 / math.pi ** 2), radius=a)
+    return DistributionSpec(sigma=a * math.sqrt(1.0 / 3.0 - 2.0 / math.pi ** 2), pdf=pdf, radius=a)
 
 
 def raised_cosine_overlap(a, m):
@@ -459,48 +459,36 @@ def test_symbol_fourier_route_matches_trace_route():
 # -------------------------------------------------------------- kernels
 
 def test_overlap_kernel_normalization_and_duality():
-    dist = gaussian_distribution(0.8)
     p = CylinderPoint(1.2, 0.5)
-    direct, poisson = overlap_kernel(dist, p, p)
+    direct, poisson = overlap_kernel(0.8, p, p)
     assert direct == pytest.approx(1.0, abs=1e-12)
     assert abs(direct - poisson) <= 1e-12
     q = CylinderPoint(0.4, 2.8)
-    d2, p2 = overlap_kernel(dist, p, q)
+    d2, p2 = overlap_kernel(0.8, p, q)
     assert abs(d2 - p2) <= 1e-10
 
 
 @pytest.mark.parametrize("sigma", [0.1, 0.2, 0.8, 50.0])
 def test_overlap_kernel_forms_agree_in_documented_range(sigma):
     # the direct form's cs_vector basis holds both densities: no leak warning
-    dist = gaussian_distribution(sigma)
     actions = (-2.0, -0.5, 0.0, 0.45, 1.5, 3.0)
     worst = 0.0
     for J in actions:
         for Jp in actions:
             for phi in (0.0, 0.7, 2.9, 5.8):
-                d, p = overlap_kernel(dist, CylinderPoint(J, phi), CylinderPoint(Jp, 0.7))
+                d, p = overlap_kernel(sigma, CylinderPoint(J, phi), CylinderPoint(Jp, 0.7))
                 worst = max(worst, abs(d - p))
     assert worst <= 1e-10
 
 
-def test_overlap_kernel_needs_gaussian():
-    a = 0.7
-    pdf = lambda x: 1.0 / (4.0 * a * np.cosh(x / (2.0 * a)) ** 2)
-    dist = custom_distribution(pdf, sigma=a, radius=60.0 * a)
-    with pytest.raises(DomainError):
-        overlap_kernel(dist, CylinderPoint(0, 0), CylinderPoint(0, 0))
-
-
 def test_small_width_orthogonality_between_integer_actions():
-    dist = gaussian_distribution(0.05)
-    d, _ = overlap_kernel(dist, CylinderPoint(2.0, 0.3), CylinderPoint(3.0, 0.3))
+    d, _ = overlap_kernel(0.05, CylinderPoint(2.0, 0.3), CylinderPoint(3.0, 0.3))
     assert abs(d) <= 0.05
 
 
 def test_large_width_angle_localization():
-    dist = gaussian_distribution(50.0)
-    apart, _ = overlap_kernel(dist, CylinderPoint(1.0, 0.5), CylinderPoint(4.0, 0.5 + math.pi))
-    same, _ = overlap_kernel(dist, CylinderPoint(1.0, 0.5), CylinderPoint(4.0, 0.5))
+    apart, _ = overlap_kernel(50.0, CylinderPoint(1.0, 0.5), CylinderPoint(4.0, 0.5 + math.pi))
+    same, _ = overlap_kernel(50.0, CylinderPoint(1.0, 0.5), CylinderPoint(4.0, 0.5))
     assert abs(apart) <= 0.05
     assert abs(same) >= 0.95
 
@@ -525,13 +513,27 @@ def test_quantize_cyl_rejects_non_integer_mode():
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: CylinderPoint(J=0.0, phi=2.0 * math.pi),
                  "phi must lie", id="phi-2pi"),
-    pytest.param(lambda: circlecs.DistributionSpec("custom", 0.0, np.ones_like, 1.0),
+    pytest.param(lambda: CylinderPoint(J=math.nan, phi=0.0),
+                 "J must be finite", id="cylinder-nan-J"),
+    pytest.param(lambda: CylinderPoint(J=-math.inf, phi=0.0),
+                 "J must be finite", id="cylinder-inf-J"),
+    pytest.param(lambda: DistributionSpec(0.0, np.ones_like, 1.0),
                  "sigma must be positive", id="zero-sigma"),
-    pytest.param(lambda: circlecs.DistributionSpec("custom", 1.0, np.ones_like, 0.0),
+    pytest.param(lambda: DistributionSpec(math.nan, np.ones_like, 1.0),
+                 "sigma must be positive and finite", id="nan-sigma"),
+    pytest.param(lambda: DistributionSpec(math.inf, np.ones_like, 1.0),
+                 "sigma must be positive and finite", id="inf-sigma"),
+    pytest.param(lambda: DistributionSpec(1.0, np.ones_like, 0.0),
                  "radius must be positive", id="zero-radius"),
+    pytest.param(lambda: DistributionSpec(1.0, np.ones_like, math.nan),
+                 "radius must be positive and finite", id="nan-radius"),
+    pytest.param(lambda: DistributionSpec(1.0, np.ones_like, math.inf),
+                 "radius must be positive and finite", id="inf-radius"),
+    pytest.param(lambda: gaussian_distribution(math.nan),
+                 "sigma must be positive and finite", id="gaussian-nan-sigma"),
     pytest.param(lambda: gaussian_distribution(-1.0),
                  "sigma must be positive", id="gaussian-negative-sigma"),
-    pytest.param(lambda: custom_distribution(lambda x: -np.ones_like(x), 0.5, 0.5),
+    pytest.param(lambda: DistributionSpec(0.5, lambda x: -np.ones_like(x), 0.5),
                  "pdf must be nonnegative", id="negative-pdf"),
     pytest.param(lambda: overlap(gaussian_distribution(1.0), -1),
                  "m must be nonnegative", id="overlap-negative-m"),

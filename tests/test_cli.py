@@ -431,6 +431,10 @@ def test_usage_error_exit_code():
     (["lower-symbol", "--gamma-grid", "4"], "gamma-grid must be at least 8, got 4"),
     (["commutator", "--dims", "4,128"], "sweep dim 4 outside [8, 1024]"),
     (["commutator", "--margins", "0"], "margin 0 must be positive"),
+    (["lower-symbol", "--construction", "wh", "--J", "nan"], "J must be finite, got nan"),
+    (["lower-symbol", "--construction", "circle", "--J", "inf"], "J must be finite, got inf"),
+    (["spectrum", "--construction", "circle", "--sigma", "nan"], "sigma must be finite, got nan"),
+    (["spectrum", "--construction", "circle", "--sigma", "inf"], "sigma must be finite, got inf"),
 ])
 def test_out_of_range_values_rejected(capsys, argv, message):
     assert run_main(argv) == 2

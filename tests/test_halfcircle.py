@@ -6,14 +6,12 @@ import pytest
 from anglekit import checks, halfcircle, linalg
 from anglekit.errors import DomainError
 from anglekit.halfcircle import (
-    angle_lower,
     angle_upper,
     angle_upper_series,
     build_shift_family,
     commutator_defect,
     covariance_flow,
     full_angle,
-    ladder_from_shift,
 )
 from anglekit.linalg import (
     BasisSpec,
@@ -62,29 +60,6 @@ def test_shift_rejects_tiny_dim():
         build_shift_family(BasisSpec("cyclic", 3))
 
 
-# ------------------------------------------------------------- ladder
-
-def test_ladder_amplitudes():
-    fam = family("one_sided", 8)
-    a_plus, a_minus = ladder_from_shift(fam)
-    assert a_plus.entries[1, 0] == pytest.approx(1.0)
-    assert a_plus.entries[5, 4] == pytest.approx(math.sqrt(5.0))
-    assert np.array_equal(a_minus.entries, a_plus.entries.conj().T)
-
-
-def test_ladder_canonical_commutator_on_window():
-    fam = family("one_sided", 24)
-    a_plus, a_minus = ladder_from_shift(fam)
-    comm = linalg.commutator(a_minus, a_plus)
-    dev = window_restrict(comm - from_matrix(np.eye(24)), 0, 22)
-    assert op_norm_max(dev) <= 1e-12
-
-
-def test_ladder_needs_one_sided_basis():
-    with pytest.raises(DomainError):
-        ladder_from_shift(family("cyclic", 8))
-
-
 # -------------------------------------------------------- angle operators
 
 def test_angle_upper_of_zero_cosine():
@@ -122,14 +97,6 @@ def test_angle_upper_rejects_oversized_spectrum():
 
 def test_angle_series_matches_spectral_off_the_endpoints():
     assert checks.measure("halfcircle", "series_vs_spectral").passed
-
-
-def test_angle_lower_shifts_by_pi():
-    C = from_matrix(np.zeros((4, 4)))
-    A = angle_lower(C)
-    assert np.abs(A.entries - 1.5 * math.pi * np.eye(4)).max() <= 1e-12
-    single = angle_lower(from_matrix(np.array([[1.0]])))
-    assert single.entries[0, 0] == pytest.approx(math.pi, abs=1e-12)
 
 
 # ------------------------------------------- closed-form eigensystems
@@ -198,9 +165,8 @@ def test_full_angle_without_minus_one_atom():
     # never exactly -1, so the correction projector vanishes
     fam = family("two_sided", 6)
     upper = hermitian_eig(angle_upper(fam.C)).eigenvalues
-    lower = hermitian_eig(angle_lower(fam.C)).eigenvalues
     got = hermitian_eig(full_angle(fam)).eigenvalues
-    assert np.allclose(got, np.sort(np.concatenate([upper, lower])), atol=1e-10)
+    assert np.allclose(got, np.sort(np.concatenate([upper, upper + math.pi])), atol=1e-10)
 
 
 def test_full_angle_spectral_support():

@@ -4,8 +4,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 from scipy.special import roots_genlaguerre
 
 from anglekit import circlecs, linalg, whquant
@@ -27,10 +25,8 @@ from anglekit.whquant import (
     displacement_laguerre,
     f_coefficient,
     lower_symbols,
-    m_s_diagonal,
     quantize,
     symbol_sine_coefficients,
-    t_from_s,
 )
 
 GAMMA_3_2 = math.gamma(1.5)
@@ -58,25 +54,12 @@ def test_density_diagonal_truncation_warns():
     assert np.array_equal(d, [0.25, 0.25])
 
 
-def test_t_from_s_endpoints():
-    assert t_from_s(-1.0) == 0.0
-    assert t_from_s(-3.0) == pytest.approx(0.5)
-    with pytest.raises(DomainError):
-        t_from_s(0.0)
-
-
-@given(st.floats(min_value=0.05, max_value=5.0))
-def test_t_from_s_matches_geometric_parameter(x):
-    # s = -coth(x/2) corresponds to the geometric ratio e^{-x}
-    s = -1.0 / math.tanh(x / 2.0)
-    assert t_from_s(s) == pytest.approx(math.exp(-x), rel=1e-12)
-
-
 def test_phase_space_point():
     p = PhaseSpacePoint(4.0, math.pi)
     assert p.z == pytest.approx(-2.0 + 0.0j)
-    with pytest.raises(DomainError):
-        PhaseSpacePoint(-1.0, 0.0)
+    for J in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="J must be nonnegative"):
+            PhaseSpacePoint(J, 0.0)
     with pytest.raises(DomainError):
         PhaseSpacePoint(1.0, 7.0)
 
@@ -242,10 +225,9 @@ def test_coherent_state_norm():
 # ------------------------------------------------------- density diagonal
 
 def test_density_diagonal_limits():
-    rho0 = m_s_diagonal(0.0, 8).entries
-    assert rho0[0, 0] == 1.0 and np.abs(rho0).sum() == 1.0
-    rho = m_s_diagonal(0.5, 32).entries
-    diag = np.real(np.diag(rho))
+    rho0 = WeightSpec(t=0.0).diagonal(8)
+    assert rho0[0] == 1.0 and np.abs(rho0).sum() == 1.0
+    diag = WeightSpec(t=0.5).diagonal(32)
     assert np.allclose(diag[:3], [0.5, 0.25, 0.125])
     assert diag.sum() == pytest.approx(1.0 - 2.0 ** -32, rel=1e-14)
     assert np.all(np.diff(diag) < 0.0)
@@ -731,14 +713,22 @@ def test_quantize_rejects_non_integer_mode():
                  "indices must be nonnegative", id="f-negative-index"),
     pytest.param(lambda: lower_symbols(angle_matrix(0.0, 8), WeightSpec(), -1.0, [0.0]),
                  "J must be nonnegative", id="lower-symbols-negative-J"),
+    pytest.param(lambda: lower_symbols(angle_matrix(0.0, 8), WeightSpec(), math.nan, [0.0]),
+                 "J must be nonnegative and finite", id="lower-symbols-nan-J"),
+    pytest.param(lambda: lower_symbols(angle_matrix(0.0, 8), WeightSpec(), math.inf, [0.0]),
+                 "J must be nonnegative and finite", id="lower-symbols-inf-J"),
     pytest.param(lambda: d_q_cs(0, 1.0),
                  "positive integer", id="d_q_cs-q-0"),
     pytest.param(lambda: d_q_cs(1, -1.0),
                  "J must be nonnegative", id="d_q_cs-negative-J"),
+    pytest.param(lambda: d_q_cs(1, math.nan),
+                 "J must be nonnegative and finite", id="d_q_cs-nan-J"),
     pytest.param(lambda: canonical_angle_B(8, mode="one_sided"),
                  "cyclic or two_sided", id="canonical-one-sided"),
     pytest.param(lambda: canonical_angle_B(3),
                  "dim >= 4", id="canonical-dim-3"),
+    pytest.param(lambda: canonical_angle_B(8, q_cutoff=-3),
+                 "q_cutoff must be nonnegative", id="canonical-negative-cutoff"),
     pytest.param(lambda: covariance_checks(0.1, 0.2, 0.3, 7),
                  "dim >= 8", id="covariance-dim-7"),
 ])
