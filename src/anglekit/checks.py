@@ -96,9 +96,7 @@ def _gauss_summation_at_one(params):
     for n in (1, 2, 3, 5, 8):
         for b in (0.25, 1.5, 3.0):
             for c in (4.5, 7.25, 12.0):
-                a = -float(n)
-                if c - a - b <= 0:
-                    continue
+                a = -float(n)  # c - a - b >= 2.5 on this grid
                 lhs = specfun.gauss_2f1_terminating(-n, b, c, 1.0)
                 rhs = math.exp(
                     specfun.ln_gamma(c)
@@ -128,6 +126,7 @@ def _eig_reconstruction(params):
 
 def _spectral_composition(params):
     op = _seeded_hermitian(48, 21)
+    op = TruncatedOperator(op.entries, op.basis, linalg.hermitian_eig(op))  # solved once
     g = lambda lam: lam / (1.0 + abs(lam))  # monotone
     f = lambda lam: lam ** 3 + 0.5 * lam
     direct = linalg.spectral_function(op, lambda lam: f(g(lam)))
@@ -231,17 +230,12 @@ def _power_commutator_identity(params):
     fam = halfcircle.build_shift_family(BasisSpec("two_sided", dim))
     lo, hi = linalg.interior_window(fam.basis, 32)
     worst = 0.0
-    prev_power = np.eye(dim, dtype=complex)  # C^{n-1}
     Cn = TruncatedOperator(np.eye(dim, dtype=complex), fam.basis)
     for n in range(1, 9):
+        rhs = 1j * n * (Cn @ fam.S)  # Cn is C^{n-1} here
         Cn = Cn @ fam.C
-        lhs = linalg.commutator(fam.N, Cn)
-        rhs = 1j * n * TruncatedOperator(prev_power @ fam.S.entries, fam.basis)
-        worst = max(
-            worst,
-            linalg.op_norm_max(linalg.window_restrict(lhs - rhs, lo, hi)),
-        )
-        prev_power = prev_power @ fam.C.entries
+        dev = linalg.window_restrict(linalg.commutator(fam.N, Cn) - rhs, lo, hi)
+        worst = max(worst, linalg.op_norm_max(dev))
     return worst, 1e-9
 
 
@@ -263,12 +257,9 @@ def _ccr_from_quantization(params):
     worst = 0.0
     t_values = (params.t,) if params.t is not None else (0.0, 0.3, 0.6)
     for t in t_values:
-        weight = whquant.WeightSpec(t=t)
-        Az = whquant.quantize({1: ((lambda J: 1.0), 1)}, weight, quad, dim)
-        Azb = whquant.quantize({-1: ((lambda J: 1.0), 1)}, weight, quad, dim)
-        K = linalg.commutator(Az, Azb)
-        dev = np.abs(K.entries - np.eye(dim))[:block, :block].max()
-        worst = max(worst, float(dev))
+        Az = whquant.quantize({1: ((lambda J: 1.0), 1)}, whquant.WeightSpec(t=t), quad, dim)
+        K = linalg.commutator(Az, Az.H)  # quantize maps z-bar to the adjoint, bit for bit
+        worst = max(worst, float(np.abs(K.entries - np.eye(dim))[:block, :block].max()))
     return worst, 1e-5
 
 
@@ -500,10 +491,9 @@ def _s_k_bounded(params):
 
 
 def _factorial_inequality(params):
-    seq = moments.integer_sequence()
-    pairs = np.random.default_rng(41).integers(0, 301, size=(10_000, 2)).tolist()
-    fails = sum(not moments.half_factorial_bound_check(seq, n1, n2) for n1, n2 in pairs)
-    return float(fails), 0.0
+    n1, n2 = np.random.default_rng(41).integers(0, 301, size=(10_000, 2)).T
+    holds = moments.half_factorial_bound_check(moments.integer_sequence(), n1, n2)
+    return float(np.count_nonzero(~holds)), 0.0
 
 
 # reads: the CheckParams fields the thunks read (the CLI rejects any other

@@ -164,12 +164,10 @@ def _require_same_basis(a, b):
         raise BasisMismatchError(f"basis mismatch: {a.basis} vs {b.basis}")
 
 
-def from_matrix(entries, basis=None, mode="one_sided", offset=None):
-    """Wrap a bare matrix, synthesizing a BasisSpec when none is given."""
+def from_matrix(entries, basis=None):
+    """Wrap a bare matrix; the basis defaults to one_sided of the matrix's size."""
     entries = np.asarray(entries, dtype=complex)
-    if basis is None:
-        basis = BasisSpec(mode, entries.shape[0], offset)
-    return TruncatedOperator(entries, basis)
+    return TruncatedOperator(entries, basis or BasisSpec("one_sided", entries.shape[0]))
 
 
 def op_norm_max(op):

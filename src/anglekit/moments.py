@@ -11,6 +11,8 @@ The shipped built-in is x_n = n, whose interpolation is log Gamma(nu+1).
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConvergenceError, DomainError
 from .specfun import SERIES_MAX_TERMS, SERIES_TOL, ln_gamma
 
@@ -27,7 +29,8 @@ class FactorialSequence:
     """Sequence x_n with a log-factorial interpolation and growth radius.
 
     log_factorial must accept any real index nu >= 0 where the
-    half-index values are required; radius is lim x_{n+1} (may be inf).
+    half-index values are required, and on n <= 5 it must step by
+    log x_n (else DomainError); radius is lim x_{n+1} (may be inf).
     """
 
     x: object
@@ -42,6 +45,9 @@ class FactorialSequence:
             raise DomainError("sequence must be strictly increasing")
         if abs(self.log_factorial(0.0)) > 1e-14:
             raise DomainError("log_factorial(0) must be 0 (empty product)")
+        steps = [self.log_factorial(float(n)) - self.log_factorial(n - 1.0) for n in range(1, 6)]
+        if any(abs(s - math.log(x)) > 1e-12 for s, x in zip(steps, probe[1:])):
+            raise DomainError("log_factorial(n) - log_factorial(n-1) must equal log x_n")
 
 
 def integer_sequence():
@@ -94,7 +100,15 @@ def s_k(seq, k, t):
 
 
 def half_factorial_bound_check(seq, n1, n2):
-    """Cauchy-Schwarz bound x_{(n1+n2)/2}! <= sqrt(x_{n1}! x_{n2}!), in logs."""
-    lhs = seq.log_factorial((n1 + n2) / 2.0)
-    rhs = 0.5 * (seq.log_factorial(float(n1)) + seq.log_factorial(float(n2)))
-    return lhs <= rhs + 1e-12 * max(1.0, abs(rhs))
+    """Cauchy-Schwarz bound x_{(n1+n2)/2}! <= sqrt(x_{n1}! x_{n2}!), in logs, elementwise.
+
+    n1, n2: nonnegative integer arrays of one shape (else DomainError); every
+    pair reads one table of log_factorial(k/2), k <= 2 max(n1, n2).
+    """
+    n = np.asarray([n1, n2], dtype=float)
+    if not np.all(np.isfinite(n) & (n >= 0) & (n == np.floor(n))):
+        raise DomainError("indices must be nonnegative integers")
+    n = n.astype(np.int64)
+    table = np.array([seq.log_factorial(k / 2.0) for k in range(2 * int(n.max(initial=0)) + 1)])
+    rhs = 0.5 * (table[2 * n[0]] + table[2 * n[1]])
+    return table[n[0] + n[1]] <= rhs + 1e-12 * np.maximum(1.0, np.abs(rhs))

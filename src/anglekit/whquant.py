@@ -86,6 +86,8 @@ class WeightSpec:
             if self.t != 0.0:
                 raise DomainError(f"a density diagonal does not read t, got t={self.t}")
             d = np.asarray(self.diag, dtype=float)
+            if not np.all(np.isfinite(d)):
+                raise DomainError("density diagonal must be finite")
             if np.any(d < 0):
                 raise DomainError("density diagonal must be nonnegative")
             if abs(d.sum() - 1.0) > 1e-12:
@@ -150,6 +152,8 @@ class QuadratureScheme:
     n_J: int = 96
 
     def __post_init__(self):
+        if not float(self.n_J).is_integer():
+            raise DomainError(f"n_J must be an integer, got {self.n_J!r}")
         if self.n_J < 8:
             raise DomainError("quadrature needs n_J >= 8")
         if self.n_J > 160:
@@ -462,7 +466,7 @@ def d_q_cs(q, J):
     d_q = e^{-J} J^{q/2} Gamma(q/2+1)/Gamma(q+1) 1F1(q/2+1; q+1; J),
     evaluated in log space; positive and bounded by 1.
     """
-    if q < 1:
+    if not (float(q).is_integer() and q >= 1):
         raise DomainError(f"q must be a positive integer, got {q}")
     if not (math.isfinite(J) and J >= 0):
         raise DomainError(f"J must be nonnegative and finite, got {J}")
@@ -495,8 +499,8 @@ def d_q_series(q, J, t):
     spanning the domain (q up to 12, J up to 20, t up to 0.5) it stops
     within 98 of its 200-term cap.
     """
-    if q < 1 or q > 12:
-        raise DomainError(f"d_q_series supports 1 <= q <= 12, got {q}")
+    if not (float(q).is_integer() and 1 <= q <= 12):
+        raise DomainError(f"d_q_series supports integers 1 <= q <= 12, got {q}")
     if not 0.0 <= J <= 20.0:
         raise DomainError(f"d_q_series supports J in [0, 20], got {J}")
     if not 0.0 <= t <= 0.5:

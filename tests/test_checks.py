@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from anglekit import checks
+from anglekit import checks, halfcircle
 from anglekit.errors import DomainError
 
 # The report's lines in order; a refactor may not reorder or rename them.
@@ -53,13 +53,29 @@ def test_run_suite_returns_passing_records():
     assert all(r.passed and r.measured <= r.tolerance for r in results)
 
 
-def test_params_narrowing_changes_problem_size():
-    wide = checks.run_suite("linalg")
-    narrowed = checks.run_suite(
-        "specfun", params=checks.CheckParams(dim=32, mode="cyclic")
-    )
-    assert all(r.passed for r in wide)
-    assert all(r.passed for r in narrowed)
+def test_params_narrowing_changes_problem_size(monkeypatch):
+    # the halfcircle suite reads dim and mode: record the basis of every shift family it builds
+    seen = []
+    build = halfcircle.build_shift_family
+
+    def recording(basis):
+        seen.append((basis.mode, basis.dim))
+        return build(basis)
+
+    monkeypatch.setattr(halfcircle, "build_shift_family", recording)
+    narrow = checks.CheckParams(dim=32, mode="cyclic")
+    bases = {}
+    for invariant, _ in checks._SUITES["halfcircle"].invariants:
+        seen.clear()
+        assert checks.measure("halfcircle", invariant, narrow).passed, invariant
+        bases[invariant] = list(seen)
+    assert bases == {
+        "angle_support": [("cyclic", 32)],  # reads dim and mode
+        "series_vs_spectral": [("cyclic", 32)],  # pinned
+        "contraction_norms": [("two_sided", 32)],  # reads dim
+        "power_commutator_identity": [("two_sided", 128)],  # pinned
+        "cyclic_exact_relations": [("cyclic", 32)],  # reads dim
+    }
 
 
 _RUN_CHILD = """

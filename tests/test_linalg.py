@@ -33,7 +33,7 @@ def cyclic_cosine(dim):
     U = np.zeros((dim, dim), dtype=complex)
     for col in range(dim):
         U[(col + 1) % dim, col] = 1.0
-    return from_matrix((U + U.conj().T) / 2.0, mode="cyclic")
+    return from_matrix((U + U.conj().T) / 2.0, BasisSpec("cyclic", dim))
 
 
 # --------------------------------------------------------------- types
@@ -448,7 +448,7 @@ def test_sign_part_cyclic_sine_kernel_rank():
     U = np.zeros((dim, dim), dtype=complex)
     for col in range(dim):
         U[(col + 1) % dim, col] = 1.0
-    S = from_matrix((U - U.conj().T) / 2.0j, mode="cyclic")
+    S = from_matrix((U - U.conj().T) / 2.0j, BasisSpec("cyclic", dim))
     sig = sign_part(S)
     assert op_norm_max(sig @ sig @ sig - sig) <= 1e-10
     rank = round(np.real(np.trace((sig @ sig).entries)))
@@ -517,7 +517,7 @@ def test_commutator_number_shift_on_window():
 
 
 def test_commutator_requires_matching_basis():
-    a = from_matrix(np.eye(4), mode="one_sided")
+    a = from_matrix(np.eye(4), BasisSpec("one_sided", 4))
     b = TruncatedOperator(np.eye(4), BasisSpec("two_sided", 4, -2))
     with pytest.raises(BasisMismatchError):
         commutator(a, b)

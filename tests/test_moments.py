@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from anglekit.moments import (
     integer_sequence,
     s_k,
 )
+from anglekit.specfun import ln_gamma
 
 
 def test_sequence_validation():
@@ -68,12 +70,29 @@ def test_s_k_never_exceeds_generalized_exp(k, t):
 
 
 def test_half_factorial_bound_dense_integer_grid():
-    seq = integer_sequence()
-    assert all(
-        half_factorial_bound_check(seq, n1, n2)
-        for n1 in range(0, 201, 3)
-        for n2 in range(0, 201, 3)
+    n1, n2 = np.meshgrid(np.arange(0, 201, 3), np.arange(0, 201, 3))
+    assert half_factorial_bound_check(integer_sequence(), n1, n2).all()
+
+
+def test_half_factorial_bound_table_matches_scalar_formula():
+    # the table read against three direct log_factorial reads per pair, on
+    # every pair n1, n2 <= 300; the bumped interpolation fails at odd n1 + n2
+    bumped = FactorialSequence(
+        x=lambda n: float(n),
+        log_factorial=lambda nu: ln_gamma(nu + 1.0) + 5.0 * math.sin(math.pi * nu) ** 2,
+        radius=math.inf,
     )
+    n1, n2 = np.meshgrid(np.arange(301), np.arange(301), indexing="ij")
+    for seq in (integer_sequence(), bumped):
+        lf = seq.log_factorial
+
+        def scalar(a, b):
+            rhs = 0.5 * (lf(float(a)) + lf(float(b)))
+            return lf((a + b) / 2.0) <= rhs + 1e-12 * max(1.0, abs(rhs))
+
+        expected = [[scalar(a, b) for b in range(301)] for a in range(301)]
+        assert np.array_equal(half_factorial_bound_check(seq, n1, n2), expected)
+    assert not half_factorial_bound_check(bumped, 0, 1)
 
 
 @given(st.integers(min_value=0, max_value=300), st.integers(min_value=0, max_value=300))
@@ -85,6 +104,14 @@ def test_half_factorial_bound_random_pairs(n1, n2):
     pytest.param(lambda: FactorialSequence(x=lambda n: float(n), log_factorial=lambda nu: 1.0,
                                            radius=math.inf),
                  r"log_factorial\(0\)", id="log-factorial-at-0"),
+    pytest.param(lambda: FactorialSequence(x=lambda n: 2.0 * n,
+                                           log_factorial=lambda nu: ln_gamma(nu + 1.0),
+                                           radius=math.inf),
+                 "must equal log x_n", id="log-factorial-ignores-x"),
+    pytest.param(lambda: half_factorial_bound_check(integer_sequence(), [1, -2], [3, 4]),
+                 "nonnegative integers", id="bound-negative-index"),
+    pytest.param(lambda: half_factorial_bound_check(integer_sequence(), 1.5, 2),
+                 "nonnegative integers", id="bound-half-index"),
     pytest.param(lambda: generalized_exp(integer_sequence(), -0.5),
                  "t must be nonnegative", id="exp-negative-t"),
     pytest.param(lambda: s_k(integer_sequence(), -1, 0.5),

@@ -685,6 +685,17 @@ def test_covariance_defects_within_contract():
     assert rep["translation"] <= 1e-7
 
 
+def test_quantize_maps_z_bar_to_the_adjoint_exactly():
+    # diagonals q and -q come from the same products in swapped order, so
+    # the quantized z-bar is the adjoint of the quantized z to the bit
+    quad = QuadratureScheme()
+    for t in (0.0, 0.3):
+        w = WeightSpec(t=t)
+        z = quantize({1: ((lambda J: 1.0), 1)}, w, quad, 16)
+        z_bar = quantize({-1: ((lambda J: 1.0), 1)}, w, quad, 16)
+        assert np.array_equal(z_bar.entries, z.H.entries)
+
+
 def test_quantize_rejects_non_integer_mode():
     with pytest.raises(DomainError, match="not an integer"):
         quantize({1.7: 1.0}, WeightSpec(), QuadratureScheme(), 6)
@@ -697,6 +708,10 @@ def test_quantize_rejects_non_integer_mode():
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: WeightSpec(diag=(1.5, -0.5)),
                  "must be nonnegative", id="negative-diag"),
+    pytest.param(lambda: WeightSpec(diag=(math.nan, 1.0)),
+                 "must be finite", id="nan-diag"),
+    pytest.param(lambda: QuadratureScheme(n_J=8.5),
+                 "n_J must be an integer", id="n_J-8.5"),
     pytest.param(lambda: QuadratureScheme(n_J=7),
                  "n_J >= 8", id="n_J-7"),
     pytest.param(lambda: QuadratureScheme(n_J=161),
@@ -719,6 +734,10 @@ def test_quantize_rejects_non_integer_mode():
                  "J must be nonnegative and finite", id="lower-symbols-inf-J"),
     pytest.param(lambda: d_q_cs(0, 1.0),
                  "positive integer", id="d_q_cs-q-0"),
+    pytest.param(lambda: d_q_cs(2.5, 1.0),
+                 "positive integer", id="d_q_cs-q-2.5"),
+    pytest.param(lambda: d_q_series(2.5, 1.0, 0.1),
+                 "supports integers", id="d_q_series-q-2.5"),
     pytest.param(lambda: d_q_cs(1, -1.0),
                  "J must be nonnegative", id="d_q_cs-negative-J"),
     pytest.param(lambda: d_q_cs(1, math.nan),
