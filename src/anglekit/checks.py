@@ -1,16 +1,20 @@
 """Named invariant suites: the one registry `anglekit check` and the tests share.
 
 `_SUITES` is the only place an invariant is measured.  Each suite lists
-the `CheckParams` fields its thunks read and its (invariant name, thunk)
-pairs; a thunk returns (measured, tolerance) and the invariant passes
-when measured does not exceed tolerance.  `measure` runs one entry, and
-both `run_suite` and the acceptance tests go through it.  Suites run
-serially.  Anything random is seeded, so repeated runs produce identical
-reports.
+its thunks in report order; thunk `_x` measures invariant `x` and returns
+(measured, tolerance), and the invariant passes when measured does not
+exceed tolerance.  A thunk's keyword parameters are the narrowing fields
+it reads, and their defaults are the sizes it runs at.  `measure` passes
+a thunk only the keywords it takes and rejects a field that no suite
+reads; a value that is given is used as given.  So
+`run_suite("halfcircle", dim=32)` narrows the thunks that take `dim` and
+leaves the pinned ones as they are.  `run_suite` and the acceptance tests
+go through `measure`.  Suites run serially.  Anything random is seeded,
+so repeated runs produce identical reports.
 """
 
+import inspect
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,7 +24,7 @@ from . import circlecs, halfcircle, linalg, moments, specfun, whquant
 from .errors import DomainError
 from .linalg import BasisSpec, TruncatedOperator
 
-__all__ = ["CheckParams", "CheckResult", "suite_names", "fields_read", "measure", "run_suite"]
+__all__ = ["CheckResult", "suite_names", "fields_read", "measure", "run_suite"]
 
 
 @dataclass(frozen=True)
@@ -36,16 +40,6 @@ class CheckResult:
         return self.status == "pass"
 
 
-@dataclass(frozen=True)
-class CheckParams:
-    """Optional narrowing of a suite; checks with spec-pinned sizes ignore it."""
-
-    dim: int = None
-    mode: str = None
-    t: float = None
-    sigma: float = None
-
-
 def _seeded_hermitian(dim, seed):
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -55,7 +49,7 @@ def _seeded_hermitian(dim, seed):
 # ---------------------------------------------------------------- specfun
 
 
-def _gamma_ratio_bound(params):
+def _gamma_ratio_bound():
     worst = -math.inf
     for n in range(0, 201, 8):
         for npr in range(n, 201, 8):
@@ -66,23 +60,35 @@ def _gamma_ratio_bound(params):
     return worst, 1e-12
 
 
-def _laguerre_reflection(params):
+def _laguerre_reflection():
+    """Both sides of n! L_n^{(m-n)}(t) = m! (-t)^{n-m} L_m^{(n-m)}(t) against the exact value.
+
+    The left side takes `assoc_laguerre`'s reflection branch and the right
+    side its recurrence.  The exact value is the finite sum
+    sum_{k=n-m}^{n} C(m, n-k) n!/k! (-t)^k, added in integers over t's
+    dyadic denominator q and correctly rounded by one int / int division.
+    """
     worst = 0.0
     for t in (0.1, 1.0, 5.0):
+        p, q = t.as_integer_ratio()
         for n in range(0, 31, 3):
             for m in range(0, n + 1, 3):
+                exact = sum(
+                    math.comb(m, n - k) * (math.factorial(n) // math.factorial(k))
+                    * (-p) ** k * q ** (n - k)
+                    for k in range(n - m, n + 1)
+                ) / q ** n
                 lhs = math.exp(specfun.ln_gamma(n + 1.0)) * specfun.assoc_laguerre(n, m - n, t)
                 rhs = (
                     math.exp(specfun.ln_gamma(m + 1.0))
                     * (-t) ** (n - m)
                     * specfun.assoc_laguerre(m, n - m, t)
                 )
-                scale = max(abs(lhs), abs(rhs), 1e-300)
-                worst = max(worst, abs(lhs - rhs) / scale)
+                worst = max(worst, abs(lhs - exact) / abs(exact), abs(rhs - exact) / abs(exact))
     return worst, 1e-10
 
 
-def _theta_form_equality(params):
+def _theta_form_equality():
     worst = 0.0
     for sigma in (0.2, 0.5, 1.0, 2.0, 5.0, 10.0):
         dist = circlecs.gaussian_distribution(sigma)
@@ -91,7 +97,7 @@ def _theta_form_equality(params):
     return worst, 1e-11
 
 
-def _gauss_summation_at_one(params):
+def _gauss_summation_at_one():
     worst = 0.0
     for n in (1, 2, 3, 5, 8):
         for b in (0.25, 1.5, 3.0):
@@ -111,7 +117,7 @@ def _gauss_summation_at_one(params):
 # ----------------------------------------------------------------- linalg
 
 
-def _eig_reconstruction(params):
+def _eig_reconstruction():
     worst = 0.0
     for dim, seed in ((24, 11), (64, 12), (128, 13)):
         op = _seeded_hermitian(dim, seed)
@@ -124,7 +130,7 @@ def _eig_reconstruction(params):
     return worst, 1e-10
 
 
-def _spectral_composition(params):
+def _spectral_composition():
     op = _seeded_hermitian(48, 21)
     op = TruncatedOperator(op.entries, op.basis, linalg.hermitian_eig(op))  # solved once
     g = lambda lam: lam / (1.0 + abs(lam))  # monotone
@@ -134,7 +140,7 @@ def _spectral_composition(params):
     return linalg.op_norm_max(direct - nested), 1e-9
 
 
-def _sign_part_contract(params):
+def _sign_part_contract():
     op = _seeded_hermitian(48, 22)
     sig = linalg.sign_part(op)
     herm = linalg.op_norm_max(sig - sig.H)
@@ -142,7 +148,7 @@ def _sign_part_contract(params):
     return max(herm, cube), 1e-10
 
 
-def _exp_inverse(params):
+def _exp_inverse():
     rng = np.random.default_rng(23)
     raw = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
     G = TruncatedOperator((raw - raw.conj().T) / 2.0, BasisSpec("one_sided", 40, 0))
@@ -152,7 +158,7 @@ def _exp_inverse(params):
     return float(np.abs((U @ Uinv).entries - eye).max()), 1e-10
 
 
-def _chiral_spectrum(params):
+def _chiral_spectrum():
     """The chiral route on the cyclic canonical B against its circulant spectrum.
 
     B = pi I + i sum_{n <= Q} (U^n - U^{-n})/n has, at DFT node k, the
@@ -186,10 +192,9 @@ def _eig_residual(op):
     return float(np.abs(dev).max()) / linalg.op_norm_max(op)
 
 
-def _angle_support(params):
+def _angle_support(dim=64, mode=None):
     worst = 0.0
-    dim = params.dim or 64
-    modes = (params.mode,) if params.mode else ("cyclic", "two_sided", "one_sided")
+    modes = (mode,) if mode is not None else ("cyclic", "two_sided", "one_sided")
     for mode in modes:
         fam = halfcircle.build_shift_family(BasisSpec(mode, dim))
         A = halfcircle.full_angle(fam)
@@ -203,7 +208,7 @@ def _angle_support(params):
     return worst, 1e-9
 
 
-def _series_vs_spectral(params):
+def _series_vs_spectral():
     dim = 32
     fam = halfcircle.build_shift_family(BasisSpec("cyclic", dim, 0))
     eig = fam.C.eig
@@ -215,8 +220,7 @@ def _series_vs_spectral(params):
     return float(np.abs(diff).max()), 50 * halfcircle.SERIES_TERM_TOL
 
 
-def _contraction_norms(params):
-    dim = params.dim or 96
+def _contraction_norms(dim=96):
     fam = halfcircle.build_shift_family(BasisSpec("two_sided", dim))
     worst = 0.0
     for op in (fam.C, fam.S):
@@ -225,7 +229,7 @@ def _contraction_norms(params):
     return worst, 1e-12
 
 
-def _power_commutator_identity(params):
+def _power_commutator_identity():
     dim = 128
     fam = halfcircle.build_shift_family(BasisSpec("two_sided", dim))
     lo, hi = linalg.interior_window(fam.basis, 32)
@@ -239,8 +243,7 @@ def _power_commutator_identity(params):
     return worst, 1e-9
 
 
-def _cyclic_exact_relations(params):
-    dim = params.dim or 48
+def _cyclic_exact_relations(dim=48):
     fam = halfcircle.build_shift_family(BasisSpec("cyclic", dim, 0))
     eye = np.eye(dim)
     comm = linalg.op_norm_max(linalg.commutator(fam.C, fam.S))
@@ -251,11 +254,11 @@ def _cyclic_exact_relations(params):
 # ---------------------------------------------------------------- whquant
 
 
-def _ccr_from_quantization(params):
+def _ccr_from_quantization(t=None):
     quad = whquant.QuadratureScheme(n_J=96)
     dim, block = 96, 48
     worst = 0.0
-    t_values = (params.t,) if params.t is not None else (0.0, 0.3, 0.6)
+    t_values = (t,) if t is not None else (0.0, 0.3, 0.6)
     for t in t_values:
         Az = whquant.quantize({1: ((lambda J: 1.0), 1)}, whquant.WeightSpec(t=t), quad, dim)
         K = linalg.commutator(Az, Az.H)  # quantize maps z-bar to the adjoint, bit for bit
@@ -263,14 +266,14 @@ def _ccr_from_quantization(params):
     return worst, 1e-5
 
 
-def _angle_matrix_structure(params):
-    A = whquant.angle_matrix(params.t if params.t is not None else 0.25, params.dim or 48)
+def _angle_matrix_structure(dim=48, t=0.25):
+    A = whquant.angle_matrix(t, dim)
     herm = linalg.op_norm_max(A - A.H)
     diag = float(np.abs(np.real(np.diag(A.entries)) - math.pi).max())
     return max(herm, diag), 1e-12
 
 
-def _angle_covariance_symbol_shift(params):
+def _angle_covariance_symbol_shift():
     dim, J, theta = 128, 50.0, 1.0
     A = whquant.angle_matrix(0.0, dim)
     weight = whquant.WeightSpec(t=0.0)
@@ -315,11 +318,11 @@ def _f_swap_deviation(step):
     return worst
 
 
-def _f_symmetry(params):
+def _f_symmetry():
     return _f_swap_deviation(5), 1e-10
 
 
-def _d_q_bound(params):
+def _d_q_bound():
     worst = 0.0
     for q in (1, 2, 5, 10, 25, 50):
         for J in (0.5, 2.0, 10.0, 50.0, 120.0, 200.0):
@@ -328,7 +331,7 @@ def _d_q_bound(params):
     return worst, 1e-12
 
 
-def _wh_resolution_identity(params):
+def _wh_resolution_identity():
     quad = whquant.QuadratureScheme(n_J=80)
     weight = whquant.WeightSpec(t=0.3)
     A = whquant.quantize({0: ((lambda J: 1.0), 0)}, weight, quad, 64)
@@ -336,7 +339,7 @@ def _wh_resolution_identity(params):
     return float(dev), 1e-6
 
 
-def _fourier_taylor_bridge(params):
+def _fourier_taylor_bridge():
     # partial sums of the odd-harmonic cosine series against |theta|
     worst = 0.0
     Q = 400
@@ -348,7 +351,7 @@ def _fourier_taylor_bridge(params):
     return worst, 1.0 / Q
 
 
-def _boltzmann_diagonal(params):
+def _boltzmann_diagonal():
     t, dim = 0.5, 32
     diag = whquant.WeightSpec(t=t).diagonal(dim)
     nonneg = max(0.0, -float(diag.min()))
@@ -357,9 +360,9 @@ def _boltzmann_diagonal(params):
     return max(nonneg, decreasing, trace_dev), 1e-12
 
 
-def _angle_grid_vs_scalar(params):
+def _angle_grid_vs_scalar(t=0.25):
     # angle_matrix's grid recurrence against the scalar oracle, pair by pair
-    t, dim = (params.t if params.t is not None else 0.25), 48
+    dim = 48
     A = whquant.angle_matrix(t, dim).entries
     worst = 0.0
     for n in range(dim):
@@ -372,7 +375,7 @@ def _angle_grid_vs_scalar(params):
 # ---------------------------------------------------------------- circlecs
 
 
-def _circle_resolution_identity(params):
+def _circle_resolution_identity():
     dim = 64
     basis = BasisSpec("two_sided", dim)
     dist = circlecs.gaussian_distribution(1.0)
@@ -381,9 +384,8 @@ def _circle_resolution_identity(params):
     return float(np.abs(one.entries - np.eye(dim)).max()), 1e-6
 
 
-def _state_normalization(params):
-    dist = circlecs.gaussian_distribution(params.sigma or 1.0)
-    dim = params.dim or 64
+def _state_normalization(dim=64, sigma=1.0):
+    dist = circlecs.gaussian_distribution(sigma)
     basis = BasisSpec("two_sided", dim)
     worst = 0.0
     for J in (-7.3, 0.0, 2.5, 11.0):
@@ -393,9 +395,8 @@ def _state_normalization(params):
     return worst, 1e-12
 
 
-def _action_is_number(params):
-    dist = circlecs.gaussian_distribution(params.sigma or 1.0)
-    dim = params.dim or 48
+def _action_is_number(dim=48, sigma=1.0):
+    dist = circlecs.gaussian_distribution(sigma)
     basis = BasisSpec("two_sided", dim)
     A = circlecs.quantize_cyl(dist, basis, {0: lambda J: J})
     return (
@@ -404,7 +405,7 @@ def _action_is_number(params):
     )
 
 
-def _circle_covariance_shift(params):
+def _circle_covariance_shift():
     sigma, dim, theta = 10.0, 200, 1.0
     dist = circlecs.gaussian_distribution(sigma)
     basis = BasisSpec("two_sided", dim)
@@ -421,7 +422,7 @@ def _circle_covariance_shift(params):
     return worst, 1e-2
 
 
-def _d_m_bound(params):
+def _d_m_bound():
     worst = 0.0
     for sigma in (0.5, 1.0, 5.0):
         dist = circlecs.gaussian_distribution(sigma)
@@ -432,7 +433,7 @@ def _d_m_bound(params):
     return worst, 1e-12
 
 
-def _overlap_symmetry_spot(params):
+def _overlap_symmetry_spot():
     dist = circlecs.gaussian_distribution(1.0)
     worst = 0.0
     for n, npr in np.random.default_rng(31).integers(-8, 9, size=(5, 2)).tolist():
@@ -448,7 +449,7 @@ def _overlap_symmetry_spot(params):
     return worst, 1e-10
 
 
-def _overlap_kernel_forms(params):
+def _overlap_kernel_forms():
     worst = 0.0
     for (J, phi, Jp, phip) in (
         (0.0, 0.0, 0.0, 1.0),
@@ -462,7 +463,7 @@ def _overlap_kernel_forms(params):
     return worst, 1e-10
 
 
-def _harmonic_trend(params):
+def _harmonic_trend():
     values = []
     basis = BasisSpec("two_sided", 48)
     worst = 0.0
@@ -479,7 +480,7 @@ def _harmonic_trend(params):
 # ----------------------------------------------------------------- moments
 
 
-def _s_k_bounded(params):
+def _s_k_bounded():
     seq = moments.integer_sequence()
     worst = -math.inf
     for k in range(0, 11):
@@ -490,62 +491,27 @@ def _s_k_bounded(params):
     return worst, 1e-13
 
 
-def _factorial_inequality(params):
+def _factorial_inequality():
     n1, n2 = np.random.default_rng(41).integers(0, 301, size=(10_000, 2)).T
     holds = moments.half_factorial_bound_check(moments.integer_sequence(), n1, n2)
     return float(np.count_nonzero(~holds)), 0.0
 
 
-# reads: the CheckParams fields the thunks read (the CLI rejects any other
-# narrowing); invariants: (invariant name, thunk) pairs in report order.
-_Suite = namedtuple("_Suite", "reads invariants")
-
+# each suite's thunks in report order; thunk _x measures invariant x
 _SUITES = {
-    "specfun": _Suite((), [
-        ("gamma_ratio_bound", _gamma_ratio_bound),
-        ("laguerre_reflection", _laguerre_reflection),
-        ("theta_form_equality", _theta_form_equality),
-        ("gauss_summation_at_one", _gauss_summation_at_one),
-    ]),
-    "linalg": _Suite((), [
-        ("eig_reconstruction", _eig_reconstruction),
-        ("spectral_composition", _spectral_composition),
-        ("sign_part_contract", _sign_part_contract),
-        ("exp_inverse", _exp_inverse),
-        ("chiral_spectrum", _chiral_spectrum),
-    ]),
-    "halfcircle": _Suite(("dim", "mode"), [
-        ("angle_support", _angle_support),
-        ("series_vs_spectral", _series_vs_spectral),
-        ("contraction_norms", _contraction_norms),
-        ("power_commutator_identity", _power_commutator_identity),
-        ("cyclic_exact_relations", _cyclic_exact_relations),
-    ]),
-    "whquant": _Suite(("dim", "t"), [
-        ("ccr_from_quantization", _ccr_from_quantization),
-        ("angle_matrix_structure", _angle_matrix_structure),
-        ("angle_covariance_symbol_shift", _angle_covariance_symbol_shift),
-        ("f_symmetry", _f_symmetry),
-        ("d_q_bound", _d_q_bound),
-        ("wh_resolution_identity", _wh_resolution_identity),
-        ("fourier_taylor_bridge", _fourier_taylor_bridge),
-        ("boltzmann_diagonal", _boltzmann_diagonal),
-        ("angle_grid_vs_scalar", _angle_grid_vs_scalar),
-    ]),
-    "circlecs": _Suite(("dim", "sigma"), [
-        ("circle_resolution_identity", _circle_resolution_identity),
-        ("state_normalization", _state_normalization),
-        ("action_is_number", _action_is_number),
-        ("circle_covariance_shift", _circle_covariance_shift),
-        ("d_m_bound", _d_m_bound),
-        ("overlap_symmetry_spot", _overlap_symmetry_spot),
-        ("overlap_kernel_forms", _overlap_kernel_forms),
-        ("harmonic_trend", _harmonic_trend),
-    ]),
-    "moments": _Suite((), [
-        ("s_k_bounded", _s_k_bounded),
-        ("factorial_inequality", _factorial_inequality),
-    ]),
+    "specfun": [_gamma_ratio_bound, _laguerre_reflection, _theta_form_equality,
+                _gauss_summation_at_one],
+    "linalg": [_eig_reconstruction, _spectral_composition, _sign_part_contract, _exp_inverse,
+               _chiral_spectrum],
+    "halfcircle": [_angle_support, _series_vs_spectral, _contraction_norms,
+                   _power_commutator_identity, _cyclic_exact_relations],
+    "whquant": [_ccr_from_quantization, _angle_matrix_structure, _angle_covariance_symbol_shift,
+                _f_symmetry, _d_q_bound, _wh_resolution_identity, _fourier_taylor_bridge,
+                _boltzmann_diagonal, _angle_grid_vs_scalar],
+    "circlecs": [_circle_resolution_identity, _state_normalization, _action_is_number,
+                 _circle_covariance_shift, _d_m_bound, _overlap_symmetry_spot,
+                 _overlap_kernel_forms, _harmonic_trend],
+    "moments": [_s_k_bounded, _factorial_inequality],
 }
 
 
@@ -560,19 +526,29 @@ def _suite(name):
 
 
 def fields_read(names):
-    """The `CheckParams` fields that at least one of the named suites reads."""
-    return {field for name in names for field in _suite(name).reads}
+    """The narrowing fields that a thunk of at least one of the named suites takes."""
+    return {field for name in names for thunk in _suite(name)
+            for field in inspect.signature(thunk).parameters}
 
 
-def measure(suite, invariant, params=None):
-    """Measure one registered invariant; DomainError for an unknown name."""
-    thunk = dict(_suite(suite).invariants).get(invariant)
+_FIELDS = fields_read(_SUITES)
+
+
+def measure(suite, invariant, **narrowing):
+    """Measure one registered invariant, passing its thunk the fields it takes.
+
+    DomainError for an unknown suite or invariant, or a field no suite reads.
+    """
+    thunk = {thunk.__name__[1:]: thunk for thunk in _suite(suite)}.get(invariant)
     if thunk is None:
         raise DomainError(f"suite {suite!r} has no invariant {invariant!r}")
-    measured, tolerance = thunk(params or CheckParams())
+    if narrowing.keys() - _FIELDS:
+        raise DomainError(f"no check suite reads {', '.join(sorted(narrowing.keys() - _FIELDS))}")
+    taken = inspect.signature(thunk).parameters
+    measured, tolerance = thunk(**{key: value for key, value in narrowing.items() if key in taken})
     status = "pass" if measured <= tolerance else "fail"
     return CheckResult(suite, invariant, status, float(measured), float(tolerance))
 
 
-def run_suite(name, params=None):
-    return [measure(name, invariant, params) for invariant, _ in _suite(name).invariants]
+def run_suite(name, **narrowing):
+    return [measure(name, thunk.__name__[1:], **narrowing) for thunk in _suite(name)]

@@ -79,7 +79,7 @@ class ExperimentConfig:
 
 
 def _parse_config_file(path, known_keys, command):
-    """Flat key=value lines; keys mirror the subcommand's long flags."""
+    """Flat key=value lines; keys mirror the subcommand's long flags, each given once."""
     overrides = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -92,6 +92,8 @@ def _parse_config_file(path, known_keys, command):
             key = key.replace("-", "_")
             if key not in known_keys:
                 raise DomainError(f"{path}:{lineno}: unknown config key {key!r} for {command}")
+            if key in overrides:
+                raise DomainError(f"{path}:{lineno}: duplicate config key {key!r}")
             overrides[key] = value
     return overrides
 
@@ -180,14 +182,11 @@ def _suites(suite):
     return checks.suite_names() if suite == "all" else [suite]
 
 
-def _narrowing(provided):
-    return provided & {field.name for field in fields(checks.CheckParams)}
-
-
 def _unread(args, cfg, provided):
     """What the command runs, and the provided fields it would not read."""
     if args.command == "check":
-        return f"check {args.suite}", _narrowing(provided) - checks.fields_read(_suites(args.suite))
+        unread = provided - {"output"} - checks.fields_read(_suites(args.suite))
+        return f"check {args.suite}", unread
     if args.command in ("spectrum", "lower-symbol"):
         unread = provided & set().union(*_READS.values()) - _READS[cfg.construction]
         return f"{args.command} construction {cfg.construction}", unread
@@ -195,8 +194,8 @@ def _unread(args, cfg, provided):
 
 
 def cmd_check(suite, cfg, provided):
-    params = checks.CheckParams(**{key: getattr(cfg, key) for key in _narrowing(provided)})
-    results = [res for name in _suites(suite) for res in checks.run_suite(name, params)]
+    narrowing = {key: getattr(cfg, key) for key in provided & checks.fields_read(_suites(suite))}
+    results = [res for name in _suites(suite) for res in checks.run_suite(name, **narrowing)]
     for res in results:
         print(
             f"{res.suite}/{res.invariant}: {res.status.upper()} "

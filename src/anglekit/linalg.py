@@ -84,10 +84,14 @@ class BasisSpec:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise DomainError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        if not isinstance(self.dim, numbers.Integral):
+            raise DomainError(f"dim must be an integer, got {self.dim!r}")
         if self.dim < 1:
             raise DomainError(f"dim must be positive, got {self.dim}")
         if self.offset is None:
             object.__setattr__(self, "offset", -self.dim // 2 if self.mode == "two_sided" else 0)
+        if not isinstance(self.offset, numbers.Integral):
+            raise DomainError(f"offset must be an integer, got {self.offset!r}")
         if self.mode in ("one_sided", "cyclic") and self.offset != 0:
             raise DomainError(f"{self.mode} basis requires offset 0, got {self.offset}")
 

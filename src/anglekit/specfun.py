@@ -110,9 +110,8 @@ def assoc_laguerre(n, alpha, t):
         raise DomainError(f"assoc_laguerre requires n >= 0, got {n}")
     if alpha < 0 and alpha == int(alpha) and n + alpha >= 0:
         k = -int(alpha)
-        if k > 0:
-            log_ratio = ln_gamma(n - k + 1.0) - ln_gamma(n + 1.0)
-            return (-t) ** k * math.exp(log_ratio) * assoc_laguerre(n - k, k, t)
+        log_ratio = ln_gamma(n - k + 1.0) - ln_gamma(n + 1.0)
+        return (-t) ** k * math.exp(log_ratio) * assoc_laguerre(n - k, k, t)
     if n == 0:
         return 1.0
     prev = 1.0

@@ -432,6 +432,8 @@ def angle_matrix(t, dim):
 
 def _diagonal_sums(A, weight, J):
     """linalg.diagonal_sums of M = D(sqrt J) rho D(sqrt J)^T against A."""
+    if A.basis.mode != "one_sided":
+        raise DomainError(f"plane symbols need a one_sided (Fock) basis, got {A.basis.mode}")
     if not (math.isfinite(J) and J >= 0):
         raise DomainError(f"J must be nonnegative and finite, got {J}")
     F = _frames([math.sqrt(J)], weight.diagonal(A.dim))[:, 0]

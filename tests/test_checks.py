@@ -1,5 +1,3 @@
-import inspect
-import re
 import subprocess
 import sys
 
@@ -26,16 +24,10 @@ REPORT_LAYOUT = {
 
 def test_suite_names_cover_every_module():
     assert checks.suite_names() == list(REPORT_LAYOUT)
-    registered = [(s, inv) for s, suite in checks._SUITES.items() for inv, _ in suite.invariants]
+    registered = [(s, thunk.__name__[1:]) for s, suite in checks._SUITES.items() for thunk in suite]
     expected = [(name, inv) for name, line in REPORT_LAYOUT.items() for inv in line.split()]
     assert len(expected) == 33
     assert registered == expected
-
-
-def test_declared_reads_match_thunk_sources():
-    for name, suite in checks._SUITES.items():
-        sources = "".join(inspect.getsource(thunk) for _, thunk in suite.invariants)
-        assert set(re.findall(r"\bparams\.(\w+)", sources)) == set(suite.reads), name
 
 
 def test_unknown_suite_rejected():
@@ -45,6 +37,29 @@ def test_unknown_suite_rejected():
         checks.measure("nonsense", "s_k_bounded")
     with pytest.raises(DomainError):
         checks.measure("moments", "nonsense")
+
+
+def test_fields_read_are_the_thunk_parameters():
+    assert checks.fields_read(["specfun", "linalg", "moments"]) == set()
+    assert checks.fields_read(["halfcircle"]) == {"dim", "mode"}
+    assert checks.fields_read(["whquant", "circlecs"]) == {"dim", "t", "sigma"}
+    assert checks.fields_read(checks.suite_names()) == {"dim", "mode", "t", "sigma"}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # a given value is used, so a size or width the kernels reject raises
+        lambda: checks.measure("halfcircle", "angle_support", dim=0),
+        lambda: checks.run_suite("circlecs", sigma=0.0),
+        # a field no suite reads
+        lambda: checks.run_suite("moments", dimm=3),
+        lambda: checks.measure("halfcircle", "series_vs_spectral", harmonics=3),
+    ],
+)
+def test_narrowing_rejected_loudly(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_run_suite_returns_passing_records():
@@ -63,11 +78,10 @@ def test_params_narrowing_changes_problem_size(monkeypatch):
         return build(basis)
 
     monkeypatch.setattr(halfcircle, "build_shift_family", recording)
-    narrow = checks.CheckParams(dim=32, mode="cyclic")
     bases = {}
-    for invariant, _ in checks._SUITES["halfcircle"].invariants:
+    for invariant in REPORT_LAYOUT["halfcircle"].split():
         seen.clear()
-        assert checks.measure("halfcircle", invariant, narrow).passed, invariant
+        assert checks.measure("halfcircle", invariant, dim=32, mode="cyclic").passed, invariant
         bases[invariant] = list(seen)
     assert bases == {
         "angle_support": [("cyclic", 32)],  # reads dim and mode

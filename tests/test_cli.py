@@ -163,20 +163,19 @@ def test_check_rejects_narrowing_no_suite_reads(tmp_path, capsys):
 
 
 def test_check_threads_agree(tmp_path, cli_env):
-    # the reports are byte-identical whatever thread count the BLAS runs with:
-    # the eigensolver and both quantization maps make no BLAS call
-    for suite in ("linalg", "whquant", "circlecs"):
-        reports = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"{suite}_{threads}.json"
-            proc = subprocess.run(
-                [sys.executable, "-m", "anglekit.cli", "check", suite,
-                 "--output", str(out)],
-                capture_output=True, text=True, env=dict(cli_env, OPENBLAS_NUM_THREADS=threads),
-            )
-            assert proc.returncode == 0, proc.stderr
-            reports.append(out.read_bytes())
-        assert reports[0] == reports[1], suite
+    # every invariant's report is byte-identical whatever thread count the BLAS
+    # runs with: the eigensolver and both quantization maps make no BLAS call
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"all_{threads}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "anglekit.cli", "check", "all", "--output", str(out)],
+            capture_output=True, text=True, env=dict(cli_env, OPENBLAS_NUM_THREADS=threads),
+        )
+        assert proc.returncode == 0, proc.stderr
+        reports.append(out.read_bytes())
+    assert len(json.loads(reports[0])) == 33
+    assert reports[0] == reports[1]
 
 
 def test_threads_flag_and_key_rejected(tmp_path, capsys):
@@ -439,6 +438,18 @@ def test_usage_error_exit_code():
 def test_out_of_range_values_rejected(capsys, argv, message):
     assert run_main(argv) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+@pytest.mark.parametrize("lines", ["t=0.1\nt=0.2\n", "gamma-grid=16\ngamma_grid=32\n"])
+def test_config_duplicate_key_rejected(tmp_path, capsys, lines):
+    # a key given twice is an error, not last-wins; - and _ spell the same key
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(lines)
+    key = lines.splitlines()[1].split("=")[0].replace("-", "_")
+    assert run_main(["lower-symbol", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: {cfg}:2: duplicate config key {key!r}\n"
 
 
 def test_config_line_without_equals_rejected(tmp_path, capsys):

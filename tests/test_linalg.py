@@ -47,6 +47,20 @@ def test_basis_spec_validation():
         BasisSpec("cyclic", 0)
     spec = BasisSpec("two_sided", 6, -3)
     assert list(spec.labels()) == [-3, -2, -1, 0, 1, 2]
+    # numpy integers are integral sizes
+    assert BasisSpec("two_sided", np.int64(6), np.int32(-3)).labels().tolist() == [-3, -2, -1, 0, 1, 2]
+
+
+@pytest.mark.parametrize("args, message", [
+    (("two_sided", 64.0), "dim must be an integer"),
+    (("cyclic", "8"), "dim must be an integer"),
+    (("two_sided", 16, 2.5), "offset must be an integer"),
+    (("two_sided", 16, -8.0), "offset must be an integer"),
+    (("one_sided", 4, 0.0), "offset must be an integer"),
+])
+def test_basis_spec_rejects_non_integral_sizes(args, message):
+    with pytest.raises(DomainError, match=message):
+        BasisSpec(*args)
 
 
 def test_basis_spec_centres_two_sided_by_default():

@@ -732,6 +732,12 @@ def test_quantize_rejects_non_integer_mode():
                  "J must be nonnegative and finite", id="lower-symbols-nan-J"),
     pytest.param(lambda: lower_symbols(angle_matrix(0.0, 8), WeightSpec(), math.inf, [0.0]),
                  "J must be nonnegative and finite", id="lower-symbols-inf-J"),
+    pytest.param(lambda: lower_symbols(canonical_angle_B(64, "cyclic", 31), WeightSpec(), 5.0,
+                                       [1.0]),
+                 "one_sided", id="lower-symbols-cyclic-basis"),
+    pytest.param(lambda: symbol_sine_coefficients(canonical_angle_B(16, "two_sided"),
+                                                  WeightSpec(), 5.0, 3),
+                 "one_sided", id="sine-coefficients-two-sided-basis"),
     pytest.param(lambda: d_q_cs(0, 1.0),
                  "positive integer", id="d_q_cs-q-0"),
     pytest.param(lambda: d_q_cs(2.5, 1.0),
