@@ -10,6 +10,8 @@ nodes: quantize_cyl fills a constant mode as c_{n-n'} g_{|n-n'|}, g the
 lattice overlap profile of that table, and hands callable modes to
 linalg.quantize_modes, the kernel it shares with whquant.quantize.
 lower_symbols_cyl serves a whole angle grid from one amplitude vector.
+cs_vector and lower_symbols_cyl warn when the labels keep less than
+1 - LEAK_TOL of the state's mass.
 The overlap profile p_{0,m} = integral sqrt(p(J) p(J-m)) dJ, computed by
 its own quadrature, encodes the number-angle commutator completely.
 `overlap_kernel(sigma, ...)` adds the Gaussian's Poisson-resummed form.
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DomainError, TruncationWarning
+from .errors import LEAK_TOL, DomainError, TruncationWarning
 from .linalg import BasisSpec, TruncatedOperator
 from .specfun import sawtooth_fourier
 
@@ -154,8 +156,8 @@ def gaussian_distribution(sigma):
 
 def overlap(dist, m):
     """Overlap p_{0,m} = integral sqrt(pdf(J) pdf(J-m)) dJ, in [0, 1]."""
-    if m < 0:
-        raise DomainError(f"m must be nonnegative, got {m}")
+    if not (isinstance(m, numbers.Integral) and m >= 0):
+        raise DomainError(f"m must be nonnegative and integral, got {m!r}")
     if m == 0:
         return 1.0
     center = m / 2.0
@@ -173,31 +175,34 @@ def overlap(dist, m):
 
 def overlap_profile(dist, half_bandwidth):
     """Array of `overlap` p_{0,m}, 0 <= m <= half_bandwidth: p_{n,n'} = p_{0,|n-n'|}."""
+    if not isinstance(half_bandwidth, numbers.Integral):
+        raise DomainError(f"half_bandwidth must be an integer, got {half_bandwidth!r}")
     return np.array([overlap(dist, m) for m in range(half_bandwidth + 1)])
 
 
 def cs_vector(dist, point, basis):
     """Circle coherent state over a two-sided basis.
 
-    Component at label n is sqrt(p(J-n)/N(J)) e^{-i n phi}; warns when
-    the density sticks out past the label window.
+    Component at label n is sqrt(p(J-n)/N(J)) e^{-i n phi}, N(J) over
+    the whole lattice; warns, giving the mass, when the squared norm
+    falls short of 1 by more than LEAK_TOL.
     """
+    return _amplitudes(dist, point, basis) * np.exp(-1j * point.phi * basis.labels())
+
+
+def _amplitudes(dist, point, basis):
+    """Real amplitudes of cs_vector; a leak warns at the caller of cs_vector or lower_symbols_cyl."""
     if basis.mode != "two_sided":
         raise DomainError("circle coherent states need a two_sided basis")
     norm = dist.normalizer(point.J)
     if not norm > 1e-300:
         raise DomainError(f"normalizer underflow at J={point.J}")
-    labels = basis.labels()
-    edge_lo = point.J - labels[0]
-    edge_hi = labels[-1] - point.J
-    if min(edge_lo, edge_hi) < dist.radius:
-        warnings.warn(
-            f"density at J={point.J} leaks past the label window",
-            TruncationWarning,
-            stacklevel=2,
-        )
-    amps = np.sqrt(np.maximum(dist.pdf(point.J - labels), 0.0) / norm)
-    return amps * np.exp(-1j * point.phi * labels)
+    amps = np.sqrt(np.maximum(dist.pdf(point.J - basis.labels()), 0.0) / norm)
+    leak = 1.0 - float(amps @ amps)
+    if leak > LEAK_TOL:
+        warnings.warn(f"density at J={point.J} leaks mass {leak:.3e} past the label window",
+                      TruncationWarning, stacklevel=3)
+    return amps
 
 
 def quantize_cyl(dist, basis, fourier):
@@ -304,13 +309,15 @@ def lower_symbols_cyl(A, dist, J, phis):
     real, so one linalg.diagonal_sums pass serves the whole grid; the
     leak warning of cs_vector fires once.
     """
-    amps = cs_vector(dist, CylinderPoint(J, 0.0), A.basis).real
+    amps = _amplitudes(dist, CylinderPoint(J, 0.0), A.basis)
     s_d = linalg.diagonal_sums(np.outer(amps, amps), A.entries)
     return linalg.rotated_traces(s_d, -np.asarray(phis, dtype=float))
 
 
 def d_m_sigma(dist, m, J):
     """Symbol damping factor (1/N(J)) sum_r sqrt(p(J-r) p(J-m-r)) <= 1."""
+    if not isinstance(m, numbers.Integral):
+        raise DomainError(f"m must be an integer, got {m!r}")
     norm = dist.normalizer(J)
     lo = int(math.floor(J - dist.radius - abs(m) - 1))
     hi = int(math.ceil(J + dist.radius + 1))

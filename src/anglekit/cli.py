@@ -59,7 +59,7 @@ class ExperimentConfig:
             raise DomainError(f"sigma must be positive, got {self.sigma}")
         if self.harmonics is not None and self.harmonics < 0:
             raise DomainError(f"harmonics must be nonnegative, got {self.harmonics}")
-        if self.J < 0:
+        if self.construction == "wh" and self.J < 0:  # the cylinder's action spans the line
             raise DomainError(f"J must be nonnegative, got {self.J}")
         if self.gamma_grid < 8:
             raise DomainError(f"gamma-grid must be at least 8, got {self.gamma_grid}")

@@ -14,7 +14,10 @@ class BasisMismatchError(ValueError):
 
 
 class TruncationWarning(UserWarning):
-    """State or operator mass leaks past the finite truncation."""
+    """State or operator mass leaks past the finite truncation; for a state, more than LEAK_TOL."""
+
+
+LEAK_TOL = 1e-10
 
 
 class QuadratureWarning(UserWarning):

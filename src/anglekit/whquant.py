@@ -18,6 +18,8 @@ carry log weights, which quantize reads without leaving log space.
 
 The weight is WeightSpec(t, diag): the Cahill-Glauber diagonal
 (1-t) t^n without diag, the given density diagonal with it.
+lower_symbols and symbol_sine_coefficients warn when their truncated
+state keeps less than 1 - LEAK_TOL of its mass; quantize drops rho past dim silently.
 
 Angle quantization enters twice: as the explicit quadrature and as the
 closed-form matrix with entries i F_{nn'}(t) / (n' - n) built from
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QuadratureWarning, TruncationWarning
+from .errors import LEAK_TOL, DomainError, QuadratureWarning, TruncationWarning
 from .linalg import BasisSpec, TruncatedOperator
 from . import linalg
 from .specfun import (
@@ -242,10 +244,11 @@ def displacement_laguerre(z, dim):
     The parity rule D_{mn}(z) = (-1)^{m+n} conj(D_{nm}(z)) is the
     footnote identity between L_n^{(m-n)} and L_m^{(n-m)} in disguise.
     """
+    basis = BasisSpec("one_sided", dim)
     if dim < 2:
         raise DomainError(f"displacement needs dim >= 2, got {dim}")
     z = complex(z)
-    D = TruncatedOperator(_radial_fill([abs(z)], dim)[0], BasisSpec("one_sided", dim, 0))
+    D = TruncatedOperator(_radial_fill([abs(z)], dim)[0], basis)
     return linalg.rotate(D, cmath.phase(z))
 
 
@@ -255,6 +258,7 @@ def coherent_state(z, dim):
     This is D(z) applied to the vacuum; unit norm forces the exponent
     |z|^2/2 (the unnormalized variant differs only there).
     """
+    n = BasisSpec("one_sided", dim).labels()
     if dim < 2:
         raise DomainError(f"coherent state needs dim >= 2, got {dim}")
     z = complex(z)
@@ -262,7 +266,6 @@ def coherent_state(z, dim):
         v = np.zeros(dim, dtype=complex)
         v[0] = 1.0
         return v
-    n = np.arange(dim)
     lg = np.array([ln_gamma(k + 1.0) for k in range(dim)])
     log_mag = -abs(z) ** 2 / 2.0 + n * math.log(abs(z)) - 0.5 * lg
     return np.exp(log_mag) * np.exp(1j * np.angle(z) * n)
@@ -284,16 +287,6 @@ def _plane_modes(fourier):
             g = (lambda J, g=g: (g(J) if callable(g) else g) * math.sqrt(J))
         out[q] = (g, 0.5 * ((abs(q) + s) % 2))
     return out
-
-
-def _poisson_tail_log(J, dim):
-    """Log upper bound on the Poisson mass e^{-J} sum_{n >= dim} J^n/n!."""
-    if J <= 0:
-        return -math.inf
-    if J >= dim + 1:
-        return 0.0
-    head = -J + dim * math.log(J) - ln_gamma(dim + 1.0)
-    return head - math.log(1.0 - J / (dim + 1.0))
 
 
 def quantize(fourier, weight, quad, dim, check_resolution=False):
@@ -431,12 +424,16 @@ def angle_matrix(t, dim):
 
 
 def _diagonal_sums(A, weight, J):
-    """linalg.diagonal_sums of M = D(sqrt J) rho D(sqrt J)^T against A."""
+    """linalg.diagonal_sums of M = F F^T against A, F = D(sqrt J) rho^{1/2}; warns past LEAK_TOL."""
     if A.basis.mode != "one_sided":
         raise DomainError(f"plane symbols need a one_sided (Fock) basis, got {A.basis.mode}")
     if not (math.isfinite(J) and J >= 0):
         raise DomainError(f"J must be nonnegative and finite, got {J}")
     F = _frames([math.sqrt(J)], weight.diagonal(A.dim))[:, 0]
+    leak = 1.0 - float(np.sum(F * F))
+    if leak > LEAK_TOL:
+        warnings.warn(f"state at J={J} leaks mass {leak:.3e} past dim={A.dim}",
+                      TruncationWarning, stacklevel=3)
     return linalg.diagonal_sums(F @ F.T, A.entries)
 
 
@@ -449,17 +446,10 @@ def lower_symbols(A, weight, J, gammas):
     (linalg.diagonal_sums, linalg.rotated_traces): one radial fill of
     the columns in rho's support and one O(dim^2) pass serve the whole
     grid.  Real (to eigen accuracy) when A is Hermitian and rho a
-    density.  Warns once (TruncationWarning) when the displaced state's
-    Poisson tail past the truncation exceeds 1e-10.
+    density.  Warns once (TruncationWarning), giving the mass, when M
+    keeps less than 1 - LEAK_TOL: tr M is the symbol of the identity.
     """
-    s_d = _diagonal_sums(A, weight, J)
-    if _poisson_tail_log(J, A.dim) > math.log(1e-10):
-        warnings.warn(
-            f"state at J={J} leaks past truncation dim={A.dim}",
-            TruncationWarning,
-            stacklevel=2,
-        )
-    return linalg.rotated_traces(s_d, gammas)
+    return linalg.rotated_traces(_diagonal_sums(A, weight, J), gammas)
 
 
 def d_q_cs(q, J):
@@ -549,7 +539,7 @@ def d_q_series(q, J, t):
 
 
 def symbol_sine_coefficients(A, weight, J, q_max):
-    """Fourier-sine coefficients d_q of the symbol via the trace route.
+    """Fourier-sine coefficients d_q of the symbol via the trace route; warns as lower_symbols.
 
     The symbol is sum_d s_d e^{i gamma d} (see lower_symbols), so with
     the symbol normalized as pi - 2 sum_q d_q sin(q gamma)/q,
@@ -591,8 +581,8 @@ def canonical_angle_B(dim, mode="cyclic", q_cutoff=0):
         raise DomainError("canonical angle needs a cyclic or two_sided basis")
     if dim < 4:
         raise DomainError(f"shift family needs dim >= 4, got {dim}")
-    if q_cutoff < 0:
-        raise DomainError(f"q_cutoff must be nonnegative, got {q_cutoff}")
+    if not (isinstance(q_cutoff, numbers.Integral) and q_cutoff >= 0):
+        raise DomainError(f"q_cutoff must be nonnegative and integral, got {q_cutoff!r}")
     basis = BasisSpec(mode, dim)
     return TruncatedOperator(linalg.fill_diagonals(sawtooth_fourier(q_cutoff), basis), basis)
 

@@ -229,6 +229,7 @@ def test_criterion_12_check_determinism(tmp_path, cli_env):
             env=cli_env,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stderr == ""  # no invariant reads a state that leaks past LEAK_TOL
         reports.append(out.read_bytes())
     identical = reports[0] == reports[1]
     statuses = {row["status"] for row in json.loads(reports[0])}

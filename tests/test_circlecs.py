@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from anglekit import circlecs, linalg
-from anglekit.errors import DomainError, TruncationWarning
+from anglekit.errors import LEAK_TOL, DomainError, TruncationWarning
 from anglekit.circlecs import (
     CylinderPoint,
     DistributionSpec,
@@ -206,6 +206,31 @@ def test_cs_vector_warns_when_density_leaks():
     dist = gaussian_distribution(1.0)
     with pytest.warns(TruncationWarning):
         cs_vector(dist, CylinderPoint(14.0, 0.0), two_sided(32))
+
+
+def test_leak_warning_reads_the_mass_the_labels_keep():
+    # the density reaches past label 31 at J = 25, but the lost lattice tail
+    # is 9.1e-12, below LEAK_TOL; the symbol of the identity is the kept mass
+    dist = gaussian_distribution(1.0)
+    eye = linalg.TruncatedOperator(np.eye(64, dtype=complex), two_sided(64))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kept = lower_symbols_cyl(eye, dist, 25.0, [0.0])[0].real
+    tail = math.fsum(dist.pdf(25.0 - np.arange(32, 60)).tolist()) / dist.normalizer(25.0)
+    assert 1.0 - kept == pytest.approx(tail, rel=1e-3)
+    assert 0.0 < tail < LEAK_TOL
+
+
+def test_both_circle_paths_warn_at_the_caller_with_the_mass():
+    dist = gaussian_distribution(1.0)
+    eye = linalg.TruncatedOperator(np.eye(32, dtype=complex), two_sided(32))
+    for call in (lambda: cs_vector(dist, CylinderPoint(14.0, 0.0), two_sided(32)),
+                 lambda: lower_symbols_cyl(eye, dist, 14.0, [0.0])):
+        with pytest.warns(TruncationWarning) as record:
+            call()
+        assert [(str(w.message), w.filename) for w in record] == [
+            ("density at J=14.0 leaks mass 5.856e-02 past the label window", __file__)
+        ]
 
 
 @given(st.floats(min_value=-5.0, max_value=5.0))
@@ -537,6 +562,12 @@ def test_quantize_cyl_rejects_non_integer_mode():
                  "pdf must be nonnegative", id="negative-pdf"),
     pytest.param(lambda: overlap(gaussian_distribution(1.0), -1),
                  "m must be nonnegative", id="overlap-negative-m"),
+    pytest.param(lambda: overlap(gaussian_distribution(1.0), 0.5),
+                 "m must be nonnegative and integral", id="overlap-m-0.5"),
+    pytest.param(lambda: d_m_sigma(gaussian_distribution(1.0), 0.5, 0.0),
+                 "m must be an integer", id="d-m-sigma-m-0.5"),
+    pytest.param(lambda: overlap_profile(gaussian_distribution(1.0), 2.5),
+                 "half_bandwidth must be an integer", id="overlap-profile-2.5"),
     pytest.param(lambda: cs_vector(gaussian_distribution(1.0), CylinderPoint(0.0, 0.0),
                                     BasisSpec("one_sided", 8, 0)),
                  "two_sided basis", id="cs-vector-one-sided"),

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.special import roots_genlaguerre
 
 from anglekit import circlecs, linalg, whquant
@@ -466,7 +467,8 @@ def test_symbol_tracks_sawtooth_at_large_action():
 
 def test_symbol_general_weight_is_real_for_hermitian():
     A = angle_matrix(0.5, 48)
-    val = lower_symbols(A, WeightSpec(t=0.5), 3.0, [2.2])[0]
+    with pytest.warns(TruncationWarning, match=r"1\.165e-09"):  # t^48 and rows past dim 48
+        val = lower_symbols(A, WeightSpec(t=0.5), 3.0, [2.2])[0]
     assert abs(val.imag) <= 1e-9
 
 
@@ -476,6 +478,30 @@ def test_symbol_warns_on_truncation_leak():
         lower_symbols(A, WeightSpec(t=0.0), 40.0, [1.0])
 
 
+def test_symbol_warning_gives_the_mass_the_state_loses():
+    # the symbol of the identity is the kept mass; the oracle displaces the
+    # thermal weight on 200 rows by the matrix exponential of z a+ - z a-
+    dim, J, t = 64, 5.0, 0.9
+    with pytest.warns(TruncationWarning) as record:
+        kept = lower_symbols(from_matrix(np.eye(dim)), WeightSpec(t=t), J, [0.0])[0].real
+    assert [str(w.message) for w in record] == [f"state at J={J} leaks mass 8.765e-03 past dim={dim}"]
+    assert f"{1.0 - kept:.3e}" == "8.765e-03"
+    a_plus = np.diag(np.sqrt(np.arange(1.0, 200)), -1)
+    D = expm(math.sqrt(J) * (a_plus - a_plus.T))[:dim, :dim]
+    assert abs(kept - ((D * D) @ ((1 - t) * t ** np.arange(dim))).sum()) <= 1e-13
+
+
+def test_both_symbol_paths_warn_once_at_the_caller_with_the_mass():
+    A = angle_matrix(0.0, 8)
+    for call in (lambda: lower_symbols(A, WeightSpec(), 2.0, [0.0, 1.0]),
+                 lambda: symbol_sine_coefficients(A, WeightSpec(), 2.0, 3)):
+        with pytest.warns(TruncationWarning) as record:
+            call()
+        assert [(str(w.message), w.filename) for w in record] == [
+            ("state at J=2.0 leaks mass 1.097e-03 past dim=8", __file__)
+        ]
+
+
 def test_symbol_grid_matches_direct_trace():
     dim = 64
     gammas = 2.0 * math.pi * np.arange(32) / 32
@@ -483,9 +509,14 @@ def test_symbol_grid_matches_direct_trace():
         A = angle_matrix(t, dim)
         weight = WeightSpec(t=t)
         rho = weight.diagonal(dim)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            grid = lower_symbols(A, weight, 9.0, gammas)
+        if t < 0.5:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                grid = lower_symbols(A, weight, 9.0, gammas)
+        else:  # t^64 and the rows past dim 64 lose 4.2e-9
+            with pytest.warns(TruncationWarning, match=r"4\.238e-09") as record:
+                grid = lower_symbols(A, weight, 9.0, gammas)
+            assert len(record) == 1
         for gamma, val in zip(gammas, grid):
             Dz = displacement_laguerre(PhaseSpacePoint(9.0, gamma).z, dim).entries
             direct = np.trace((Dz * rho) @ Dz.conj().T @ A.entries)
@@ -540,7 +571,8 @@ def test_sine_coefficients_match_fft_of_symbol_grid():
 
 def test_sine_coefficients_vanish_past_truncation():
     A = angle_matrix(0.0, 8)
-    coeffs = symbol_sine_coefficients(A, WeightSpec(t=0.0), 2.0, q_max=12)
+    with pytest.warns(TruncationWarning, match=r"1\.097e-03"):  # rows past dim 8
+        coeffs = symbol_sine_coefficients(A, WeightSpec(t=0.0), 2.0, q_max=12)
     assert coeffs.shape == (12,)
     assert np.all(coeffs[7:] == 0.0)
     assert np.all(coeffs[:7] > 0.0)
@@ -720,6 +752,10 @@ def test_quantize_rejects_non_integer_mode():
                  "dim >= 2", id="displacement-dim-1"),
     pytest.param(lambda: coherent_state(0.5, 1),
                  "dim >= 2", id="coherent-dim-1"),
+    pytest.param(lambda: displacement_laguerre(0.5, 8.0),
+                 "dim must be an integer", id="displacement-dim-8.0"),
+    pytest.param(lambda: coherent_state(0.5, 8.0),
+                 "dim must be an integer", id="coherent-dim-8.0"),
     pytest.param(lambda: quantize({1: ((lambda J: 1.0), 2)}, WeightSpec(), QuadratureScheme(), 8),
                  "half_power must be 0 or 1", id="half-power-2"),
     pytest.param(lambda: f_coefficient(0, 1, 1.0),
@@ -754,6 +790,8 @@ def test_quantize_rejects_non_integer_mode():
                  "dim >= 4", id="canonical-dim-3"),
     pytest.param(lambda: canonical_angle_B(8, q_cutoff=-3),
                  "q_cutoff must be nonnegative", id="canonical-negative-cutoff"),
+    pytest.param(lambda: canonical_angle_B(16, "cyclic", 2.5),
+                 "q_cutoff must be nonnegative and integral", id="canonical-cutoff-2.5"),
     pytest.param(lambda: covariance_checks(0.1, 0.2, 0.3, 7),
                  "dim >= 8", id="covariance-dim-7"),
 ])
