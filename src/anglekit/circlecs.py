@@ -10,8 +10,8 @@ nodes: quantize_cyl fills a constant mode as c_{n-n'} g_{|n-n'|}, g the
 lattice overlap profile of that table, and hands callable modes to
 linalg.quantize_modes, the kernel it shares with whquant.quantize.
 lower_symbols_cyl serves a whole angle grid from one amplitude vector.
-cs_vector and lower_symbols_cyl warn when the labels keep less than
-1 - LEAK_TOL of the state's mass.
+cs_vector and lower_symbols_cyl judge the mass the labels keep by the
+one kept-mass rule, errors.warn_kept_mass.
 The overlap profile p_{0,m} = integral sqrt(p(J) p(J-m)) dJ, computed by
 its own quadrature, encodes the number-angle commutator completely.
 `overlap_kernel(sigma, ...)` adds the Gaussian's Poisson-resummed form.
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import LEAK_TOL, DomainError, TruncationWarning
+from .errors import DomainError, TruncationWarning, warn_kept_mass
 from .linalg import BasisSpec, TruncatedOperator
 from .specfun import sawtooth_fourier
 
@@ -97,6 +97,8 @@ class DistributionSpec:
 
     def normalizer(self, J):
         """Lattice sum N(J) = sum_n pdf(J - n) over |J - n| <= radius, by math.fsum."""
+        if not math.isfinite(J):
+            raise DomainError(f"J must be finite, got {J}")
         lo = int(math.floor(J - self.radius))
         hi = int(math.ceil(J + self.radius))
         return math.fsum(self.pdf(J - np.arange(lo, hi + 1)).tolist())
@@ -184,8 +186,8 @@ def cs_vector(dist, point, basis):
     """Circle coherent state over a two-sided basis.
 
     Component at label n is sqrt(p(J-n)/N(J)) e^{-i n phi}, N(J) over
-    the whole lattice; warns, giving the mass, when the squared norm
-    falls short of 1 by more than LEAK_TOL.
+    the whole lattice; the squared norm is the kept mass, and
+    errors.warn_kept_mass warns, giving the lost mass, when it falls short.
     """
     return _amplitudes(dist, point, basis) * np.exp(-1j * point.phi * basis.labels())
 
@@ -198,10 +200,7 @@ def _amplitudes(dist, point, basis):
     if not norm > 1e-300:
         raise DomainError(f"normalizer underflow at J={point.J}")
     amps = np.sqrt(np.maximum(dist.pdf(point.J - basis.labels()), 0.0) / norm)
-    leak = 1.0 - float(amps @ amps)
-    if leak > LEAK_TOL:
-        warnings.warn(f"density at J={point.J} leaks mass {leak:.3e} past the label window",
-                      TruncationWarning, stacklevel=3)
+    warn_kept_mass(float(amps @ amps), f"density at J={point.J}", "the label window", stacklevel=3)
     return amps
 
 

@@ -1,4 +1,6 @@
-"""Exception and warning types shared across the toolkit."""
+"""Exception and warning types shared across the toolkit, and the one kept-mass rule."""
+
+import warnings
 
 
 class DomainError(ValueError):
@@ -14,10 +16,24 @@ class BasisMismatchError(ValueError):
 
 
 class TruncationWarning(UserWarning):
-    """State or operator mass leaks past the finite truncation; for a state, more than LEAK_TOL."""
+    """Mass leaks past the finite truncation; for a state or weight, more than LEAK_TOL."""
 
 
 LEAK_TOL = 1e-10
+
+
+def warn_kept_mass(kept, subject, past, stacklevel):
+    """Warn (TruncationWarning) when a truncation keeps less than 1 - LEAK_TOL of a unit mass.
+
+    kept is the mass the truncated state or weight keeps; the message
+    reads "{subject} leaks mass {1 - kept:.3e} past {past}".  stacklevel
+    counts from the caller of this function, as in warnings.warn, so a
+    private helper passes the level of its public caller's caller.
+    """
+    leak = 1.0 - kept
+    if leak > LEAK_TOL:
+        warnings.warn(f"{subject} leaks mass {leak:.3e} past {past}", TruncationWarning,
+                      stacklevel=stacklevel + 1)
 
 
 class QuadratureWarning(UserWarning):

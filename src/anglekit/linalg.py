@@ -600,6 +600,8 @@ def window_restrict(op, lo, hi):
 
 def interior_window(basis, margin):
     """Label window [offset + margin, offset + dim - 1 - margin], for `window_restrict`."""
+    if not isinstance(margin, numbers.Integral):
+        raise DomainError(f"margin must be an integer, got {margin!r}")
     if margin < 0 or 2 * margin >= basis.dim:
         raise DomainError(f"margin {margin} leaves no interior for dim {basis.dim}")
     lo = basis.offset + margin

@@ -9,6 +9,7 @@ The shipped built-in is x_n = n, whose interpolation is log Gamma(nu+1).
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,8 @@ def integer_sequence():
 
 def generalized_exp(seq, t):
     """N(t) = sum_n t^n / x_n!, for t below the convergence radius, to 1e-15 of the total."""
+    if not math.isfinite(t):
+        raise DomainError(f"t must be finite, got {t}")
     if t < 0:
         raise DomainError(f"t must be nonnegative, got {t}")
     if t >= seq.radius:
@@ -75,9 +78,11 @@ def generalized_exp(seq, t):
 
 
 def s_k(seq, k, t):
-    """S_k(t) = sum_n x_{k/2+n}! / (x_n! x_{n+k}!) t^{n+k/2}, to 1e-15 of the total."""
-    if k < 0:
-        raise DomainError(f"k must be nonnegative, got {k}")
+    """S_k(t) = sum_n x_{k/2+n}! / (x_n! x_{n+k}!) t^{n+k/2}, integral k >= 0, to 1e-15 of the total."""
+    if not (isinstance(k, numbers.Integral) and k >= 0):
+        raise DomainError(f"k must be nonnegative and integral, got {k!r}")
+    if not math.isfinite(t):
+        raise DomainError(f"t must be finite, got {t}")
     if t < 0:
         raise DomainError(f"t must be nonnegative, got {t}")
     if t >= seq.radius:

@@ -130,6 +130,8 @@ def theta3_normalizer(J, sigma):
     Written as a cosine series so its imaginary part is identically zero;
     terms are added until they drop below SERIES_TOL = 1e-15.
     """
+    if not math.isfinite(J):
+        raise DomainError(f"J must be finite, got {J}")
     if not sigma > 0:
         raise DomainError(f"sigma must be positive, got {sigma}")
     damp = 2.0 * sigma * sigma * math.pi * math.pi

@@ -18,8 +18,10 @@ carry log weights, which quantize reads without leaving log space.
 
 The weight is WeightSpec(t, diag): the Cahill-Glauber diagonal
 (1-t) t^n without diag, the given density diagonal with it.
-lower_symbols and symbol_sine_coefficients warn when their truncated
-state keeps less than 1 - LEAK_TOL of its mass; quantize drops rho past dim silently.
+Truncation loss is judged by the one kept-mass rule,
+errors.warn_kept_mass: quantize applies it to the weight diagonal on
+dim rows, lower_symbols and symbol_sine_coefficients to their truncated
+state.
 
 Angle quantization enters twice: as the explicit quadrature and as the
 closed-form matrix with entries i F_{nn'}(t) / (n' - n) built from
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LEAK_TOL, DomainError, QuadratureWarning, TruncationWarning
+from .errors import DomainError, QuadratureWarning, warn_kept_mass
 from .linalg import BasisSpec, TruncatedOperator
 from . import linalg
 from .specfun import (
@@ -49,7 +51,6 @@ from .specfun import (
 
 __all__ = [
     "WeightSpec",
-    "PhaseSpacePoint",
     "QuadratureScheme",
     "displacement_laguerre",
     "coherent_state",
@@ -60,8 +61,6 @@ __all__ = [
     "d_q_cs",
     "d_q_series",
     "symbol_sine_coefficients",
-    "action_angle_commutator",
-    "commutator_symbol",
     "canonical_angle_B",
     "covariance_checks",
 ]
@@ -96,37 +95,13 @@ class WeightSpec:
                 raise DomainError(f"density diagonal must sum to 1, got {d.sum()}")
 
     def diagonal(self, dim):
+        """The weight diagonal on dim rows; its callers judge the mass it drops."""
         if self.diag is not None:
             d = np.zeros(dim)
             src = np.asarray(self.diag, dtype=float)
             d[: min(dim, src.size)] = src[:dim]
-            dropped = float(src[dim:].sum())
-            if dropped > 0.0:
-                warnings.warn(
-                    f"density diagonal drops mass {dropped:.3e} past dim={dim}",
-                    TruncationWarning,
-                    stacklevel=2,
-                )
             return d
         return (1.0 - self.t) * self.t ** np.arange(dim)  # 0^0 = 1: the vacuum at t = 0
-
-
-@dataclass(frozen=True)
-class PhaseSpacePoint:
-    """Action-angle coordinates, z = sqrt(J) exp(i gamma)."""
-
-    J: float
-    gamma: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.J) and self.J >= 0):
-            raise DomainError(f"J must be nonnegative and finite, got {self.J}")
-        if not 0.0 <= self.gamma < 2.0 * math.pi:
-            raise DomainError(f"gamma must lie in [0, 2 pi), got {self.gamma}")
-
-    @property
-    def z(self):
-        return math.sqrt(self.J) * complex(math.cos(self.gamma), math.sin(self.gamma))
 
 
 @functools.lru_cache(maxsize=32)
@@ -262,6 +237,8 @@ def coherent_state(z, dim):
     if dim < 2:
         raise DomainError(f"coherent state needs dim >= 2, got {dim}")
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"z must be finite, got {z}")
     if z == 0:
         v = np.zeros(dim, dtype=complex)
         v[0] = 1.0
@@ -306,12 +283,18 @@ def quantize(fourier, weight, quad, dim, check_resolution=False):
     check_resolution : bool
         When True, recompute at 1.5x nodes and warn if the max-norm of
         the difference exceeds 1e-6; DomainError at n_J = 160.
+
+    Warns once by errors.warn_kept_mass, giving the lost mass, when the
+    weight diagonal on dim rows loses mass: the map of the constant 1 is
+    the kept mass times the identity.
     """
     modes = _plane_modes(fourier)
     finer = quad.refined() if check_resolution else None
-    result = _quantize_once(modes, weight, quad, dim)
+    rho = weight.diagonal(dim)
+    warn_kept_mass(float(rho.sum()), "weight", f"dim={dim}", stacklevel=2)
+    result = _quantize_once(modes, rho, quad)
     if finer is not None:
-        drift = linalg.op_norm_max(_quantize_once(modes, weight, finer, dim) - result)
+        drift = linalg.op_norm_max(_quantize_once(modes, rho, finer) - result)
         if drift > 1e-6:
             warnings.warn(
                 f"quantize changed by {drift:.3e} under 1.5x refinement",
@@ -321,8 +304,8 @@ def quantize(fourier, weight, quad, dim, check_resolution=False):
     return result
 
 
-def _quantize_once(modes, weight, quad, dim):
-    rho = weight.diagonal(dim)
+def _quantize_once(modes, rho, quad):
+    dim = rho.size
     basis = BasisSpec("one_sided", dim, 0)
     out = np.zeros((dim, dim), dtype=complex)
     for alpha in (0.0, 0.5):
@@ -424,16 +407,13 @@ def angle_matrix(t, dim):
 
 
 def _diagonal_sums(A, weight, J):
-    """linalg.diagonal_sums of M = F F^T against A, F = D(sqrt J) rho^{1/2}; warns past LEAK_TOL."""
+    """linalg.diagonal_sums of M = F F^T against A, F = D(sqrt J) rho^{1/2}; tr M is the kept mass."""
     if A.basis.mode != "one_sided":
         raise DomainError(f"plane symbols need a one_sided (Fock) basis, got {A.basis.mode}")
     if not (math.isfinite(J) and J >= 0):
         raise DomainError(f"J must be nonnegative and finite, got {J}")
     F = _frames([math.sqrt(J)], weight.diagonal(A.dim))[:, 0]
-    leak = 1.0 - float(np.sum(F * F))
-    if leak > LEAK_TOL:
-        warnings.warn(f"state at J={J} leaks mass {leak:.3e} past dim={A.dim}",
-                      TruncationWarning, stacklevel=3)
+    warn_kept_mass(float(np.sum(F * F)), f"state at J={J}", f"dim={A.dim}", stacklevel=3)
     return linalg.diagonal_sums(F @ F.T, A.entries)
 
 
@@ -446,8 +426,8 @@ def lower_symbols(A, weight, J, gammas):
     (linalg.diagonal_sums, linalg.rotated_traces): one radial fill of
     the columns in rho's support and one O(dim^2) pass serve the whole
     grid.  Real (to eigen accuracy) when A is Hermitian and rho a
-    density.  Warns once (TruncationWarning), giving the mass, when M
-    keeps less than 1 - LEAK_TOL: tr M is the symbol of the identity.
+    density.  Warns once by errors.warn_kept_mass, giving the lost mass,
+    when M loses mass: tr M is the symbol of the identity.
     """
     return linalg.rotated_traces(_diagonal_sums(A, weight, J), gammas)
 
@@ -551,22 +531,6 @@ def symbol_sine_coefficients(A, weight, J, q_max):
     out = np.zeros(q_max)
     out[: q.size] = q * ((s_d[dim - 1 + q] + s_d[dim - 1 - q].conj()) / 2.0).imag
     return out
-
-
-def action_angle_commutator(t, dim):
-    """Commutator [A_angle, A_J] with A_J = N + 1 (the shift drops out)."""
-    A = angle_matrix(t, dim)
-    AJ = TruncatedOperator(
-        np.diag(np.arange(dim) + 1.0).astype(complex), BasisSpec("one_sided", dim, 0)
-    )
-    return linalg.commutator(A, AJ)
-
-
-def commutator_symbol(point, t, dim):
-    """Lower symbol of [A_angle, A_J]; approaches -i at large J away from the comb."""
-    K = action_angle_commutator(t, dim)
-    weight = WeightSpec(t=t)
-    return complex(lower_symbols(K, weight, point.J, [point.gamma])[0])
 
 
 def canonical_angle_B(dim, mode="cyclic", q_cutoff=0):

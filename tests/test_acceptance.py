@@ -149,13 +149,14 @@ def test_criterion_08_semiclassical_sawtooth():
 
 
 def test_criterion_09_canonical_commutator_recovery():
-    # J = 100 leaks past dim 160 once per angle; any other warning fails the test
+    # the symbol of [A_angle, N + 1] on one angle grid; J = 100 leaks past
+    # dim 160 once, and any other warning fails the test
+    dim = 160
+    K = linalg.commutator(whquant.angle_matrix(0.0, dim), from_matrix(np.diag(np.arange(dim) + 1.0)))
     with pytest.warns(TruncationWarning) as leaks:
-        worst_wh = 0.0
-        for gamma in (2.0, 3.0, 4.0):
-            val = whquant.commutator_symbol(whquant.PhaseSpacePoint(100.0, gamma), 0.0, 160)
-            worst_wh = max(worst_wh, abs(abs(val) - 1.0), abs(val - (-1j)))
-    assert len(leaks) == 3
+        vals = whquant.lower_symbols(K, whquant.WeightSpec(t=0.0), 100.0, [2.0, 3.0, 4.0])
+    assert len(leaks) == 1
+    worst_wh = max(max(abs(abs(val) - 1.0), abs(val - (-1j))) for val in vals)
     sigma = 20.0
     dist = circlecs.gaussian_distribution(sigma)
     dim = 2 * (int(math.ceil(dist.radius)) + 3)

@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+from pathlib import Path
 
 import anglekit
 
@@ -29,3 +30,12 @@ def test_every_public_definition_is_exported():
             and name not in module.__all__
         ]
         assert not unlisted, (info.name, unlisted)
+
+
+def test_one_module_holds_the_kept_mass_rule():
+    # every truncating route calls errors.warn_kept_mass; none reads the threshold itself
+    readers = sorted(
+        path.name for path in Path(anglekit.__file__).parent.glob("*.py")
+        if "LEAK_TOL" in path.read_text(encoding="utf-8")
+    )
+    assert readers == ["errors.py"]

@@ -566,6 +566,12 @@ def test_quantize_cyl_rejects_non_integer_mode():
                  "m must be nonnegative and integral", id="overlap-m-0.5"),
     pytest.param(lambda: d_m_sigma(gaussian_distribution(1.0), 0.5, 0.0),
                  "m must be an integer", id="d-m-sigma-m-0.5"),
+    pytest.param(lambda: gaussian_distribution(1.0).normalizer(math.nan),
+                 "J must be finite", id="normalizer-nan-J"),
+    pytest.param(lambda: gaussian_distribution(1.0).normalizer(math.inf),
+                 "J must be finite", id="normalizer-inf-J"),
+    pytest.param(lambda: d_m_sigma(gaussian_distribution(1.0), 1, math.nan),
+                 "J must be finite", id="d-m-sigma-nan-J"),
     pytest.param(lambda: overlap_profile(gaussian_distribution(1.0), 2.5),
                  "half_bandwidth must be an integer", id="overlap-profile-2.5"),
     pytest.param(lambda: cs_vector(gaussian_distribution(1.0), CylinderPoint(0.0, 0.0),

@@ -217,6 +217,8 @@ def test_defect_rejects_one_sided_and_empty_window():
         commutator_defect(family("one_sided", 8), [2])
     with pytest.raises(DomainError):
         commutator_defect(family("two_sided", 8), [2, 4])
+    with pytest.raises(DomainError, match="margin must be an integer"):
+        commutator_defect(family("two_sided", 16), [2.5])
 
 
 # ------------------------------------------------------- covariance flow

@@ -63,6 +63,14 @@ def test_basis_spec_rejects_non_integral_sizes(args, message):
         BasisSpec(*args)
 
 
+def test_interior_window_rejects_non_integral_margin():
+    basis = BasisSpec("two_sided", 16)
+    for margin in (2.5, 3.0, "3"):
+        with pytest.raises(DomainError, match="margin must be an integer"):
+            linalg.interior_window(basis, margin)
+    assert linalg.interior_window(basis, np.int64(3)) == (-5, 4)
+
+
 def test_basis_spec_centres_two_sided_by_default():
     # offset -dim // 2 rounds down: an odd dim has one more negative label than nonnegative
     assert list(BasisSpec("two_sided", 6).labels()) == [-3, -2, -1, 0, 1, 2]

@@ -118,6 +118,16 @@ def test_half_factorial_bound_random_pairs(n1, n2):
                  "k must be nonnegative", id="s_k-negative-k"),
     pytest.param(lambda: s_k(integer_sequence(), 1, -0.5),
                  "t must be nonnegative", id="s_k-negative-t"),
+    pytest.param(lambda: generalized_exp(integer_sequence(), math.nan),
+                 "t must be finite", id="exp-nan-t"),
+    pytest.param(lambda: generalized_exp(integer_sequence(), math.inf),
+                 "t must be finite", id="exp-inf-t"),
+    pytest.param(lambda: s_k(integer_sequence(), 2, math.nan),
+                 "t must be finite", id="s_k-nan-t"),
+    pytest.param(lambda: s_k(integer_sequence(), 1.5, 1.0),
+                 "k must be nonnegative and integral", id="s_k-k-1.5"),
+    pytest.param(lambda: s_k(integer_sequence(), 2.0, 1.0),
+                 "k must be nonnegative and integral", id="s_k-k-2.0"),
 ])
 def test_rejects_inputs_outside_the_domain(call, message):
     with pytest.raises(DomainError, match=message):

@@ -278,6 +278,8 @@ def test_arccos_partial_sums_climb_to_half_pi():
                  "n >= 0", id="laguerre-negative-n"),
     pytest.param(lambda: theta3_normalizer(0.3, 0.0),
                  "sigma must be positive", id="theta3-zero-sigma"),
+    pytest.param(lambda: theta3_normalizer(math.nan, 1.0),
+                 "J must be finite", id="theta3-nan-J"),
     pytest.param(lambda: arccos_coefficient(-1),
                  "n >= 0", id="arccos-negative-n"),
 ])

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -12,14 +13,11 @@ from anglekit.errors import DomainError, QuadratureWarning, TruncationWarning
 from anglekit.linalg import from_matrix, hermitian_eig, op_norm_max
 from anglekit.specfun import ln_gamma, sawtooth_fourier
 from anglekit.whquant import (
-    PhaseSpacePoint,
     QuadratureScheme,
     WeightSpec,
-    action_angle_commutator,
     angle_matrix,
     canonical_angle_B,
     coherent_state,
-    commutator_symbol,
     covariance_checks,
     d_q_cs,
     d_q_series,
@@ -49,20 +47,28 @@ def test_weight_validation():
 
 
 def test_density_diagonal_truncation_warns():
+    # the diagonal only cuts; the map and the symbols judge what the cut drops
     w = WeightSpec(diag=(0.25,) * 4)
-    with pytest.warns(TruncationWarning, match=r"5\.000e-01 past dim=2"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         d = w.diagonal(2)
     assert np.array_equal(d, [0.25, 0.25])
+    with pytest.warns(TruncationWarning, match=r"weight leaks mass 5\.000e-01 past dim=2"):
+        quantize({0: 1.0}, w, QuadratureScheme(), 2)
+    with pytest.warns(TruncationWarning, match=r"5\.000e-01 past dim=2"):
+        lower_symbols(from_matrix(np.eye(2)), w, 0.0, [0.0])
 
 
-def test_phase_space_point():
-    p = PhaseSpacePoint(4.0, math.pi)
-    assert p.z == pytest.approx(-2.0 + 0.0j)
-    for J in (-1.0, math.nan, math.inf):
-        with pytest.raises(DomainError, match="J must be nonnegative"):
-            PhaseSpacePoint(J, 0.0)
-    with pytest.raises(DomainError):
-        PhaseSpacePoint(1.0, 7.0)
+def test_quantize_warns_with_the_mass_the_weight_loses():
+    # the map of the constant 1 is the kept mass 1 - t^dim times the identity
+    dim, t = 64, 0.99
+    with pytest.warns(TruncationWarning) as record:
+        A = quantize({0: 1.0}, WeightSpec(t=t), QuadratureScheme(96), dim)
+    assert [(str(w.message), w.filename) for w in record] == [
+        (f"weight leaks mass 5.256e-01 past dim={dim}", __file__)
+    ]
+    kept = WeightSpec(t=t).diagonal(dim).sum()
+    assert np.abs(A.entries - kept * np.eye(dim)).max() <= 1e-14
 
 
 # --------------------------------------------------------- displacement
@@ -292,8 +298,9 @@ def test_quantize_hermitian_for_real_symbol():
 
 
 def test_quantize_under_resolution_warns():
+    # the weight is measured once per call, not once per rule
     quad = QuadratureScheme(n_J=8)
-    with pytest.warns(QuadratureWarning):
+    with pytest.warns((QuadratureWarning, TruncationWarning)) as record:
         quantize(
             sawtooth_fourier(3),
             WeightSpec(t=0.5),
@@ -301,6 +308,8 @@ def test_quantize_under_resolution_warns():
             24,
             check_resolution=True,
         )
+    assert [w.category for w in record] == [TruncationWarning, QuadratureWarning]
+    assert "5.960e-08" in str(record[0].message)  # t^24
 
 
 def test_refinement_at_node_cap_is_an_error():
@@ -317,7 +326,9 @@ def test_quantized_sawtooth_is_angle_matrix_over_one_minus_t():
     quad = QuadratureScheme(n_J=96)
     off = ~np.eye(12, dtype=bool)
     for t in (0.25, 0.5):
-        A = quantize(sawtooth_fourier(23), WeightSpec(t=t), quad, 24).entries[:12, :12]
+        lost = pytest.warns(TruncationWarning, match=r"5\.960e-08") if t == 0.5 else nullcontext()
+        with lost:  # t^24
+            A = quantize(sawtooth_fourier(23), WeightSpec(t=t), quad, 24).entries[:12, :12]
         closed = angle_matrix(t, 24).entries[:12, :12]
         ratio = A[off] / closed[off]
         assert np.abs(ratio - 1.0 / (1.0 - t)).max() <= 1e-6
@@ -518,7 +529,7 @@ def test_symbol_grid_matches_direct_trace():
                 grid = lower_symbols(A, weight, 9.0, gammas)
             assert len(record) == 1
         for gamma, val in zip(gammas, grid):
-            Dz = displacement_laguerre(PhaseSpacePoint(9.0, gamma).z, dim).entries
+            Dz = displacement_laguerre(3.0 * complex(math.cos(gamma), math.sin(gamma)), dim).entries
             direct = np.trace((Dz * rho) @ Dz.conj().T @ A.entries)
             assert abs(val - direct) <= 1e-12
     with pytest.warns(TruncationWarning) as record:
@@ -611,7 +622,7 @@ def test_d_q_series_domain_guards():
 def test_commutator_entries_at_zero_temperature():
     from anglekit.specfun import ln_gamma
 
-    K = action_angle_commutator(0.0, 12).entries
+    K = linalg.commutator(angle_matrix(0.0, 12), from_matrix(np.diag(np.arange(12) + 1.0))).entries
     for n, npr in ((0, 1), (2, 5), (7, 10)):
         oracle = math.exp(
             ln_gamma((n + npr) / 2.0 + 1.0)
@@ -621,11 +632,12 @@ def test_commutator_entries_at_zero_temperature():
     assert np.abs(K + K.conj().T).max() <= 1e-10
 
 
-def test_commutator_symbol_is_canonical_at_large_action():
-    # the 1e-10 leak threshold fires at J=100, dim=160 (tail ~ 2e-7);
-    # harmless at the 0.05 tolerance of this limit
+def test_symbol_of_the_commutator_is_canonical_at_large_action():
+    # the symbol of [A_angle, N + 1]; the 1e-10 leak threshold fires at
+    # J=100, dim=160 (tail ~ 2e-8), harmless at the 0.05 tolerance of this limit
+    K = linalg.commutator(angle_matrix(0.0, 160), from_matrix(np.diag(np.arange(160) + 1.0)))
     with pytest.warns(TruncationWarning):
-        val = commutator_symbol(PhaseSpacePoint(100.0, 3.0), 0.0, 160)
+        val = lower_symbols(K, WeightSpec(t=0.0), 100.0, [3.0])[0]
     assert abs(val - (-1j)) <= 0.05
 
 
@@ -673,10 +685,12 @@ def test_sawtooth_fourier_data():
     # a plain number is a constant coefficient of half-power 0
     quad = QuadratureScheme(n_J=64)
     as_callables = {q: ((lambda J, c=c: c), 0) for q, c in four.items()}
-    assert np.array_equal(
-        quantize(four, WeightSpec(t=0.25), quad, 16).entries,
-        quantize(as_callables, WeightSpec(t=0.25), quad, 16).entries,
-    )
+    with pytest.warns(TruncationWarning, match=r"2\.328e-10") as record:  # t^16, once per call
+        assert np.array_equal(
+            quantize(four, WeightSpec(t=0.25), quad, 16).entries,
+            quantize(as_callables, WeightSpec(t=0.25), quad, 16).entries,
+        )
+    assert len(record) == 2
 
 
 def test_canonical_angle_matches_circulant_oracle():
@@ -723,8 +737,10 @@ def test_quantize_maps_z_bar_to_the_adjoint_exactly():
     quad = QuadratureScheme()
     for t in (0.0, 0.3):
         w = WeightSpec(t=t)
-        z = quantize({1: ((lambda J: 1.0), 1)}, w, quad, 16)
-        z_bar = quantize({-1: ((lambda J: 1.0), 1)}, w, quad, 16)
+        lost = pytest.warns(TruncationWarning, match=r"4\.305e-09") if t else nullcontext()
+        with lost:  # t^16
+            z = quantize({1: ((lambda J: 1.0), 1)}, w, quad, 16)
+            z_bar = quantize({-1: ((lambda J: 1.0), 1)}, w, quad, 16)
         assert np.array_equal(z_bar.entries, z.H.entries)
 
 
@@ -756,6 +772,8 @@ def test_quantize_rejects_non_integer_mode():
                  "dim must be an integer", id="displacement-dim-8.0"),
     pytest.param(lambda: coherent_state(0.5, 8.0),
                  "dim must be an integer", id="coherent-dim-8.0"),
+    pytest.param(lambda: coherent_state(math.nan, 4),
+                 "z must be finite", id="coherent-nan-z"),
     pytest.param(lambda: quantize({1: ((lambda J: 1.0), 2)}, WeightSpec(), QuadratureScheme(), 8),
                  "half_power must be 0 or 1", id="half-power-2"),
     pytest.param(lambda: f_coefficient(0, 1, 1.0),
